@@ -42,9 +42,6 @@
 //	         [-breaker-probation 3] [-breaker-cooldown 30] [-require-trip]
 //	         [-feedback] [-feedback-every 25] [-feedback-interval 0]
 //	         [-replicas 0] [-shards 0] [-replica-wave 8] [-replica-reps 3]
-//	         [-cache-bench] [-cache-wave 32] [-cache-rounds 200]
-//	         [-cache-churns "0.03,0.125,0.5,1"] [-cache-reps 3]
-//	         [-require-hit-min 0]
 //	         [-bench-json curve.json] [-require-conflict-max 0]
 //	         [-trace-out trace.json] [-scorecard-json scorecard.json]
 //	         [-cpuprofile prof.out]
@@ -92,22 +89,11 @@
 //	-replica-wave      jobs each replica places per wave (completing the
 //	                   wave before the next bounds in-flight)
 //	-replica-reps      timed repetitions per scaling point; best reported
-//	-cache-bench       switch to the score-cache bench: identical wave
-//	                   streams placed with the memoized scoring path off and
-//	                   on across a churn-rate sweep, decisions asserted
-//	                   bitwise identical, speedup and hit rate reported
-//	-cache-wave        jobs per wave in the cache bench
-//	-cache-rounds      waves per timed run
-//	-cache-churns      comma-separated churn fractions in (0,1]: the share
-//	                   of each wave that places and completes
-//	-cache-reps        timed repetitions per churn point; best reported
-//	-require-hit-min   exit nonzero when the lowest-churn point's cache hit
-//	                   rate falls below this fraction (CI gate; 0 = off)
 //	-cluster-devices   device types in the synthetic cluster (scan cost per
 //	                   placement grows with the ~10 platforms per device)
 //	-bench-json        write the machine-readable curve to this file as JSON
-//	                   (replica scaling, score-cache, or the streaming
-//	                   policy sweep, depending on mode)
+//	                   (replica scaling or the streaming policy sweep,
+//	                   depending on mode)
 //	-require-conflict-max  exit nonzero when the shared-pool conflict-retry
 //	                   rate exceeds this fraction (CI gate; 0 = off)
 //	-trace-out         attach a flight recorder to the first policy's first
@@ -146,7 +132,6 @@ func validateFlags(
 	brThreshold float64, brWindow, brProbation int, brCooldown float64,
 	feedback bool, fbEvery int, fbInterval float64,
 	replicas, shards, replicaWave, replicaReps int, reqConflictMax float64,
-	cacheBench bool, cacheWave, cacheRounds, cacheReps int, reqHitMin float64,
 	clusterDevices int, traceOut, scorecardJSON string,
 ) error {
 	switch {
@@ -206,26 +191,6 @@ func validateFlags(
 		return fmt.Errorf("-require-conflict-max must be in [0,1] (got %g)", reqConflictMax)
 	case reqConflictMax > 0 && replicas == 0:
 		return fmt.Errorf("-require-conflict-max needs -replicas > 0")
-	case cacheBench && replicas > 0:
-		return fmt.Errorf("-cache-bench and the -replicas bench are separate modes; pick one")
-	case cacheBench && chaosOn:
-		return fmt.Errorf("-cache-bench times a deterministic wave stream; it cannot combine with -chaos")
-	case cacheBench && feedback:
-		return fmt.Errorf("-cache-bench needs a frozen predictor; it cannot combine with -feedback")
-	case cacheBench && traceOut != "":
-		return fmt.Errorf("-trace-out records the streaming simulation; it cannot combine with -cache-bench")
-	case cacheBench && scorecardJSON != "":
-		return fmt.Errorf("-scorecard-json reports streaming trials; use -bench-json for the -cache-bench curve")
-	case cacheWave < 1:
-		return fmt.Errorf("-cache-wave must be >= 1 (got %d)", cacheWave)
-	case cacheRounds < 1:
-		return fmt.Errorf("-cache-rounds must be >= 1 (got %d)", cacheRounds)
-	case cacheReps < 1:
-		return fmt.Errorf("-cache-reps must be >= 1 (got %d)", cacheReps)
-	case reqHitMin < 0 || reqHitMin > 1:
-		return fmt.Errorf("-require-hit-min must be in [0,1] (got %g)", reqHitMin)
-	case reqHitMin > 0 && !cacheBench:
-		return fmt.Errorf("-require-hit-min needs -cache-bench")
 	case clusterDevices < 1 || clusterDevices > 24:
 		return fmt.Errorf("-cluster-devices must be in [1,24] (got %d)", clusterDevices)
 	case traceOut != "" && replicas > 0:
@@ -312,13 +277,6 @@ func main() {
 		fbEvery     = flag.Int("feedback-every", 25, "feed measurements back every N completions")
 		fbInterval  = flag.Float64("feedback-interval", 0, "also flush after this many simulated seconds since the last flush (0 = off)")
 
-		cacheBench    = flag.Bool("cache-bench", false, "score-cache bench: identical wave streams with the memoized scoring path off and on across a churn sweep")
-		cacheWave     = flag.Int("cache-wave", 32, "jobs per wave in the cache bench")
-		cacheRounds   = flag.Int("cache-rounds", 200, "waves per timed cache-bench run")
-		cacheChurns   = flag.String("cache-churns", "0.03,0.125,0.5,1", "comma-separated churn fractions in (0,1]: the share of each wave that places and completes")
-		cacheReps     = flag.Int("cache-reps", 3, "timed repetitions per churn point; the best is reported")
-		requireHitMin = flag.Float64("require-hit-min", 0, "exit nonzero when the lowest-churn point's cache hit rate falls below this fraction (0 = no gate)")
-
 		replicas       = flag.Int("replicas", 0, "replica scaling bench: max scheduler replicas over one shared slot store (0 = normal streaming mode)")
 		shards         = flag.Int("shards", 0, "platform shards across replicas (0 = auto, one shard per replica; 1 = shared pool)")
 		replicaWave    = flag.Int("replica-wave", 8, "jobs per wave in the replica bench (each replica completes its wave before the next)")
@@ -338,20 +296,10 @@ func main() {
 		*brThreshold, *brWindow, *brProbation, *brCooldown,
 		*feedback, *fbEvery, *fbInterval,
 		*replicas, *shards, *replicaWave, *replicaReps, *reqConflictMax,
-		*cacheBench, *cacheWave, *cacheRounds, *cacheReps, *requireHitMin,
 		*clusterDevs, *traceOut, *scorecardJSON,
 	); err != nil {
 		fmt.Fprintf(flag.CommandLine.Output(), "schedsim: %v\n(run with -h for usage)\n", err)
 		os.Exit(2)
-	}
-	var churns []float64
-	if *cacheBench {
-		// Parsed before the (expensive) training so a bad sweep fails fast.
-		var err error
-		if churns, err = parseChurns(*cacheChurns); err != nil {
-			fmt.Fprintf(flag.CommandLine.Output(), "schedsim: %v\n(run with -h for usage)\n", err)
-			os.Exit(2)
-		}
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -379,19 +327,6 @@ func main() {
 	strategy, err := sched.ParseStrategy(*stratFlag)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if *cacheBench {
-		err := runCacheBench(cacheBenchConfig{
-			Cluster: ds, Pred: pred, Strategy: strategy,
-			Seed: *seed, Eps: *eps, Coloc: *coloc, Chunk: *chunk,
-			Wave: *cacheWave, Rounds: *cacheRounds, Churns: churns, Reps: *cacheReps,
-			JSONPath: *benchJSON, HitMin: *requireHitMin,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	if *replicas > 0 {

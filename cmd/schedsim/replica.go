@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -283,17 +281,7 @@ func runReplicaBench(cfg replicaBenchConfig) error {
 	fmt.Println("conflicts: optimistic reservations that lost the commit race and retried")
 
 	if cfg.JSONPath != "" {
-		f, err := os.Create(cfg.JSONPath)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := writeBenchJSON(cfg.JSONPath, report); err != nil {
 			return err
 		}
 		fmt.Printf("\nwrote %s\n", cfg.JSONPath)

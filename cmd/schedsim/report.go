@@ -202,3 +202,18 @@ func shedCount(counts map[string]int) int {
 	}
 	return n
 }
+
+// writeBenchJSON persists a bench report (-bench-json) as indented JSON.
+func writeBenchJSON(path string, report any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(report); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}

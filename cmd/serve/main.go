@@ -85,8 +85,6 @@ func main() {
 		placeChunk    = flag.Int("place-chunk", 0, "jobs placed per scheduler-lock hold (0 = default, negative = whole wave)")
 		placeReplicas = flag.Int("place-replicas", 1, "scheduler replicas over one shared slot store (>1 enables optimistic replicated placement)")
 		placeShards   = flag.Int("place-shards", 0, "platform shards across replicas (0 = one shared pool; requires -place-replicas > 1)")
-		placeCache    = flag.Bool("place-score-cache", false, "memoize wave scoring: intra-wave workload dedup + version-keyed cross-wave score cache (decisions unchanged)")
-		placeCacheCap = flag.Int("place-score-cache-cap", 0, "total score-cache entry bound across platforms (0 = default 4096; requires -place-score-cache)")
 
 		placePenalty     = flag.Float64("place-degraded-penalty", 0, "score multiplier applied to degraded platforms (0 = default 1.25)")
 		breakerThreshold = flag.Float64("place-breaker-threshold", 0, "quarantine a platform when its windowed deadline-miss rate crosses this fraction (0 disables the breaker)")
@@ -105,12 +103,6 @@ func main() {
 	}
 	if *placeShards < 0 {
 		log.Fatal("-place-shards must be >= 0")
-	}
-	if *placeCacheCap < 0 {
-		log.Fatal("-place-score-cache-cap must be >= 0")
-	}
-	if *placeCacheCap != 0 && !*placeCache {
-		log.Fatal("-place-score-cache-cap requires -place-score-cache")
 	}
 
 	df, err := os.Open(*dataPath)
@@ -193,8 +185,6 @@ func main() {
 			Replicas:      *placeReplicas,
 			Shards:        *placeShards,
 			TraceDepth:    *traceDep,
-			ScoreCache:    *placeCache,
-			ScoreCacheCap: *placeCacheCap,
 
 			DegradedPenalty: *placePenalty,
 			Breaker: sched.BreakerConfig{

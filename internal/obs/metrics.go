@@ -4,8 +4,9 @@ package obs
 // pointer threads through sched.Config. A nil *SchedMetrics (or any nil
 // member) disables recording at that site with a single branch.
 type SchedMetrics struct {
-	// ScoreBatch is the latency of one batched predictor scoring call
-	// (seconds).
+	// ScoreBatch is the latency of a wave chunk's batched predictor
+	// scoring call (seconds); chunks served wholly from the score table
+	// make no call and record nothing.
 	ScoreBatch *Histogram
 	// WavePlace is the end-to-end latency of one PlaceAll wave (seconds).
 	WavePlace *Histogram
@@ -14,9 +15,6 @@ type SchedMetrics struct {
 	ChunkHold *Histogram
 	// WaveSize is the distribution of PlaceAll wave sizes (jobs).
 	WaveSize *Histogram
-	// CacheLookup is the latency of one score-cache column lookup
-	// (seconds), recorded only on the memoized wave path.
-	CacheLookup *Histogram
 }
 
 // NewSchedMetrics builds the placement histogram set with the given family
@@ -31,7 +29,5 @@ func NewSchedMetrics(prefix string) *SchedMetrics {
 			"Scheduler lock hold time per wave chunk.", LatencyBuckets()),
 		WaveSize: NewHistogram(prefix+"wave_jobs",
 			"Distribution of placement wave sizes.", SizeBuckets()),
-		CacheLookup: NewHistogram(prefix+"score_cache_lookup_seconds",
-			"Latency of one score-cache column lookup.", LatencyBuckets()),
 	}
 }

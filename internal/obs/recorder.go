@@ -10,16 +10,16 @@ import (
 type EventKind uint8
 
 const (
-	EvEnqueue EventKind = 1 + iota // job arrived / admitted to a wave
-	EvScore                        // a wave batch was scored (N = wave size)
-	EvReserve                      // optimistic slot reservation committed (replica path)
-	EvConflict                     // CAS reservation lost, retrying (N = attempt)
-	EvPlace                        // job committed to a platform
-	EvComplete                     // job finished and released its slot
-	EvOrphan                       // platform failed under a resident job
-	EvReadmit                      // platform re-admitted after recovery/probation
-	EvRetry                        // queued retry attempt (N = attempt)
-	EvShed                         // job rejected (Reason says why)
+	EvEnqueue  EventKind = 1 + iota // job arrived / admitted to a wave
+	EvScore                         // a wave chunk's scores were looked up (N = cells scored, Cached = cells served)
+	EvReserve                       // optimistic slot reservation committed (replica path)
+	EvConflict                      // CAS reservation lost, retrying (N = attempt)
+	EvPlace                         // job committed to a platform
+	EvComplete                      // job finished and released its slot
+	EvOrphan                        // platform failed under a resident job
+	EvReadmit                       // platform re-admitted after recovery/probation
+	EvRetry                         // queued retry attempt (N = attempt)
+	EvShed                          // job rejected (Reason says why)
 )
 
 var kindNames = [...]string{
@@ -87,7 +87,7 @@ func ParseReason(s string) Reason {
 // on the schedsim stream path. ID carries the scheduler JobID when it is
 // known and distinct from the tracking key. Version is the predictor
 // snapshot version at record time, Platform is -1 when the event is not
-// platform-specific, and N is contextual (wave size for score, attempt
+// platform-specific, and N is contextual (cells scored for score, attempt
 // number for conflict/retry).
 type Event struct {
 	Seq      uint64        // total order within the recorder
@@ -99,9 +99,11 @@ type Event struct {
 	Reason   Reason
 	Platform int32
 	N        int32
-	// Cached is, on EvScore events from the memoized wave path, how many
-	// of the chunk's distinct column scores were served from the
-	// cross-wave score cache instead of the predictor; 0 elsewhere.
+	// Cached is, on EvScore events, how many (platform, workload) score
+	// cells the chunk's lookup served from the score table; N on the same
+	// event counts the cells it scored through the predictor, so
+	// N + Cached is the chunk's distinct workloads times its open
+	// platforms. 0 elsewhere.
 	Cached int32
 }
 

@@ -289,6 +289,7 @@ func (s *Scheduler) Fail(p int) ([]Orphan, error) {
 		}
 	}
 	s.residents[p] = rs[:0]
+	s.ks[p] = s.ks[p][:0]
 	s.stats.Orphaned += uint64(len(orphans))
 	return orphans, nil
 }
@@ -414,7 +415,7 @@ func (s *Scheduler) noteOutcomeLocked(p int, miss bool) bool {
 	}
 	if tripped || closed {
 		// State transitions only — plain in-window outcomes change nothing a
-		// cached score column depends on.
+		// score cell depends on.
 		s.bumpSlotLocked(p)
 	}
 	return tripped

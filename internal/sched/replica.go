@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,20 +8,6 @@ import (
 
 	"repro/internal/obs"
 )
-
-// platformView is a replica's local snapshot of one platform: the version
-// it scored against plus everything placement needs (resident workloads,
-// load, effective cap, health). Views refresh at chunk start, after the
-// replica's own commits, and on reserve conflicts — never mid-selection,
-// so a chunk's decisions are a pure function of its snapshots.
-type platformView struct {
-	ver       uint64
-	ks        []int
-	load      int
-	cap       int
-	placeable bool
-	degraded  bool
-}
 
 // Replica is one scheduler frontend of a ReplicaSet: it scores waves
 // against a private snapshot of the shared SlotStore and commits each
@@ -33,21 +18,26 @@ type platformView struct {
 // job is shed with ReasonConflict.
 //
 // With one replica and no concurrent store mutations, placements are
-// bitwise identical to Scheduler.PlaceAll: the snapshot/pre-score/select/
-// dirty-re-score sequence is the same algorithm over the same shared
-// selection helpers, and conflict paths never execute.
+// bitwise identical to Scheduler.PlaceAll: both run the same wave path
+// (engine.placeChunk) over views of the same state, and conflict paths
+// never execute.
 //
 // A Replica is safe for concurrent use; concurrent PlaceAll calls on the
 // same replica serialize on its private mutex (use distinct replicas for
-// parallel placement).
+// parallel placement). Each replica owns its score table, guarded by that
+// mutex: its cells are stamped with SlotStore versions, so a view adopted
+// from a conflict restamps them with no extra locking.
 type Replica struct {
 	set *ReplicaSet
 	idx int
 
-	mu      sync.Mutex
-	views   []platformView // indexed by platform
-	slotOf  []int          // platform -> shard slot for the current chunk
-	scratch waveScratch
+	mu    sync.Mutex
+	views []platformView // indexed by platform
+	table waveTable
+
+	// conflictState is the store state the last refused reservation
+	// returned, adopted by retry after the backoff.
+	conflictState *platformSlots
 
 	commits   atomic.Uint64
 	conflicts atomic.Uint64
@@ -60,46 +50,9 @@ type Replica struct {
 
 // PlaceAll places a wave of jobs in arrival order through this replica,
 // chunked like Scheduler.PlaceAll: each chunk snapshots the replica's
-// shard, pre-scores platform-major in one batched call, and commits
-// per-job reservations against those snapshots.
+// shard and commits per-job reservations against those snapshots.
 func (r *Replica) PlaceAll(jobs []Job) []Assignment {
-	// Same per-site observability guards as Scheduler.PlaceAll: the
-	// disabled path never calls time.Now.
-	met := r.set.met
-	var waveStart time.Time
-	if met != nil {
-		waveStart = time.Now()
-		met.WaveSize.Observe(float64(len(jobs)))
-	}
-	out := make([]Assignment, len(jobs))
-	chunk := r.set.chunk
-	if chunk < 0 || chunk > len(jobs) {
-		chunk = len(jobs)
-	}
-	for lo := 0; lo < len(jobs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
-		r.mu.Lock()
-		var holdStart time.Time
-		if met != nil {
-			holdStart = time.Now()
-		}
-		r.placeChunk(jobs[lo:hi], out[lo:hi])
-		if met != nil {
-			met.ChunkHold.ObserveSince(holdStart)
-		}
-		r.mu.Unlock()
-		r.set.noteChunk()
-		if r.chunkGap != nil && hi < len(jobs) {
-			r.chunkGap()
-		}
-	}
-	if met != nil {
-		met.WavePlace.ObserveSince(waveStart)
-	}
-	return out
+	return r.set.placeWave(&r.mu, jobs, r.placeChunkLocked, r.set.noteChunk, r.chunkGap)
 }
 
 // Place assigns one job through this replica.
@@ -107,9 +60,10 @@ func (r *Replica) Place(job Job) Assignment {
 	return r.PlaceAll([]Job{job})[0]
 }
 
-// refreshView rebuilds platform p's view from the store's current state.
-func (r *Replica) refreshView(p int) {
-	st := r.set.store.load(p)
+// setView rebuilds platform p's view from a published store state: the
+// current one at chunk start, the committed one after a reservation, the
+// newer one a conflict returned.
+func (r *Replica) setView(p int, st *platformSlots) {
 	r.views[p] = platformView{
 		ver:       st.version,
 		ks:        st.workloads(),
@@ -120,434 +74,73 @@ func (r *Replica) refreshView(p int) {
 	}
 }
 
-// adoptCommit updates platform p's view from the state a successful
-// reservation returned: the committed resident set is exactly what the
-// chunk's remaining jobs must be scored against (the scheduler's
-// residentWorkloadsLocked-after-commit refresh).
-func (r *Replica) adoptCommit(p int, st *platformSlots) {
-	r.views[p] = platformView{
-		ver:       st.version,
-		ks:        st.workloads(),
-		load:      len(st.residents),
-		cap:       st.colocCap(r.set.store.maxColocation),
-		placeable: st.state.Placeable(),
-		degraded:  st.state == Degraded,
-	}
-}
-
-// placeChunk places one chunk of jobs under the replica mutex, filling
-// out[i] for jobs[i]. The structure mirrors Scheduler.placeWaveLocked with
-// the shard's view snapshots standing in for the locked cluster state.
-func (r *Replica) placeChunk(jobs []Job, out []Assignment) {
+// placeChunkLocked places one chunk of jobs under the replica mutex,
+// filling out[i] for jobs[i], over fresh views of the replica's shard.
+func (r *Replica) placeChunkLocked(jobs []Job, out []Assignment) {
 	set := r.set
 	shard := set.shardFor(r.idx)
 	if r.views == nil {
 		r.views = make([]platformView, set.cfg.NumPlatforms)
-		r.slotOf = make([]int, set.cfg.NumPlatforms)
 	}
-	for si, p := range shard {
-		r.refreshView(p)
-		r.slotOf[p] = si
+	for _, p := range shard {
+		r.setView(p, set.store.load(p))
 	}
-	if set.bpred == nil {
-		for i, j := range jobs {
-			out[i] = r.placeOne(j, shard)
-		}
-		return
-	}
-
-	dual := set.dpolicy != nil
-	nS, nJ := len(shard), len(jobs)
-	sc := &r.scratch
-	sc.reserve(nS, nJ)
-
-	// Chunk pre-score against the snapshot state, one batched call, queries
-	// platform-major in ascending platform order (shards are kept sorted) —
-	// the same query sequence the scheduler would issue over this platform
-	// set, so scores are bitwise identical.
-	qs := sc.qs[:0]
-	prescored := sc.prescored[:nS]
-	for si, p := range shard {
-		v := &r.views[p]
-		prescored[si] = false
-		if !v.placeable || v.load >= v.cap {
-			continue
-		}
-		prescored[si] = true
-		if set.cache != nil {
-			continue // the memoized path builds per-column queries itself
-		}
-		for j := range jobs {
-			qs = append(qs, Query{Workload: jobs[j].Workload, Platform: p, Interferers: v.ks})
-		}
-	}
-	scoreAt := sc.scoreAt[:nS*nJ]
-	rankAt := sc.rankAt[:nS*nJ]
-	if set.cache != nil {
-		r.prescoreChunkCached(jobs, shard, prescored, scoreAt, rankAt, dual)
-	} else {
-		pre := sc.pre[:len(qs)]
-		preRank := sc.preRank[:len(qs)]
-		var scoreStart time.Time
-		if set.met != nil {
-			scoreStart = time.Now()
-		}
-		if dual {
-			set.dpolicy.ScoreDualBatch(set.bpred, qs, pre, preRank)
-		} else {
-			set.bpolicy.ScoreBatch(set.bpred, qs, pre)
-		}
-		if set.met != nil {
-			set.met.ScoreBatch.ObserveSince(scoreStart)
-		}
-		if set.rec != nil {
-			set.rec.Record(obs.Event{Kind: obs.EvScore, Platform: -1, N: int32(nJ),
-				Version: set.snapVersion()})
-		}
-		next := 0
-		for si := 0; si < nS; si++ {
-			if !prescored[si] {
-				for j := 0; j < nJ; j++ {
-					scoreAt[si*nJ+j] = math.NaN()
-				}
-				continue
-			}
-			copy(scoreAt[si*nJ:(si+1)*nJ], pre[next:next+nJ])
-			if dual {
-				copy(rankAt[si*nJ:(si+1)*nJ], preRank[next:next+nJ])
-			}
-			next += nJ
-		}
-	}
-
-	cands := sc.cands[:0]
-	snaps := sc.snaps[:0]
-	for j, job := range jobs {
-		if set.store.maxInFlight > 0 && set.store.InFlight() >= set.store.maxInFlight {
-			out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
-			continue
-		}
-		retries := 0
-		for {
-			cands, snaps = cands[:0], snaps[:0]
-			placeable := 0
-			for si, p := range shard {
-				v := &r.views[p]
-				if !v.placeable {
-					continue
-				}
-				placeable++
-				if v.load+1 > v.cap {
-					continue
-				}
-				c := Candidate{
-					Platform: p,
-					Load:     v.load,
-					Score:    scoreAt[si*nJ+j],
-					Degraded: v.degraded,
-				}
-				if dual {
-					c.Rank = rankAt[si*nJ+j]
-				} else {
-					c.Rank = c.Score
-				}
-				cands = append(cands, c)
-				snaps = append(snaps, v.ks)
-			}
-			padDegradedCands(cands, set.degradedPenalty)
-			bi := bestCandidate(set.strategy, job, cands)
-			if bi < 0 {
-				out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: unplacedReason(placeable, len(cands))}
-				break
-			}
-			p := cands[bi].Platform
-			id, st, status := set.store.reserve(p, r.views[p].ver, job)
-			if status == reserveOK {
-				r.commits.Add(1)
-				if set.rec != nil {
-					set.rec.Record(obs.Event{Kind: obs.EvPlace, Job: uint64(id), ID: uint64(id),
-						Platform: int32(p), Version: set.snapVersion()})
-				}
-				out[j] = Assignment{
-					ID:          id,
-					Job:         job,
-					Platform:    p,
-					Budget:      cands[bi].Score,
-					Interferers: snaps[bi],
-				}
-				r.adoptCommit(p, st)
-				if j+1 < nJ && r.views[p].load < r.views[p].cap {
-					r.rescoreColumn(p, jobs, j+1, scoreAt, rankAt)
-				}
-				break
-			}
-			if status == reserveAdmission {
-				out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
-				break
-			}
-			// Conflict: our snapshot of p went stale. Refresh from the state
-			// the store returned, re-score p's remaining column, and retry
-			// the selection — the refreshed view may demote p or crown a
-			// different winner.
-			r.conflicts.Add(1)
-			retries++
-			if set.rec != nil {
-				set.rec.Record(obs.Event{Kind: obs.EvConflict, Platform: int32(p),
-					N: int32(retries), Version: set.snapVersion()})
-			}
-			if retries > set.maxRetries {
-				r.shed.Add(1)
-				if set.rec != nil {
-					set.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ReasonConflict,
-						Platform: int32(p), N: int32(retries), Version: set.snapVersion()})
-				}
-				out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: ReasonConflict}
-				break
-			}
-			set.backoff(retries)
-			r.adoptCommit(p, st)
-			if r.views[p].placeable && r.views[p].load < r.views[p].cap {
-				r.rescoreColumn(p, jobs, j, scoreAt, rankAt)
-			} else {
-				si := r.slotOf[p]
-				for jj := j; jj < nJ; jj++ {
-					scoreAt[si*nJ+jj] = math.NaN()
-				}
-			}
-		}
-	}
+	set.placeChunk(&r.table, r, jobs, out, shard, r.views)
 }
 
-// prescoreChunkCached is placeChunk's memoized pre-score, mirroring
-// Scheduler.prescoreCachedLocked over the shard's view snapshots: the
-// chunk's jobs dedup to distinct workloads once, then each prescored
-// platform's column is served through the shared cross-wave cache keyed on
-// the view's SlotStore version — the same versions the optimistic commit
-// protocol already validates at reserve time, so a cached column is
-// provably the one this view would have scored.
-func (r *Replica) prescoreChunkCached(jobs []Job, shard []int, prescored []bool, scoreAt, rankAt []float64, dual bool) {
+// admit implements committer: the store's cluster-wide MaxInFlight.
+func (r *Replica) admit() bool {
+	st := r.set.store
+	return st.maxInFlight <= 0 || st.InFlight() < st.maxInFlight
+}
+
+// commit implements committer with an optimistic reservation against the
+// view's version. The committed view is adopted at once; a conflict's
+// newer state waits for retry. The interference set is the view's shared
+// immutable snapshot.
+func (r *Replica) commit(p int, job Job) (JobID, []int, reserveStatus) {
 	set := r.set
-	nJ := len(jobs)
-	sc := &r.scratch
-	sc.reserveCache(len(shard), nJ)
-	distinct, nD := dedupJobs(jobs, 0, sc.distinct, sc.dIdx)
-	sc.distinct = distinct
-	epoch := set.epoch()
-	cached := 0
-	qs := sc.colQ[:0]
-	missAt := sc.missW[:0] // flat column-grid index (si*nD+d) per miss
-	for si, p := range shard {
-		if !prescored[si] {
-			for j := 0; j < nJ; j++ {
-				scoreAt[si*nJ+j] = math.NaN()
-			}
-			continue
+	inter := r.views[p].ks
+	id, st, status := set.store.reserve(p, r.views[p].ver, job)
+	switch status {
+	case reserveOK:
+		r.commits.Add(1)
+		if set.rec != nil {
+			set.rec.Record(obs.Event{Kind: obs.EvPlace, Job: uint64(id), ID: uint64(id),
+				Platform: int32(p), Version: set.snapVersion()})
 		}
-		v := &r.views[p]
-		base := si * nD
-		feas := sc.colFeas[base : base+nD]
-		rank := sc.colRank[base : base+nD]
-		hit := sc.colHit[base : base+nD]
-		var lookStart time.Time
-		if set.met != nil {
-			lookStart = time.Now()
-		}
-		nHit := set.cache.lookup(p, v.ver, epoch, distinct, feas, rank, hit)
-		if set.met != nil {
-			set.met.CacheLookup.ObserveSince(lookStart)
-		}
-		cached += nHit
-		if nHit == nD {
-			continue
-		}
-		for d, w := range distinct {
-			if !hit[d] {
-				qs = append(qs, Query{Workload: w, Platform: p, Interferers: v.ks})
-				missAt = append(missAt, base+d)
-			}
-		}
+		r.setView(p, st)
+	case reserveConflict:
+		r.conflictState = st
 	}
-	if len(qs) > 0 {
-		missFeas := sc.missFeas[:len(qs)]
-		missRank := sc.missRank[:len(qs)]
-		var scoreStart time.Time
-		if set.met != nil {
-			scoreStart = time.Now()
-		}
-		if dual {
-			set.dpolicy.ScoreDualBatch(set.bpred, qs, missFeas, missRank)
-		} else {
-			set.bpolicy.ScoreBatch(set.bpred, qs, missFeas)
-			copy(missRank, missFeas)
-		}
-		if set.met != nil {
-			set.met.ScoreBatch.ObserveSince(scoreStart)
-		}
-		for i, at := range missAt {
-			sc.colFeas[at], sc.colRank[at] = missFeas[i], missRank[i]
-		}
-		// One whole-column store per refreshed column; already-cached
-		// entries are skipped by the insert guard.
-		prev := -1
-		for i, at := range missAt {
-			si := at / nD
-			if si == prev {
-				continue
-			}
-			prev = si
-			base := si * nD
-			s := set.cache
-			s.store(qs[i].Platform, r.views[qs[i].Platform].ver, epoch, distinct,
-				sc.colFeas[base:base+nD], sc.colRank[base:base+nD])
-		}
-	}
-	for si := range shard {
-		if !prescored[si] {
-			continue
-		}
-		base := si * nD
-		for j := 0; j < nJ; j++ {
-			d := sc.dIdx[j]
-			scoreAt[si*nJ+j] = sc.colFeas[base+d]
-			if dual {
-				rankAt[si*nJ+j] = sc.colRank[base+d]
-			}
-		}
-	}
+	return id, inter, status
+}
+
+// unplaced implements committer; replicas record sheds only for conflicts.
+func (r *Replica) unplaced(string) {}
+
+// retry implements committer: the snapshot of p went stale. Past the retry
+// budget the job is shed; otherwise, after the backoff, the view adopts
+// the state the store returned and selection runs again — the refreshed
+// view may demote p or crown a different winner.
+func (r *Replica) retry(p, attempt int) bool {
+	set := r.set
+	r.conflicts.Add(1)
 	if set.rec != nil {
-		set.rec.Record(obs.Event{Kind: obs.EvScore, Platform: -1, N: int32(nJ),
-			Cached: int32(cached), Version: set.snapVersion()})
+		set.rec.Record(obs.Event{Kind: obs.EvConflict, Platform: int32(p),
+			N: int32(attempt), Version: set.snapVersion()})
 	}
-}
-
-// rescoreColumn re-scores platform p for jobs[from:] against the view's
-// refreshed residents in one batched span, updating the chunk's score
-// table — the scheduler's dirty-platform re-score. On the memoized path
-// the column goes through the cache under the view's refreshed version:
-// after a conflict refresh the column another replica just scored (and
-// cached) for the same state is served without touching the predictor.
-func (r *Replica) rescoreColumn(p int, jobs []Job, from int, scoreAt, rankAt []float64) {
-	set := r.set
-	dual := set.dpolicy != nil
-	nJ := len(jobs)
-	si := r.slotOf[p]
-	ks := r.views[p].ks
-	sc := &r.scratch
-	if set.cache != nil {
-		distinct, nD := dedupJobs(jobs, from, sc.distinct, sc.dIdx)
-		sc.distinct = distinct
-		feas := sc.colFeas[:nD]
-		rank := sc.colRank[:nD]
-		scoreColumnCached(set.cache, set.met, set.bpred, set.bpolicy, set.dpolicy,
-			sc, p, r.views[p].ver, set.epoch(), distinct, ks, feas, rank)
-		for i, j := 0, from; j < nJ; i, j = i+1, j+1 {
-			d := sc.dIdx[i]
-			scoreAt[si*nJ+j] = feas[d]
-			if dual {
-				rankAt[si*nJ+j] = rank[d]
-			}
-		}
-		return
-	}
-	rescoreQ := sc.rescoreQ[:0]
-	for j := from; j < nJ; j++ {
-		rescoreQ = append(rescoreQ, Query{Workload: jobs[j].Workload, Platform: p, Interferers: ks})
-	}
-	rescore := sc.rescore[:len(rescoreQ)]
-	if dual {
-		rescoreRank := sc.rescoreRank[:len(rescoreQ)]
-		set.dpolicy.ScoreDualBatch(set.bpred, rescoreQ, rescore, rescoreRank)
-		for i, j := 0, from; j < nJ; i, j = i+1, j+1 {
-			scoreAt[si*nJ+j] = rescore[i]
-			rankAt[si*nJ+j] = rescoreRank[i]
-		}
-		return
-	}
-	set.bpolicy.ScoreBatch(set.bpred, rescoreQ, rescore)
-	for i, j := 0, from; j < nJ; i, j = i+1, j+1 {
-		scoreAt[si*nJ+j] = rescore[i]
-	}
-}
-
-// placeOne is the scalar-scoring arm (no BatchPredictor, or batching
-// disabled), mirroring Scheduler.placeLocked per job with the reserve loop
-// on top. Each retry re-scores the refreshed candidate set in full.
-func (r *Replica) placeOne(job Job, shard []int) Assignment {
-	set := r.set
-	if set.store.maxInFlight > 0 && set.store.InFlight() >= set.store.maxInFlight {
-		return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
-	}
-	sc := &r.scratch
-	sc.reserve(len(shard), 1)
-	retries := 0
-	for {
-		cands := sc.cands[:0]
-		snaps := sc.snaps[:0]
-		placeable := 0
-		for _, p := range shard {
-			v := &r.views[p]
-			if !v.placeable {
-				continue
-			}
-			placeable++
-			if v.load+1 > v.cap {
-				continue
-			}
-			cands = append(cands, Candidate{Platform: p, Load: v.load, Degraded: v.degraded})
-			snaps = append(snaps, v.ks)
-		}
-		if set.dpolicy != nil {
-			for i, c := range cands {
-				cands[i].Score, cands[i].Rank = set.dpolicy.ScoreDual(set.pred, job, c.Platform, snaps[i])
-			}
-		} else {
-			for i, c := range cands {
-				v := set.policy.Score(set.pred, job, c.Platform, snaps[i])
-				cands[i].Score, cands[i].Rank = v, v
-			}
-		}
-		padDegradedCands(cands, set.degradedPenalty)
-		bi := bestCandidate(set.strategy, job, cands)
-		if bi < 0 {
-			return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: unplacedReason(placeable, len(cands))}
-		}
-		p := cands[bi].Platform
-		id, st, status := set.store.reserve(p, r.views[p].ver, job)
-		switch status {
-		case reserveOK:
-			r.commits.Add(1)
-			if set.rec != nil {
-				set.rec.Record(obs.Event{Kind: obs.EvPlace, Job: uint64(id), ID: uint64(id),
-					Platform: int32(p), Version: set.snapVersion()})
-			}
-			r.adoptCommit(p, st)
-			return Assignment{
-				ID:          id,
-				Job:         job,
-				Platform:    p,
-				Budget:      cands[bi].Score,
-				Interferers: snaps[bi],
-			}
-		case reserveAdmission:
-			return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
-		}
-		r.conflicts.Add(1)
-		retries++
+	if attempt > set.maxRetries {
+		r.shed.Add(1)
 		if set.rec != nil {
-			set.rec.Record(obs.Event{Kind: obs.EvConflict, Platform: int32(p),
-				N: int32(retries), Version: set.snapVersion()})
+			set.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ReasonConflict,
+				Platform: int32(p), N: int32(attempt), Version: set.snapVersion()})
 		}
-		if retries > set.maxRetries {
-			r.shed.Add(1)
-			if set.rec != nil {
-				set.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ReasonConflict,
-					Platform: int32(p), N: int32(retries), Version: set.snapVersion()})
-			}
-			return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: ReasonConflict}
-		}
-		set.backoff(retries)
-		r.adoptCommit(p, st)
+		return false
 	}
+	set.backoff(attempt)
+	r.setView(p, r.conflictState)
+	return true
 }
 
 // backoff spaces the k-th consecutive reserve retry: yield-only when no

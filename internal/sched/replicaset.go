@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // ReplicaConfig tunes a ReplicaSet: how many scheduler replicas share the
@@ -82,16 +80,8 @@ type ReplicaStats struct {
 // drivers that own their parallelism (one goroutine per frontend) should
 // take Replica handles and call PlaceAll on them directly.
 type ReplicaSet struct {
-	cfg      Config
-	policy   Policy
-	strategy Strategy
-	pred     Predictor
-	bpred    BatchPredictor
-	bpolicy  BatchPolicy
-	dpolicy  DualPolicy
+	engine
 
-	chunk            int
-	degradedPenalty  float64
 	maxRetries       int
 	commitBackoff    time.Duration
 	commitBackoffMax time.Duration
@@ -106,47 +96,18 @@ type ReplicaSet struct {
 	chunkCount atomic.Uint64
 	rebalances atomic.Uint64
 	rebalanceM sync.Mutex
-
-	// met/rec/ver mirror the Scheduler's observability hooks: nil-safe
-	// histograms and flight recorder (Config.Metrics / Config.Recorder)
-	// plus the predictor's snapshot version for event stamping.
-	met *obs.SchedMetrics
-	rec *obs.Recorder
-	ver func() uint64
-
-	// cache is the cross-wave score cache shared by every replica
-	// (Config.ScoreCache); nil when disabled. Columns key on SlotStore
-	// versions, so one replica's fresh scoring serves another replica's
-	// identical view. epochFn reads the predictor's scoring epoch.
-	cache   *ScoreCache
-	epochFn func() uint64
 }
 
-// epoch returns the predictor's current scoring epoch, or 0 for
-// epoch-less predictors.
-func (rs *ReplicaSet) epoch() uint64 {
-	if rs.epochFn == nil {
-		return 0
+// ScoreTableStats returns the score-table counters summed over the
+// replicas (each replica owns its table).
+func (rs *ReplicaSet) ScoreTableStats() ScoreTableStats {
+	var st ScoreTableStats
+	for _, r := range rs.replicas {
+		t := r.table.stats()
+		st.Hits += t.Hits
+		st.Misses += t.Misses
 	}
-	return rs.epochFn()
-}
-
-// ScoreCacheStats returns the shared score cache's counters and whether
-// the cache is enabled on this set.
-func (rs *ReplicaSet) ScoreCacheStats() (ScoreCacheStats, bool) {
-	if rs.cache == nil {
-		return ScoreCacheStats{}, false
-	}
-	return rs.cache.Stats(), true
-}
-
-// snapVersion returns the predictor's current snapshot version, or 0 when
-// the predictor does not expose one. Only called on recording paths.
-func (rs *ReplicaSet) snapVersion() uint64 {
-	if rs.ver == nil {
-		return 0
-	}
-	return rs.ver()
+	return st
 }
 
 // NewReplicaSet builds rc.Replicas schedulers over one shared slot store.
@@ -162,19 +123,9 @@ func NewReplicaSet(cfg Config, rc ReplicaConfig, policy Policy, pred Predictor) 
 	if rc.Shards < 0 {
 		return nil, fmt.Errorf("sched: negative Shards")
 	}
-	if cfg.Strategy == nil {
-		cfg.Strategy = LeastLoaded{}
-	}
-	chunk := cfg.WaveChunk
-	if chunk == 0 {
-		chunk = defaultWaveChunk
-	}
-	penalty := cfg.DegradedPenalty
-	if penalty == 0 {
-		penalty = defaultDegradedPenalty
-	}
-	if penalty < 1 {
-		return nil, fmt.Errorf("sched: DegradedPenalty %v < 1", penalty)
+	e, err := newEngine(cfg, policy, pred)
+	if err != nil {
+		return nil, err
 	}
 	if rc.MaxCommitRetries <= 0 {
 		rc.MaxCommitRetries = 8
@@ -193,56 +144,30 @@ func NewReplicaSet(cfg Config, rc ReplicaConfig, policy Policy, pred Predictor) 
 		return nil, err
 	}
 	rs := &ReplicaSet{
-		cfg:              cfg,
-		policy:           policy,
-		strategy:         cfg.Strategy,
-		pred:             pred,
-		chunk:            chunk,
-		degradedPenalty:  penalty,
+		engine:           e,
 		maxRetries:       rc.MaxCommitRetries,
 		commitBackoff:    rc.CommitBackoff,
 		commitBackoffMax: rc.CommitBackoffMax,
 		rebalanceEvery:   rc.RebalanceEvery,
 		rebalanceSkew:    rc.RebalanceSkew,
 		store:            store,
-		met:              cfg.Metrics,
-		rec:              cfg.Recorder,
 	}
-	if v, ok := pred.(snapshotVersioner); ok {
-		rs.ver = v.Version
-	}
-	if dp, ok := policy.(DualPolicy); ok {
-		rs.dpolicy = dp
-	}
-	if !cfg.DisableBatch {
-		bp, okP := pred.(BatchPredictor)
-		bpol, okPol := policy.(BatchPolicy)
-		if okP && okPol {
-			rs.bpred, rs.bpolicy = bp, bpol
-		}
-	}
-	if cfg.ScoreCacheCap < 0 {
-		return nil, fmt.Errorf("sched: negative ScoreCacheCap")
-	}
-	if cfg.ScoreCache && rs.bpred != nil {
-		rs.cache = newScoreCache(cfg.NumPlatforms, cfg.ScoreCacheCap)
-		rs.epochFn = resolveEpochFn(pred)
-	}
+	nP := cfg.NumPlatforms
 	nShards := rc.Shards
 	if nShards == 0 {
 		nShards = rc.Replicas
 	}
-	if nShards > cfg.NumPlatforms {
-		nShards = cfg.NumPlatforms
+	if nShards > nP {
+		nShards = nP
 	}
 	shards := make([][]int, nShards)
-	for p := 0; p < cfg.NumPlatforms; p++ {
+	for p := 0; p < nP; p++ {
 		shards[p%nShards] = append(shards[p%nShards], p)
 	}
 	rs.shards.Store(&shardMap{shards: shards})
 	rs.replicas = make([]*Replica, rc.Replicas)
 	for i := range rs.replicas {
-		rs.replicas[i] = &Replica{set: rs, idx: i}
+		rs.replicas[i] = &Replica{set: rs, idx: i, table: waveTable{nP: nP}}
 	}
 	return rs, nil
 }
@@ -262,20 +187,6 @@ func (rs *ReplicaSet) NumShards() int { return len(rs.shards.Load().shards) }
 
 // Replica returns frontend i, for drivers that pin work to replicas.
 func (rs *ReplicaSet) Replica(i int) *Replica { return rs.replicas[i] }
-
-// Batched reports whether placements score through the batched predictor
-// path (Scheduler.Batched).
-func (rs *ReplicaSet) Batched() bool { return rs.bpred != nil }
-
-// Fused reports whether both policy facets score through one fused
-// two-head pass (Scheduler.Fused).
-func (rs *ReplicaSet) Fused() bool {
-	if rs.bpred == nil || rs.dpolicy == nil {
-		return false
-	}
-	_, ok := rs.bpred.(FusedPredictor)
-	return ok
-}
 
 // PlaceAll places a wave through the next replica round-robin. With one
 // replica this is exactly Scheduler.PlaceAll over the shared store.

@@ -176,7 +176,7 @@ type Config struct {
 	// scheduler-lock hold: the lock is released between chunks, so
 	// concurrent Place/Complete calls interleave mid-wave and a Complete
 	// waits at most one chunk — not the whole wave — behind a long
-	// placement burst. Each chunk pre-scores against the then-current
+	// placement burst. Each chunk scores against the then-current
 	// cluster state, so with no concurrent events chunked placement is
 	// decision-identical to an unchunked wave. 0 means the default (64);
 	// negative places the whole wave under one lock hold (the PR 3
@@ -206,15 +206,4 @@ type Config struct {
 	// behind /debug/trace. Nil disables with the same zero-cost contract
 	// as Metrics.
 	Recorder *obs.Recorder
-	// ScoreCache enables the memoized wave-scoring path: intra-wave
-	// workload dedup plus a bounded cross-wave score cache keyed on
-	// per-platform slot versions and the predictor's scoring epoch (see
-	// ScoreCache in scorecache.go). Decision-bitwise-identical to the
-	// uncached path; off by default. Ignored on the scalar (DisableBatch
-	// or non-batch predictor) arm, which has no wave scoring to memoize.
-	ScoreCache bool
-	// ScoreCacheCap bounds total cached entries across all platforms
-	// (split evenly per platform, FIFO eviction). 0 means the default
-	// (4096 entries ≈ well under a megabyte).
-	ScoreCacheCap int
 }

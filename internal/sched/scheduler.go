@@ -1,10 +1,7 @@
 package sched
 
 import (
-	"fmt"
-	"math"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -26,30 +23,10 @@ type placedJob struct {
 // time (Config.WaveChunk), so completions and competing placements
 // interleave mid-wave instead of stalling behind a long wave.
 type Scheduler struct {
-	cfg      Config
-	policy   Policy
-	strategy Strategy
-	pred     Predictor
+	engine
 
-	// bpred/bpolicy are non-nil when batched scoring is active: the
-	// predictor scores a job's whole candidate set (or a whole wave) in
-	// one call instead of one scalar call per platform. dpolicy is non-nil
-	// when the policy scores feasibility and ranking separately (mixed
-	// mean/bound policies); with a FusedPredictor both facets of a wave
-	// come out of one fused two-head pass.
-	bpred   BatchPredictor
-	bpolicy BatchPolicy
-	dpolicy DualPolicy
-
-	// chunk is the resolved Config.WaveChunk: max jobs placed per lock
-	// hold in PlaceAll.
-	chunk int
-
-	// degradedPenalty multiplies the feasibility score of candidates on
-	// Degraded platforms (resolved Config.DegradedPenalty, ≥ 1); breaker is
-	// the resolved circuit-breaker tuning.
-	degradedPenalty float64
-	breaker         BreakerConfig
+	// breaker is the resolved circuit-breaker tuning.
+	breaker BreakerConfig
 
 	mu         sync.Mutex
 	residents  [][]placedJob
@@ -58,131 +35,24 @@ type Scheduler struct {
 	healths    []platformHealth
 	stats      FailureStats
 
-	// scratch is the wave path's reusable working set (guarded by mu):
-	// steady-state PlaceAll waves allocate only resident snapshots and the
-	// returned assignments.
-	scratch waveScratch
+	// ks mirrors residents as workload indices, one row per platform
+	// capped at MaxColocation, so views and scoring queries share it
+	// without allocating. slotVers is each platform's mutation counter,
+	// bumped (under mu) by every resident-set or health change, so a score
+	// cell stamped with it is provably current for the interference state.
+	ks       [][]int
+	slotVers []uint64
+
+	// views, plats and table are the wave path's working state (guarded
+	// by mu): per-platform views refreshed at chunk start, the platform
+	// list 0..NumPlatforms-1, and the score table.
+	views []platformView
+	plats []int
+	table waveTable
 
 	// chunkGap, when non-nil, runs between chunk lock holds of PlaceAll
 	// (test hook: deterministic mid-wave interleaving).
 	chunkGap func()
-
-	// met/rec are the optional observability hooks (Config.Metrics /
-	// Config.Recorder); both nil-safe, both off the decision path. ver
-	// reads the predictor's snapshot version for event stamping when the
-	// predictor exposes one.
-	met *obs.SchedMetrics
-	rec *obs.Recorder
-	ver func() uint64
-
-	// cache is the cross-wave score cache (Config.ScoreCache); nil when
-	// disabled. slotVers mirrors SlotStore's per-platform versions for the
-	// locked scheduler: a per-platform counter bumped (under mu) by every
-	// resident-set or health mutation, so a cached column keyed to it is
-	// provably computed against the current interference state. epochFn
-	// reads the predictor's scoring epoch (snapshot version + fast-scoring
-	// mode); a change invalidates every column at once.
-	cache    *ScoreCache
-	slotVers []uint64
-	epochFn  func() uint64
-}
-
-// snapshotVersioner is the optional predictor facet exposing a snapshot
-// version; flight-recorder events are stamped with it so a trace ties each
-// decision to the model state that made it.
-type snapshotVersioner interface{ Version() uint64 }
-
-// snapVersion returns the predictor's current snapshot version, or 0 when
-// the predictor does not expose one. Only called on recording paths.
-func (s *Scheduler) snapVersion() uint64 {
-	if s.ver == nil {
-		return 0
-	}
-	return s.ver()
-}
-
-// defaultWaveChunk bounds a PlaceAll lock hold when Config.WaveChunk is 0:
-// large enough to amortize the wave pre-score, small enough that a
-// concurrent Complete waits microseconds, not a whole 256-job wave.
-const defaultWaveChunk = 64
-
-// defaultDegradedPenalty inflates the feasibility score on Degraded
-// platforms when Config.DegradedPenalty is 0: a degraded platform must
-// clear the deadline with 25% headroom to win a placement.
-const defaultDegradedPenalty = 1.25
-
-// waveScratch holds PlaceAll's per-wave buffers for reuse across waves.
-// The *Rank twins carry the ranking facet of dual policies; they are left
-// untouched on the single-head path.
-type waveScratch struct {
-	qs          []Query
-	pre         []float64
-	preRank     []float64
-	scoreAt     []float64
-	rankAt      []float64
-	snap        [][]int
-	prescored   []bool
-	cands       []Candidate
-	snaps       [][]int
-	rescoreQ    []Query
-	rescore     []float64
-	rescoreRank []float64
-
-	// Memoized-path buffers (reserveCache; sized to the chunk's job count,
-	// allocated only when the score cache is enabled): the wave's distinct
-	// workloads and each job's index into them, the per-column
-	// feasibility/rank/hit triple, and the cache-miss working set.
-	distinct []int
-	dIdx     []int
-	colFeas  []float64
-	colRank  []float64
-	colHit   []bool
-	missW    []int
-	missFeas []float64
-	missRank []float64
-	colQ     []Query
-}
-
-// reserve grows the scratch buffers to a wave of nJ jobs over nP
-// platforms.
-func (sc *waveScratch) reserve(nP, nJ int) {
-	if cap(sc.qs) < nP*nJ {
-		sc.qs = make([]Query, 0, nP*nJ)
-		sc.pre = make([]float64, nP*nJ)
-		sc.preRank = make([]float64, nP*nJ)
-		sc.scoreAt = make([]float64, nP*nJ)
-		sc.rankAt = make([]float64, nP*nJ)
-	}
-	if cap(sc.snap) < nP {
-		sc.snap = make([][]int, nP)
-		sc.prescored = make([]bool, nP)
-		sc.cands = make([]Candidate, 0, nP)
-		sc.snaps = make([][]int, 0, nP)
-	}
-	if cap(sc.rescoreQ) < nJ {
-		sc.rescoreQ = make([]Query, 0, nJ)
-		sc.rescore = make([]float64, nJ)
-		sc.rescoreRank = make([]float64, nJ)
-	}
-}
-
-// reserveCache grows the memoized-path buffers to a chunk of nJ jobs over
-// nP platforms: the column value/hit grids span every prescored column so
-// the chunk's cache misses can be scored in one batched call. Called only
-// on the cached path, so cache-off schedulers never pay the allocation.
-func (sc *waveScratch) reserveCache(nP, nJ int) {
-	if cap(sc.dIdx) >= nJ && cap(sc.colFeas) >= nP*nJ {
-		return
-	}
-	sc.distinct = make([]int, 0, nJ)
-	sc.dIdx = make([]int, nJ)
-	sc.colFeas = make([]float64, nP*nJ)
-	sc.colRank = make([]float64, nP*nJ)
-	sc.colHit = make([]bool, nP*nJ)
-	sc.missW = make([]int, 0, nP*nJ)
-	sc.missFeas = make([]float64, nP*nJ)
-	sc.missRank = make([]float64, nP*nJ)
-	sc.colQ = make([]Query, 0, nP*nJ)
 }
 
 // New creates a scheduler. The batch scoring path engages automatically
@@ -191,117 +61,45 @@ func (sc *waveScratch) reserveCache(nP, nJ int) {
 // policies (DualPolicy) additionally score through one fused pass when the
 // predictor implements FusedPredictor.
 func New(cfg Config, policy Policy, pred Predictor) (*Scheduler, error) {
-	if cfg.NumPlatforms <= 0 {
-		return nil, fmt.Errorf("sched: no platforms")
+	e, err := newEngine(cfg, policy, pred)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.MaxColocation <= 0 {
-		cfg.MaxColocation = 4
-	}
-	if cfg.Strategy == nil {
-		cfg.Strategy = LeastLoaded{}
-	}
-	if cfg.MaxInFlight < 0 {
-		return nil, fmt.Errorf("sched: negative MaxInFlight")
-	}
-	chunk := cfg.WaveChunk
-	if chunk == 0 {
-		chunk = defaultWaveChunk
-	}
-	penalty := cfg.DegradedPenalty
-	if penalty == 0 {
-		penalty = defaultDegradedPenalty
-	}
-	if penalty < 1 {
-		return nil, fmt.Errorf("sched: DegradedPenalty %v < 1", penalty)
-	}
+	nP, mc := e.cfg.NumPlatforms, e.cfg.MaxColocation
 	s := &Scheduler{
-		cfg:             cfg,
-		policy:          policy,
-		strategy:        cfg.Strategy,
-		pred:            pred,
-		chunk:           chunk,
-		degradedPenalty: penalty,
-		breaker:         cfg.Breaker.withDefaults(),
-		residents:       make([][]placedJob, cfg.NumPlatforms),
-		platformOf:      make(map[JobID]int),
-		healths:         make([]platformHealth, cfg.NumPlatforms),
-		met:             cfg.Metrics,
-		rec:             cfg.Recorder,
+		engine:     e,
+		breaker:    cfg.Breaker.withDefaults(),
+		residents:  make([][]placedJob, nP),
+		platformOf: make(map[JobID]int),
+		healths:    make([]platformHealth, nP),
+		ks:         make([][]int, nP),
+		slotVers:   make([]uint64, nP),
+		views:      make([]platformView, nP),
+		plats:      make([]int, nP),
+		table:      waveTable{nP: nP},
 	}
-	if v, ok := pred.(snapshotVersioner); ok {
-		s.ver = v.Version
-	}
-	if dp, ok := policy.(DualPolicy); ok {
-		s.dpolicy = dp
-	}
-	if !cfg.DisableBatch {
-		bp, okP := pred.(BatchPredictor)
-		bpol, okPol := policy.(BatchPolicy)
-		if okP && okPol {
-			s.bpred, s.bpolicy = bp, bpol
-		}
-	}
-	if cfg.ScoreCacheCap < 0 {
-		return nil, fmt.Errorf("sched: negative ScoreCacheCap")
-	}
-	// The score cache memoizes the batched wave path; the scalar arm has
-	// no wave scoring to reuse, so ScoreCache is a no-op there.
-	if cfg.ScoreCache && s.bpred != nil {
-		s.cache = newScoreCache(cfg.NumPlatforms, cfg.ScoreCacheCap)
-		s.slotVers = make([]uint64, cfg.NumPlatforms)
-		s.epochFn = resolveEpochFn(pred)
+	buf := make([]int, nP*mc)
+	for p := range s.ks {
+		s.ks[p] = buf[p*mc : p*mc : (p+1)*mc]
+		s.plats[p] = p
 	}
 	return s, nil
 }
 
-// epoch returns the predictor's current scoring epoch, or 0 for
-// epoch-less predictors (immutable for the scheduler's lifetime).
-func (s *Scheduler) epoch() uint64 {
-	if s.epochFn == nil {
-		return 0
-	}
-	return s.epochFn()
-}
-
-// ScoreCacheStats returns the score cache's counters and whether the
-// cache is enabled on this scheduler.
-func (s *Scheduler) ScoreCacheStats() (ScoreCacheStats, bool) {
-	if s.cache == nil {
-		return ScoreCacheStats{}, false
-	}
-	return s.cache.Stats(), true
-}
+// ScoreTableStats returns the score table's hit and miss counters.
+func (s *Scheduler) ScoreTableStats() ScoreTableStats { return s.table.stats() }
 
 // bumpSlotLocked advances platform p's mutation counter; every
-// resident-set or effective-capacity change must pass through here so
-// cached score columns keyed to the old version can never be served
-// against the new state.
-func (s *Scheduler) bumpSlotLocked(p int) {
-	if s.slotVers != nil {
-		s.slotVers[p]++
-	}
-}
-
-// Batched reports whether placements score candidates through the batched
-// predictor path.
-func (s *Scheduler) Batched() bool { return s.bpred != nil }
-
-// Fused reports whether placements score both policy facets through one
-// fused two-head predictor pass.
-func (s *Scheduler) Fused() bool {
-	if s.bpred == nil || s.dpolicy == nil {
-		return false
-	}
-	_, ok := s.bpred.(FusedPredictor)
-	return ok
-}
+// resident-set or health change must pass through here so score cells
+// stamped with the old version can never be served against the new state.
+func (s *Scheduler) bumpSlotLocked(p int) { s.slotVers[p]++ }
 
 // Residents returns a copy of the workloads currently placed on platform
 // p; mutating it never affects scheduler state.
 func (s *Scheduler) Residents(p int) []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.residentWorkloadsLocked(p)
+	return append([]int(nil), s.ks[p]...)
 }
 
 // InFlight returns the number of placed jobs that have not completed.
@@ -311,183 +109,84 @@ func (s *Scheduler) InFlight() int {
 	return len(s.platformOf)
 }
 
-// residentWorkloadsLocked builds a fresh workload-index snapshot of
-// platform p. Callers may hand it to policies or return it to callers;
-// it never aliases internal state.
-func (s *Scheduler) residentWorkloadsLocked(p int) []int {
-	rs := s.residents[p]
-	if len(rs) == 0 {
-		return nil
-	}
-	ks := make([]int, len(rs))
-	for i, r := range rs {
-		ks[i] = r.job.Workload
-	}
-	return ks
-}
-
 // Place assigns one job: among feasible platforms (score ≤ deadline after
 // accounting for the interference the job will experience from residents),
 // the configured Strategy picks the winner. The returned assignment is
 // unplaced when no platform is feasible, and Rejected when admission
-// control refused the job outright (MaxInFlight reached).
+// control refused the job outright (MaxInFlight reached). A one-job wave.
 func (s *Scheduler) Place(job Job) Assignment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.placeLocked(job)
+	return s.PlaceAll([]Job{job})[0]
 }
 
-func (s *Scheduler) placeLocked(job Job) Assignment {
-	if s.cfg.MaxInFlight > 0 && len(s.platformOf) >= s.cfg.MaxInFlight {
-		return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
-	}
-	// Candidate set: placeable platforms with a free colocation slot, each
-	// scored under a fresh resident snapshot (the snapshot may escape into
-	// the returned Assignment; the candidate/query buffers are scratch,
-	// reused across calls under the mutex). Down/Quarantined platforms are
-	// never candidates; half-open platforms take one trial job.
-	sc := &s.scratch
-	sc.reserve(s.cfg.NumPlatforms, 1)
-	cands := sc.cands[:0]
-	snaps := sc.snaps[:0]
-	placeable := 0
-	for p := 0; p < s.cfg.NumPlatforms; p++ {
-		if !s.healths[p].state.Placeable() {
-			continue
-		}
-		placeable++
-		if len(s.residents[p])+1 > s.colocCapLocked(p) {
-			continue
-		}
-		cands = append(cands, Candidate{
-			Platform: p,
-			Load:     len(s.residents[p]),
-			Degraded: s.healths[p].state == Degraded,
-		})
-		snaps = append(snaps, s.residentWorkloadsLocked(p))
-	}
-	switch {
-	case s.bpred != nil:
-		qs := sc.qs[:0]
-		for i, c := range cands {
-			qs = append(qs, Query{Workload: job.Workload, Platform: c.Platform, Interferers: snaps[i]})
-		}
-		feas := sc.pre[:len(qs)]
-		if s.dpolicy != nil {
-			rank := sc.preRank[:len(qs)]
-			s.dpolicy.ScoreDualBatch(s.bpred, qs, feas, rank)
-			for i := range cands {
-				cands[i].Score, cands[i].Rank = feas[i], rank[i]
-			}
-		} else {
-			s.bpolicy.ScoreBatch(s.bpred, qs, feas)
-			for i := range cands {
-				cands[i].Score, cands[i].Rank = feas[i], feas[i]
-			}
-		}
-	case s.dpolicy != nil:
-		for i, c := range cands {
-			cands[i].Score, cands[i].Rank = s.dpolicy.ScoreDual(s.pred, job, c.Platform, snaps[i])
-		}
-	default:
-		for i, c := range cands {
-			v := s.policy.Score(s.pred, job, c.Platform, snaps[i])
-			cands[i].Score, cands[i].Rank = v, v
-		}
-	}
-	s.padDegraded(cands)
-	return s.commitBest(job, cands, snaps, placeable)
+// PlaceAll places a wave of jobs in arrival order. The wave is processed
+// in chunks of Config.WaveChunk jobs, each chunk atomic with respect to
+// concurrent Place/Complete and the scheduler lock released between
+// chunks: a completion arriving mid-wave lands between chunks, frees its
+// slot, and the following chunks see the vacancy — the event loop stays
+// responsive under long waves. With no concurrent events, decisions are
+// identical to the unchunked wave (and to calling Place per job): each
+// chunk scores against the cluster state its first job would see, and
+// scores are per-query deterministic, so chunk boundaries never change a
+// selection. Health is fixed for a chunk: Fail/Degrade/Recover take the
+// same mutex, so they land between chunks, never mid-chunk.
+func (s *Scheduler) PlaceAll(jobs []Job) []Assignment {
+	return s.placeWave(&s.mu, jobs, s.placeChunkLocked, nil, s.chunkGap)
 }
 
-// padDegraded inflates the feasibility score of candidates on Degraded
-// platforms by the configured penalty — the same float operation on every
-// scoring path (scalar, batch, fused), so degraded padding preserves the
-// paths' decision identity. Only the feasibility facet is padded: Rank
-// keeps the raw prediction, because strategies interpret it as runtime
-// (LeastLoaded keeps fast platforms free, BestFit packs tight) and a
-// padded rank would make degraded platforms look slower — and therefore
-// *more* attractive — to both. The preference for healthy platforms is
-// the strategies' explicit Degraded tie-break instead.
-func (s *Scheduler) padDegraded(cands []Candidate) {
-	padDegradedCands(cands, s.degradedPenalty)
-}
-
-// padDegradedCands is the padding shared by the locked scheduler and the
-// replicated placement path (Replica), so both arms apply the identical
-// float operation.
-func padDegradedCands(cands []Candidate, penalty float64) {
-	for i := range cands {
-		if cands[i].Degraded {
-			cands[i].Score *= penalty
+// placeChunkLocked places one chunk under the held lock.
+func (s *Scheduler) placeChunkLocked(jobs []Job, out []Assignment) {
+	for p := range s.views {
+		h := &s.healths[p]
+		s.views[p] = platformView{
+			ver:       s.slotVers[p],
+			ks:        s.ks[p],
+			load:      len(s.residents[p]),
+			cap:       s.colocCapLocked(p),
+			placeable: h.state.Placeable(),
+			degraded:  h.state == Degraded,
 		}
 	}
+	s.placeChunk(&s.table, s, jobs, out, s.plats, s.views)
 }
 
-// bestCandidate returns the index of the strategy-best feasible candidate:
-// NaN scores (unplaceable), +Inf scores (no valid bound), and scores past
-// the deadline are infeasible; the strategy orders the rest by Rank. -1
-// when nothing is feasible. Shared by commitBest and the replicated
-// placement path so a replica's selection is bitwise the scheduler's.
-func bestCandidate(strategy Strategy, job Job, cands []Candidate) int {
-	bestIdx := -1
-	for i, c := range cands {
-		if math.IsNaN(c.Score) || math.IsInf(c.Score, 1) || c.Score > job.Deadline {
-			continue
-		}
-		if bestIdx < 0 || strategy.Better(job, c, cands[bestIdx]) {
-			bestIdx = i
-		}
-	}
-	return bestIdx
+// admit implements committer: MaxInFlight admission control.
+func (s *Scheduler) admit() bool {
+	return s.cfg.MaxInFlight <= 0 || len(s.platformOf) < s.cfg.MaxInFlight
 }
 
-// unplacedReason explains a failed selection: placeable is how many
-// platforms were healthy enough to consider, nCands how many had a free
-// slot and were scored.
-func unplacedReason(placeable, nCands int) string {
-	switch {
-	case placeable == 0:
-		return ReasonNoHealthy
-	case nCands == 0:
-		return ReasonCapacity
+// commit implements committer: under the held lock the view is current,
+// so the placement always lands. The job's interference set is copied
+// here, once per committed assignment.
+func (s *Scheduler) commit(p int, job Job) (JobID, []int, reserveStatus) {
+	var inter []int
+	if len(s.ks[p]) > 0 {
+		inter = append([]int(nil), s.ks[p]...)
 	}
-	return ReasonInfeasible
-}
-
-// commitBest selects the strategy-best feasible candidate and commits the
-// placement. Feasibility is judged on Candidate.Score; the strategy orders
-// by Candidate.Rank. snaps[i] is the resident snapshot cands[i] was scored
-// under; placeable is how many platforms were healthy enough to be
-// considered at all, distinguishing a shrunken healthy set from a full or
-// infeasible one in the unplaced Reason.
-func (s *Scheduler) commitBest(job Job, cands []Candidate, snaps [][]int, placeable int) Assignment {
-	bestIdx := bestCandidate(s.strategy, job, cands)
-	if bestIdx < 0 {
-		reason := unplacedReason(placeable, len(cands))
-		if s.rec != nil {
-			s.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ParseReason(reason),
-				Platform: -1, Version: s.snapVersion()})
-		}
-		return Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: reason}
-	}
-	best := cands[bestIdx]
 	s.nextID++
 	id := s.nextID
-	s.residents[best.Platform] = append(s.residents[best.Platform], placedJob{id: id, job: job})
-	s.platformOf[id] = best.Platform
-	s.bumpSlotLocked(best.Platform)
+	s.residents[p] = append(s.residents[p], placedJob{id: id, job: job})
+	s.ks[p] = append(s.ks[p], job.Workload)
+	s.platformOf[id] = p
+	s.bumpSlotLocked(p)
+	v := &s.views[p]
+	v.ver, v.ks, v.load = s.slotVers[p], s.ks[p], len(s.residents[p])
 	if s.rec != nil {
 		s.rec.Record(obs.Event{Kind: obs.EvPlace, Job: uint64(id), ID: uint64(id),
-			Platform: int32(best.Platform), Version: s.snapVersion()})
+			Platform: int32(p), Version: s.snapVersion()})
 	}
-	return Assignment{
-		ID:          id,
-		Job:         job,
-		Platform:    best.Platform,
-		Budget:      best.Score,
-		Interferers: snaps[bestIdx],
+	return id, inter, reserveOK
+}
+
+// unplaced implements committer: the shed is recorded.
+func (s *Scheduler) unplaced(reason string) {
+	if s.rec != nil {
+		s.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ParseReason(reason),
+			Platform: -1, Version: s.snapVersion()})
 	}
 }
+
+// retry implements committer; the locked scheduler never conflicts.
+func (s *Scheduler) retry(int, int) bool { return false }
 
 // Complete frees the colocation slot of a placed job; residents change
 // over time, so later placements see the vacancy. Returns ErrUnknownJob
@@ -519,6 +218,8 @@ func (s *Scheduler) completeLocked(id JobID) (int, error) {
 	for i := range rs {
 		if rs[i].id == id {
 			s.residents[p] = append(rs[:i], rs[i+1:]...)
+			ks := s.ks[p]
+			s.ks[p] = append(ks[:i], ks[i+1:]...)
 			s.bumpSlotLocked(p)
 			if s.rec != nil {
 				s.rec.Record(obs.Event{Kind: obs.EvComplete, Job: uint64(id), ID: uint64(id),
@@ -530,348 +231,4 @@ func (s *Scheduler) completeLocked(id JobID) (int, error) {
 	// platformOf and residents are updated together under the lock; a
 	// missing entry would mean corrupted bookkeeping.
 	panic("sched: job in platformOf but not in residents")
-}
-
-// PlaceAll places a wave of jobs in arrival order. The wave is processed
-// in chunks of Config.WaveChunk jobs, each chunk atomic with respect to
-// concurrent Place/Complete and the scheduler lock released between
-// chunks: a completion arriving mid-wave lands between chunks, frees its
-// slot, and the following chunks see the vacancy — the event loop stays
-// responsive under long waves. With no concurrent events, decisions are
-// identical to the unchunked wave (and to calling Place per job): each
-// chunk pre-scores against the cluster state its first job would see, and
-// scores are per-query deterministic, so chunk boundaries never change a
-// selection.
-//
-// Within a chunk the batched path pre-scores every job on every platform
-// in a single predictor call — queries laid out platform-major so each
-// platform's resident set (and therefore its interference term) is folded
-// once, per model — and eagerly re-scores a platform dirtied by a
-// placement for the chunk's remaining jobs in one wide span. Dual-head
-// policies fill both the feasibility and ranking facets from the same
-// pass (one fused call when the predictor supports it).
-func (s *Scheduler) PlaceAll(jobs []Job) []Assignment {
-	// Observability is guarded per-site so the disabled path never calls
-	// time.Now: one predictable branch per chunk, zero allocations.
-	var waveStart time.Time
-	if s.met != nil {
-		waveStart = time.Now()
-		s.met.WaveSize.Observe(float64(len(jobs)))
-	}
-	out := make([]Assignment, len(jobs))
-	chunk := s.chunk
-	if chunk < 0 || chunk > len(jobs) {
-		chunk = len(jobs)
-	}
-	for lo := 0; lo < len(jobs); lo += chunk {
-		hi := lo + chunk
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
-		s.mu.Lock()
-		var holdStart time.Time
-		if s.met != nil {
-			holdStart = time.Now()
-		}
-		s.placeWaveLocked(jobs[lo:hi], out[lo:hi])
-		if s.met != nil {
-			s.met.ChunkHold.ObserveSince(holdStart)
-		}
-		s.mu.Unlock()
-		if s.chunkGap != nil && hi < len(jobs) {
-			s.chunkGap()
-		}
-	}
-	if s.met != nil {
-		s.met.WavePlace.ObserveSince(waveStart)
-	}
-	return out
-}
-
-// placeWaveLocked places one chunk of jobs under the held lock, filling
-// out[i] for jobs[i].
-func (s *Scheduler) placeWaveLocked(jobs []Job, out []Assignment) {
-	if s.bpred == nil {
-		for i, j := range jobs {
-			out[i] = s.placeLocked(j)
-		}
-		return
-	}
-	dual := s.dpolicy != nil
-	nP, nJ := s.cfg.NumPlatforms, len(jobs)
-	sc := &s.scratch
-	sc.reserve(nP, nJ)
-
-	// Chunk pre-score against the chunk-start state, one batched call.
-	// Queries are built platform-major, so pre[] maps back to (p, j) by
-	// walking the platforms in the same order — no index bookkeeping.
-	// Health is fixed for the chunk: Fail/Degrade/Recover take the same
-	// mutex, so they land between chunks, never mid-chunk. On the memoized
-	// path the query build is skipped: columns go through the dedup + cache
-	// machinery in prescoreCachedLocked instead.
-	qs := sc.qs[:0]
-	snap := sc.snap[:nP]
-	prescored := sc.prescored[:nP]
-	placeable := 0
-	for p := 0; p < nP; p++ {
-		snap[p], prescored[p] = nil, false
-		if !s.healths[p].state.Placeable() {
-			continue // down/quarantined: never a candidate this chunk
-		}
-		placeable++
-		if len(s.residents[p]) >= s.colocCapLocked(p) {
-			continue // full at chunk start; can only stay full mid-chunk
-		}
-		snap[p], prescored[p] = s.residentWorkloadsLocked(p), true
-		if s.cache != nil {
-			continue
-		}
-		for j := range jobs {
-			qs = append(qs, Query{Workload: jobs[j].Workload, Platform: p, Interferers: snap[p]})
-		}
-	}
-	scoreAt := sc.scoreAt[:nP*nJ]
-	rankAt := sc.rankAt[:nP*nJ]
-	if s.cache != nil {
-		s.prescoreCachedLocked(jobs, snap, prescored, scoreAt, rankAt, dual)
-	} else {
-		pre := sc.pre[:len(qs)]
-		preRank := sc.preRank[:len(qs)]
-		var scoreStart time.Time
-		if s.met != nil {
-			scoreStart = time.Now()
-		}
-		if dual {
-			s.dpolicy.ScoreDualBatch(s.bpred, qs, pre, preRank)
-		} else {
-			s.bpolicy.ScoreBatch(s.bpred, qs, pre)
-		}
-		if s.met != nil {
-			s.met.ScoreBatch.ObserveSince(scoreStart)
-		}
-		if s.rec != nil {
-			s.rec.Record(obs.Event{Kind: obs.EvScore, Platform: -1, N: int32(nJ),
-				Version: s.snapVersion()})
-		}
-		next := 0
-		for p := 0; p < nP; p++ {
-			if !prescored[p] {
-				for j := 0; j < nJ; j++ {
-					scoreAt[p*nJ+j] = math.NaN()
-				}
-				continue
-			}
-			copy(scoreAt[p*nJ:(p+1)*nJ], pre[next:next+nJ])
-			if dual {
-				copy(rankAt[p*nJ:(p+1)*nJ], preRank[next:next+nJ])
-			}
-			next += nJ
-		}
-	}
-
-	cands := sc.cands[:0]
-	snaps := sc.snaps[:0]
-	rescoreQ := sc.rescoreQ[:0]
-	rescore := sc.rescore[:0]
-	rescoreRank := sc.rescoreRank[:0]
-	for j, job := range jobs {
-		if s.cfg.MaxInFlight > 0 && len(s.platformOf) >= s.cfg.MaxInFlight {
-			out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
-			continue
-		}
-		cands, snaps = cands[:0], snaps[:0]
-		for p := 0; p < nP; p++ {
-			if !s.healths[p].state.Placeable() {
-				continue
-			}
-			if len(s.residents[p])+1 > s.colocCapLocked(p) {
-				continue
-			}
-			c := Candidate{
-				Platform: p,
-				Load:     len(s.residents[p]),
-				Score:    scoreAt[p*nJ+j],
-				Degraded: s.healths[p].state == Degraded,
-			}
-			if dual {
-				c.Rank = rankAt[p*nJ+j]
-			} else {
-				c.Rank = c.Score
-			}
-			cands = append(cands, c)
-			snaps = append(snaps, snap[p])
-		}
-		s.padDegraded(cands)
-		out[j] = s.commitBest(job, cands, snaps, placeable)
-		p := out[j].Platform
-		if p < 0 || j+1 == nJ {
-			continue
-		}
-		// Re-score the just-dirtied platform for the chunk's remaining
-		// jobs: one span, one interference fold over its updated residents
-		// (per model).
-		ks := s.residentWorkloadsLocked(p)
-		snap[p] = ks
-		if len(s.residents[p]) >= s.colocCapLocked(p) {
-			continue // full now; remaining jobs exclude it by the cap check
-		}
-		if s.cache != nil {
-			// Memoized path: the commit above bumped p's slot version, so
-			// this scores (and caches) the column under its new residents.
-			s.rescoreCachedLocked(p, jobs, j+1, ks, scoreAt, rankAt, dual)
-			continue
-		}
-		rescoreQ = rescoreQ[:0]
-		for r := j + 1; r < nJ; r++ {
-			rescoreQ = append(rescoreQ, Query{Workload: jobs[r].Workload, Platform: p, Interferers: ks})
-		}
-		rescore = rescore[:len(rescoreQ)]
-		if dual {
-			rescoreRank = rescoreRank[:len(rescoreQ)]
-			s.dpolicy.ScoreDualBatch(s.bpred, rescoreQ, rescore, rescoreRank)
-		} else {
-			s.bpolicy.ScoreBatch(s.bpred, rescoreQ, rescore)
-		}
-		for i, r := 0, j+1; r < nJ; i, r = i+1, r+1 {
-			scoreAt[p*nJ+r] = rescore[i]
-			if dual {
-				rankAt[p*nJ+r] = rescoreRank[i]
-			}
-		}
-	}
-}
-
-// prescoreCachedLocked is placeWaveLocked's memoized pre-score: the
-// chunk's jobs are deduped to distinct workloads once (level 1), then each
-// prescored platform's distinct column is served through the cross-wave
-// cache (level 2). Misses from every column are scored in ONE batched
-// policy call — matching the uncached path's single-batch efficiency —
-// then scattered back and stored per column. The scoring epoch is captured
-// once for the chunk, so a concurrent Observe publish mid-chunk narrows —
-// never widens — the window of mixed-snapshot scores the uncached path
-// already tolerates.
-func (s *Scheduler) prescoreCachedLocked(jobs []Job, snap [][]int, prescored []bool, scoreAt, rankAt []float64, dual bool) {
-	nP, nJ := s.cfg.NumPlatforms, len(jobs)
-	sc := &s.scratch
-	sc.reserveCache(nP, nJ)
-	distinct, nD := dedupJobs(jobs, 0, sc.distinct, sc.dIdx)
-	sc.distinct = distinct
-	epoch := s.epoch()
-	cached := 0
-	qs := sc.colQ[:0]
-	missAt := sc.missW[:0] // flat column-grid index (p*nD+d) per miss
-	for p := 0; p < nP; p++ {
-		if !prescored[p] {
-			for j := 0; j < nJ; j++ {
-				scoreAt[p*nJ+j] = math.NaN()
-			}
-			continue
-		}
-		base := p * nD
-		feas := sc.colFeas[base : base+nD]
-		rank := sc.colRank[base : base+nD]
-		hit := sc.colHit[base : base+nD]
-		var lookStart time.Time
-		if s.met != nil {
-			lookStart = time.Now()
-		}
-		nHit := s.cache.lookup(p, s.slotVers[p], epoch, distinct, feas, rank, hit)
-		if s.met != nil {
-			s.met.CacheLookup.ObserveSince(lookStart)
-		}
-		cached += nHit
-		if nHit == nD {
-			continue
-		}
-		for d, w := range distinct {
-			if !hit[d] {
-				qs = append(qs, Query{Workload: w, Platform: p, Interferers: snap[p]})
-				missAt = append(missAt, base+d)
-			}
-		}
-	}
-	if len(qs) > 0 {
-		missFeas := sc.missFeas[:len(qs)]
-		missRank := sc.missRank[:len(qs)]
-		var scoreStart time.Time
-		if s.met != nil {
-			scoreStart = time.Now()
-		}
-		if dual {
-			s.dpolicy.ScoreDualBatch(s.bpred, qs, missFeas, missRank)
-		} else {
-			s.bpolicy.ScoreBatch(s.bpred, qs, missFeas)
-			copy(missRank, missFeas)
-		}
-		if s.met != nil {
-			s.met.ScoreBatch.ObserveSince(scoreStart)
-		}
-		for i, at := range missAt {
-			sc.colFeas[at], sc.colRank[at] = missFeas[i], missRank[i]
-		}
-		// Store each refreshed column back whole; entries that were hits
-		// already exist under the same key and are skipped by the insert
-		// guard, so this is one pass per column, not per miss.
-		prev := -1
-		for _, at := range missAt {
-			p := at / nD
-			if p == prev {
-				continue
-			}
-			prev = p
-			base := p * nD
-			s.cache.store(p, s.slotVers[p], epoch, distinct,
-				sc.colFeas[base:base+nD], sc.colRank[base:base+nD])
-		}
-	}
-	for p := 0; p < nP; p++ {
-		if !prescored[p] {
-			continue
-		}
-		base := p * nD
-		for j := 0; j < nJ; j++ {
-			d := sc.dIdx[j]
-			scoreAt[p*nJ+j] = sc.colFeas[base+d]
-			if dual {
-				rankAt[p*nJ+j] = sc.colRank[base+d]
-			}
-		}
-	}
-	if s.rec != nil {
-		s.rec.Record(obs.Event{Kind: obs.EvScore, Platform: -1, N: int32(nJ),
-			Cached: int32(cached), Version: s.snapVersion()})
-	}
-}
-
-// rescoreCachedLocked is the memoized twin of the dirty-platform rescore
-// span: jobs[from:] are deduped (level 1) and platform p's distinct column
-// is scored in one small batch. The cross-wave cache is deliberately NOT
-// consulted or fed here: the commit this rescore follows just bumped p's
-// slot version, so a lookup can never hit, and a stored column would
-// survive only until the placed job's completion bumps the version again —
-// the next wave's prescore re-scores (and caches) the column alongside its
-// other misses for the same batched cost.
-func (s *Scheduler) rescoreCachedLocked(p int, jobs []Job, from int, ks []int, scoreAt, rankAt []float64, dual bool) {
-	nJ := len(jobs)
-	sc := &s.scratch
-	distinct, nD := dedupJobs(jobs, from, sc.distinct, sc.dIdx)
-	sc.distinct = distinct
-	feas := sc.colFeas[:nD]
-	rank := sc.colRank[:nD]
-	qs := sc.colQ[:0]
-	for _, w := range distinct {
-		qs = append(qs, Query{Workload: w, Platform: p, Interferers: ks})
-	}
-	if dual {
-		s.dpolicy.ScoreDualBatch(s.bpred, qs, feas, rank)
-	} else {
-		s.bpolicy.ScoreBatch(s.bpred, qs, feas)
-	}
-	for i, r := 0, from; r < nJ; i, r = i+1, r+1 {
-		d := sc.dIdx[i]
-		scoreAt[p*nJ+r] = feas[d]
-		if dual {
-			rankAt[p*nJ+r] = rank[d]
-		}
-	}
 }

@@ -57,7 +57,7 @@ func (st *platformSlots) refreshKS() {
 }
 
 // workloads returns the cached workload-index snapshot of the residents
-// (nil when empty), mirroring Scheduler.residentWorkloadsLocked. The
+// (nil when empty), the replica's counterpart of Scheduler.ks. The
 // returned slice is shared and immutable — callers must not mutate it.
 func (st *platformSlots) workloads() []int { return st.ks }
 

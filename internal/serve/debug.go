@@ -15,7 +15,12 @@ var ErrTracingDisabled = errors.New("serve: flight recorder not enabled")
 
 // TraceEventJSON is one flight-recorder event in /debug/trace replies — the
 // human-readable rendering of obs.Event (kinds and reasons as strings, time
-// as seconds since the recorder epoch).
+// as seconds since the recorder epoch). On "score" events both counts are
+// (platform, workload) score cells of one wave chunk: "n" the cells scored
+// through the predictor, "cached" the cells served from the wave score
+// table, so n + cached is the chunk's distinct workloads times its open
+// platforms. A zero count is omitted. On "conflict" and "retry" events "n"
+// is the attempt number.
 type TraceEventJSON struct {
 	Seq      uint64  `json:"seq"`
 	T        float64 `json:"t_seconds"`

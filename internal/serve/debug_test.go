@@ -104,6 +104,61 @@ func TestDebugTraceEndpoints(t *testing.T) {
 	}
 }
 
+// TestDebugTraceScoreCells pins the units of a "score" event: "n" (cells
+// scored) and "cached" (cells served from the score table) both count
+// (platform, workload) cells, summing to the chunk's distinct workloads
+// times its open platforms — never the job count.
+func TestDebugTraceScoreCells(t *testing.T) {
+	pred, ds := testPredictor(t)
+	s := New(pred, Config{})
+	defer s.Close()
+	nP := ds.NumPlatforms()
+	if err := s.EnablePlacement(PlacementConfig{Policy: "bound", Eps: 0.1, MaxColocation: 4}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+
+	// Six jobs over three workloads, with deadlines nothing can meet, so
+	// no platform's state changes and every platform stays open.
+	var jobs []sched.Job
+	for i := 0; i < 6; i++ {
+		jobs = append(jobs, sched.Job{Workload: i % 3, Deadline: 1e-12})
+	}
+	for wave := 0; wave < 2; wave++ {
+		if _, err := s.PlaceJobs(jobs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := ts.Client().Get(ts.URL + "/debug/trace/recent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var raw struct {
+		Events []map[string]any `json:"events"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	var got [][2]float64
+	for _, e := range raw.Events {
+		if e["kind"] != "score" {
+			continue
+		}
+		n, _ := e["n"].(float64)
+		cached, _ := e["cached"].(float64)
+		got = append(got, [2]float64{n, cached})
+	}
+	cells := float64(3 * nP)
+	// The cold wave scores every cell; the repeat wave, on an unchanged
+	// cluster, serves every cell.
+	want := [][2]float64{{cells, 0}, {0, cells}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("score events (n, cached) = %v, want %v", got, want)
+	}
+}
+
 // TestDebugTraceDisabled pins the gating: without placement (or with a
 // negative TraceDepth) the endpoints answer 503, not empty traces.
 func TestDebugTraceDisabled(t *testing.T) {

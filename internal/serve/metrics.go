@@ -243,18 +243,12 @@ type Metrics struct {
 	PlaceConflictShed uint64 `json:"place_conflict_shed,omitempty"`
 	PlaceRebalances   uint64 `json:"place_rebalances,omitempty"`
 
-	// Score-cache counters (PlacementConfig.ScoreCache): distinct-workload
-	// column lookups served from the cross-wave cache vs scored through
-	// the predictor, FIFO capacity evictions, whole-column invalidations
-	// (slot-version or snapshot-epoch change), and current resident
-	// entries. ScoreCacheEnabled distinguishes a cold enabled cache from a
-	// disabled one.
-	ScoreCacheEnabled       bool   `json:"score_cache_enabled,omitempty"`
-	ScoreCacheHits          uint64 `json:"score_cache_hits,omitempty"`
-	ScoreCacheMisses        uint64 `json:"score_cache_misses,omitempty"`
-	ScoreCacheEvictions     uint64 `json:"score_cache_evictions,omitempty"`
-	ScoreCacheInvalidations uint64 `json:"score_cache_invalidations,omitempty"`
-	ScoreCacheEntries       int64  `json:"score_cache_entries,omitempty"`
+	// Score-table counters, in (platform, workload) cells: scores served
+	// from the placement engine's wave score table vs scored through the
+	// predictor (post-commit rescores included). Both stay zero on the
+	// scalar scoring arm.
+	ScoreCacheHits   uint64 `json:"score_cache_hits,omitempty"`
+	ScoreCacheMisses uint64 `json:"score_cache_misses,omitempty"`
 
 	// PerSnapshot is ordered by snapshot version; only the newest
 	// maxSnapshotRetention versions are retained.
@@ -311,16 +305,9 @@ func (s *Server) Metrics() Metrics {
 			out.PlaceConflictShed = cs.Shed
 			out.PlaceRebalances = cs.Rebalances
 		}
-		if sr, ok := s.placer.(scoreCacheReporter); ok {
-			if cs, enabled := sr.ScoreCacheStats(); enabled {
-				out.ScoreCacheEnabled = true
-				out.ScoreCacheHits = cs.Hits
-				out.ScoreCacheMisses = cs.Misses
-				out.ScoreCacheEvictions = cs.Evictions
-				out.ScoreCacheInvalidations = cs.Invalidations
-				out.ScoreCacheEntries = cs.Entries
-			}
-		}
+		ts := s.placer.ScoreTableStats()
+		out.ScoreCacheHits = ts.Hits
+		out.ScoreCacheMisses = ts.Misses
 	}
 	m.perSnap.Range(func(k, v any) bool {
 		sc := v.(*snapCounters)

@@ -67,14 +67,6 @@ type PlacementConfig struct {
 	// The pitot_place_* latency histograms are always attached — they are
 	// lock-free atomics with no retention to size.
 	TraceDepth int
-	// ScoreCache enables the memoized wave-scoring path (intra-wave
-	// workload dedup plus the version-keyed cross-wave score cache; see
-	// sched.Config.ScoreCache). Decisions are bitwise identical to the
-	// uncached path; off by default.
-	ScoreCache bool
-	// ScoreCacheCap bounds total cached score entries across all
-	// platforms; 0 = sched's default (4096).
-	ScoreCacheCap int
 }
 
 // Placer is the placement engine behind /place — either a
@@ -95,6 +87,7 @@ type Placer interface {
 	InFlight() int
 	Batched() bool
 	Fused() bool
+	ScoreTableStats() sched.ScoreTableStats
 }
 
 // conflictReporter is the optional replica-mode stats surface of a Placer;
@@ -102,13 +95,6 @@ type Placer interface {
 type conflictReporter interface {
 	ConflictStats() sched.ConflictStats
 	NumReplicas() int
-}
-
-// scoreCacheReporter is the optional score-cache stats surface of a
-// Placer; both *sched.Scheduler and *sched.ReplicaSet implement it (the
-// second return reports whether the cache is enabled).
-type scoreCacheReporter interface {
-	ScoreCacheStats() (sched.ScoreCacheStats, bool)
 }
 
 // placeReq is one queued single-job placement awaiting wave fusion.
@@ -142,7 +128,7 @@ type ScorerBackend interface {
 // the model snapshot that scored each decision.
 func (b backendPredictor) Version() uint64 { return b.be.Info().Version }
 
-// ScoreEpoch is the score-cache invalidation key: the snapshot version
+// ScoreEpoch is the score table's invalidation key: the snapshot version
 // folded with the fast-scoring mode bit, mirroring pitot's own ScoreEpoch
 // (SetFastScoring republishes under the same version but a different
 // kernel, so version alone is not a safe score key). Both facets come from
@@ -239,8 +225,6 @@ func (s *Server) EnablePlacement(pc PlacementConfig) error {
 		Breaker:         pc.Breaker,
 		Metrics:         s.schedMetrics,
 		Recorder:        s.recorder,
-		ScoreCache:      pc.ScoreCache,
-		ScoreCacheCap:   pc.ScoreCacheCap,
 	}
 	if pc.Replicas > 1 {
 		shards := pc.Shards

@@ -57,14 +57,8 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(&b, "# HELP pitot_place_replicas Scheduler replicas serving /place.\n# TYPE pitot_place_replicas gauge\npitot_place_replicas %d\n",
 				m.PlaceReplicas)
 		}
-		if m.ScoreCacheEnabled {
-			c("pitot_place_score_cache_hits_total", "Distinct-workload score columns served from the cross-wave cache.", int64(m.ScoreCacheHits))
-			c("pitot_place_score_cache_misses_total", "Distinct-workload score columns scored through the predictor.", int64(m.ScoreCacheMisses))
-			c("pitot_place_score_cache_evictions_total", "Score-cache entries evicted at the per-platform capacity bound.", int64(m.ScoreCacheEvictions))
-			c("pitot_place_score_cache_invalidations_total", "Score-cache columns invalidated by a slot-version or snapshot-epoch change.", int64(m.ScoreCacheInvalidations))
-			fmt.Fprintf(&b, "# HELP pitot_place_score_cache_entries Score-cache entries currently resident.\n# TYPE pitot_place_score_cache_entries gauge\npitot_place_score_cache_entries %d\n",
-				m.ScoreCacheEntries)
-		}
+		c("pitot_place_score_cache_hits_total", "Placement score cells (platform, workload) served from the wave score table.", int64(m.ScoreCacheHits))
+		c("pitot_place_score_cache_misses_total", "Placement score cells (platform, workload) scored through the predictor.", int64(m.ScoreCacheMisses))
 		fmt.Fprintf(&b, "# HELP pitot_place_in_flight Placed jobs not yet completed.\n# TYPE pitot_place_in_flight gauge\npitot_place_in_flight %d\n",
 			s.placer.InFlight())
 		// Placement-stack latency histograms (attached by EnablePlacement):
@@ -75,7 +69,6 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 			s.schedMetrics.WavePlace.WritePrometheus(&b)
 			s.schedMetrics.ChunkHold.WritePrometheus(&b)
 			s.schedMetrics.WaveSize.WritePrometheus(&b)
-			s.schedMetrics.CacheLookup.WritePrometheus(&b)
 		}
 		// 0=healthy 1=degraded 2=quarantined 3=down, matching sched.HealthState.
 		fmt.Fprintf(&b, "# HELP pitot_platform_health Platform health state (0=healthy 1=degraded 2=quarantined 3=down).\n# TYPE pitot_platform_health gauge\n")

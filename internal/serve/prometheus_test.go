@@ -173,7 +173,6 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 	defer s.Close()
 	if err := s.EnablePlacement(PlacementConfig{
 		Policy: "bound", Eps: 0.1, MaxColocation: 2, Replicas: 2,
-		ScoreCache: true,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -222,13 +221,9 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 		"pitot_place_rebalances_total",
 		"pitot_place_replicas",
 		"pitot_place_in_flight",
-		// Score-cache counters + entries gauge (PR 10), gated on
-		// PlacementConfig.ScoreCache.
+		// Score-table counters, exported whenever placement is on.
 		"pitot_place_score_cache_hits_total",
 		"pitot_place_score_cache_misses_total",
-		"pitot_place_score_cache_evictions_total",
-		"pitot_place_score_cache_invalidations_total",
-		"pitot_place_score_cache_entries",
 		"pitot_platform_health",
 		"pitot_platform_calibration_lag",
 		"pitot_snapshot_version",
@@ -239,7 +234,6 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 		"pitot_place_wave_seconds",
 		"pitot_place_chunk_hold_seconds",
 		"pitot_place_wave_jobs",
-		"pitot_place_score_cache_lookup_seconds",
 		// ...and the ungated end-to-end request surface.
 		"pitot_http_estimate_seconds",
 		"pitot_http_bound_seconds",
@@ -248,6 +242,19 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 	} {
 		if samples[want] == 0 {
 			t.Errorf("series %s missing from exposition", want)
+		}
+	}
+	// The score table evicts nothing and is looked up inline: the old
+	// cache's eviction, invalidation, entry and lookup-latency families
+	// are gone.
+	for _, gone := range []string{
+		"pitot_place_score_cache_evictions_total",
+		"pitot_place_score_cache_invalidations_total",
+		"pitot_place_score_cache_entries",
+		"pitot_place_score_cache_lookup_seconds",
+	} {
+		if strings.Contains(b.String(), gone) {
+			t.Errorf("retired series %s still exported", gone)
 		}
 	}
 	if samples["pitot_platform_health"] != ds.NumPlatforms() {

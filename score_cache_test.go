@@ -24,21 +24,35 @@ func equalAssignment(a, b sched.Assignment) bool {
 	return true
 }
 
-// cacheArm is the lifecycle surface the identity checks drive in lockstep;
+// coldPredictor serves the trained model but reports a new scoring epoch
+// on every read, so an engine built on it serves nothing from its score
+// table across chunks: the no-reuse reference for the warm table.
+type coldPredictor struct {
+	*Predictor
+	n uint64
+}
+
+func (c *coldPredictor) ScoreEpoch() uint64 {
+	c.n++
+	return c.n
+}
+
+// tableArm is the lifecycle surface the identity checks drive in lockstep;
 // both *sched.Scheduler and *sched.ReplicaSet satisfy it.
-type cacheArm interface {
+type tableArm interface {
 	PlaceAll(jobs []sched.Job) []sched.Assignment
 	Complete(id sched.JobID) error
 	Fail(p int) ([]sched.Orphan, error)
 	Degrade(p int) error
 	Recover(p int) error
+	ScoreTableStats() sched.ScoreTableStats
 }
 
-// TestScoreCacheRealPredictorDecisionIdentity is the acceptance property on
-// the trained model: under dup-heavy waves, completions, and platform
-// Fail/Degrade/Recover churn, the cache-on Scheduler and the cache-on
-// single-replica ReplicaSet produce assignments bitwise identical to the
-// cache-off Scheduler — same platforms, same budgets, same unplaced
+// TestScoreCacheRealPredictorDecisionIdentity is the reuse property on the
+// trained model with the exact kernel: under dup-heavy waves, completions,
+// and platform Fail/Degrade/Recover churn, the warm-table Scheduler and
+// single-replica ReplicaSet produce assignments bitwise identical to a
+// cold-table Scheduler — same platforms, same budgets, same unplaced
 // reasons.
 func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 	pred, ds := enginePredictor(t)
@@ -54,21 +68,19 @@ func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 			WaveChunk:       8,
 			DegradedPenalty: 1.25,
 		}
-		cfgOn := cfg
-		cfgOn.ScoreCache = true
-		ref, err := sched.New(cfg, pol, pred)
+		ref, err := sched.New(cfg, pol, &coldPredictor{Predictor: pred})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cached, err := sched.New(cfgOn, pol, pred)
+		warm, err := sched.New(cfg, pol, pred)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rsOn, err := sched.NewReplicaSet(cfgOn, sched.ReplicaConfig{Replicas: 1, Shards: 1}, pol, pred)
+		rs, err := sched.NewReplicaSet(cfg, sched.ReplicaConfig{Replicas: 1, Shards: 1}, pol, pred)
 		if err != nil {
 			t.Fatal(err)
 		}
-		arms := map[string]cacheArm{"sched+cache": cached, "rset+cache": rsOn}
+		arms := map[string]tableArm{"sched": warm, "rset": rs}
 
 		rng := rand.New(rand.NewSource(41))
 		var live []sched.JobID
@@ -145,8 +157,8 @@ func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 				}
 			}
 		}
-		if st, on := cached.ScoreCacheStats(); !on || st.Hits == 0 {
-			t.Errorf("%s: cached scheduler saw no hits (on=%v stats=%+v)", pol.Name(), on, st)
+		if st := warm.ScoreTableStats(); st.Hits == 0 {
+			t.Errorf("%s: warm scheduler served no cells: %+v", pol.Name(), st)
 		}
 	}
 }
@@ -154,10 +166,13 @@ func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 // TestScoreCacheIdentityAcrossObserveAndFastToggle pins the two epoch
 // inputs on the real model: an Observe that publishes a fresh snapshot and
 // a runtime fast-scoring toggle (same snapshot version, different kernel)
-// must both invalidate cached columns, keeping the cached scheduler
-// bitwise identical to an uncached one scoring through the same churn. A
-// private predictor keeps the shared engine fixture's snapshot lineage
-// untouched.
+// must both stale every cell. On the exact kernel the warm scheduler stays
+// bitwise identical to a cold one through the publish. Under fast scoring
+// a cell's bits may depend on the batch it was scored in (the fast kernels
+// run blocks of four with a separate tail), so that stage checks only that
+// nothing from the exact kernel is served, with deadlines every platform
+// meets so both schedulers place every job and stay in step. A private
+// predictor keeps the shared engine fixture's snapshot lineage untouched.
 func TestScoreCacheIdentityAcrossObserveAndFastToggle(t *testing.T) {
 	ds := smallDataset()
 	pred, err := Train(ds, smallOptions(59, true))
@@ -167,35 +182,38 @@ func TestScoreCacheIdentityAcrossObserveAndFastToggle(t *testing.T) {
 	nP := ds.NumPlatforms()
 	pol := sched.MeanBoundPolicy{Eps: 0.1}
 	cfg := sched.Config{NumPlatforms: nP, MaxColocation: 3}
-	cfgOn := cfg
-	cfgOn.ScoreCache = true
-	ref, err := sched.New(cfg, pol, pred)
+	ref, err := sched.New(cfg, pol, &coldPredictor{Predictor: pred})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cached, err := sched.New(cfgOn, pol, pred)
+	warm, err := sched.New(cfg, pol, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	rng := rand.New(rand.NewSource(7))
-	wave := func() []sched.Job {
+	wave := func(slack float64) []sched.Job {
 		jobs := make([]sched.Job, 8)
 		for i := range jobs {
 			w := rng.Intn(5)
 			jobs[i] = sched.Job{
 				Workload: w,
-				Deadline: pred.Estimate(w, rng.Intn(nP), nil) * (0.8 + 2*rng.Float64()),
+				Deadline: pred.Estimate(w, rng.Intn(nP), nil) * (0.8 + 2*rng.Float64()) * slack,
 			}
 		}
 		return jobs
 	}
-	check := func(stage string) {
-		jobs := wave()
+	run := func(stage string, slack float64, exact bool) {
+		t.Helper()
+		jobs := wave(slack)
 		want := ref.PlaceAll(jobs)
-		got := cached.PlaceAll(jobs)
+		got := warm.PlaceAll(jobs)
 		for i := range want {
-			if !equalAssignment(got[i], want[i]) {
+			same := equalAssignment(got[i], want[i])
+			if !exact {
+				same = got[i].ID == want[i].ID && got[i].Placed() && want[i].Placed()
+			}
+			if !same {
 				t.Fatalf("%s: job %d got %+v want %+v", stage, i, got[i], want[i])
 			}
 		}
@@ -204,52 +222,57 @@ func TestScoreCacheIdentityAcrossObserveAndFastToggle(t *testing.T) {
 				if err := ref.Complete(a.ID); err != nil {
 					t.Fatal(err)
 				}
-				if err := cached.Complete(a.ID); err != nil {
+				if err := warm.Complete(a.ID); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
+	// hitsIn reports the cells the warm scheduler served during f.
+	hitsIn := func(f func()) uint64 {
+		h0 := warm.ScoreTableStats().Hits
+		f()
+		return warm.ScoreTableStats().Hits - h0
+	}
 
-	check("cold")
-	check("warm")
+	run("cold", 1, true)
+	if hitsIn(func() { run("warm", 1, true) }) == 0 {
+		t.Fatal("warm wave served no cells")
+	}
 
-	// Snapshot publish: scores for the same (workload, platform) move. Two
-	// waves per stage: the doorkeeper admits a changed epoch only on its
-	// second sighting, so the second wave is the one that resets columns.
+	// Snapshot publish: scores for the same (workload, platform) move.
 	if err := pred.ObserveSeconds([]sched.Measurement{
 		{Workload: 0, Platform: 0, Seconds: pred.Estimate(0, 0, nil) * 1.5},
 		{Workload: 1, Platform: 1, Seconds: pred.Estimate(1, 1, nil) * 0.7},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	check("post-observe")
-	check("post-observe-2")
+	if hitsIn(func() { run("post-observe", 1, true) }) != 0 {
+		t.Fatal("cells from the previous snapshot were served after Observe")
+	}
+	run("post-observe-2", 1, true)
 
 	// Kernel toggle without a version bump: the epoch's fast bit must
-	// invalidate on its own.
+	// stale every exact-kernel cell on its own.
 	pred.SetFastScoring(true)
-	check("fast-on")
-	check("fast-on-2")
-	pred.SetFastScoring(false)
-	check("fast-off")
-	check("fast-off-2")
-
-	st, on := cached.ScoreCacheStats()
-	if !on || st.Hits == 0 || st.Invalidations == 0 {
-		t.Fatalf("epoch churn not exercised: on=%v stats=%+v", on, st)
+	if hitsIn(func() { run("fast-on", 1e6, false) }) != 0 {
+		t.Fatal("exact-kernel cells were served under fast scoring")
 	}
+	run("fast-on-2", 1e6, false)
+	pred.SetFastScoring(false)
+	run("fast-off", 1, true)
+	run("fast-off-2", 1, true)
 }
 
-// TestScoreCacheReplicaConcurrentSmoke drives a cache-on two-replica set
-// from concurrent goroutines against the real model — the shared cache's
-// locking discipline under the race detector — and checks job conservation:
-// everything placed completes exactly once.
+// TestScoreCacheReplicaConcurrentSmoke drives a two-replica set from
+// concurrent goroutines against the real model — each replica's score
+// table under its own mutex, checked by the race detector — and checks job
+// conservation: everything placed completes exactly once.
 func TestScoreCacheReplicaConcurrentSmoke(t *testing.T) {
 	pred, ds := enginePredictor(t)
 	nP := ds.NumPlatforms()
 	rs, err := sched.NewReplicaSet(
-		sched.Config{NumPlatforms: nP, MaxColocation: 3, ScoreCache: true},
+		sched.Config{NumPlatforms: nP, MaxColocation: 3},
 		sched.ReplicaConfig{Replicas: 2, Shards: 1},
 		sched.MeanBoundPolicy{Eps: 0.1}, pred)
 	if err != nil {
@@ -286,7 +309,7 @@ func TestScoreCacheReplicaConcurrentSmoke(t *testing.T) {
 	if n := rs.InFlight(); n != 0 {
 		t.Fatalf("%d jobs still in flight after all completions", n)
 	}
-	if st, on := rs.ScoreCacheStats(); !on || st.Hits == 0 {
-		t.Fatalf("shared cache unexercised: on=%v stats=%+v", on, st)
+	if st := rs.ScoreTableStats(); st.Hits == 0 {
+		t.Fatalf("score tables unexercised: %+v", st)
 	}
 }
