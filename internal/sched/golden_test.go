@@ -303,16 +303,25 @@ func goldenWaves(t *testing.T, arm goldenArm, pred *goldenPred, nP int, churn bo
 	return d.sum()
 }
 
-// goldenWaveArms builds the engines the wave driver must agree across:
-// the batched Scheduler, the scalar (DisableBatch) reference, and the
-// one-replica ReplicaSet on both scoring arms. Each arm gets a private
+// opaqueStrategy hides a strategy's concrete type, so the engine compares
+// candidates through the Strategy interface rather than its inlined
+// built-in comparisons.
+type opaqueStrategy struct{ Strategy }
+
+// goldenArmNames are the engines the wave driver must agree across: the
+// batched Scheduler, the scalar (DisableBatch) reference, the one-replica
+// ReplicaSet on both scoring arms, and the Scheduler with its strategy
+// behind the interface.
+var goldenArmNames = []string{"sched", "sched-scalar", "rset", "rset-scalar", "sched-opaque"}
+
+// goldenWaveArms builds goldenArmNames' engines. Each arm gets a private
 // predictor from the same seed, since the driver bumps epochs.
 func goldenWaveArms(t *testing.T, pol Policy, strat Strategy, chunk int, seed int64) (map[string]goldenArm, map[string]*goldenPred, int) {
 	t.Helper()
 	const nP = 9
 	arms := map[string]goldenArm{}
 	preds := map[string]*goldenPred{}
-	for _, name := range []string{"sched", "sched-scalar", "rset", "rset-scalar"} {
+	for _, name := range goldenArmNames {
 		pred := newGoldenPred(rand.New(rand.NewSource(seed)), nP)
 		cfg := Config{
 			NumPlatforms:  nP,
@@ -323,12 +332,15 @@ func goldenWaveArms(t *testing.T, pol Policy, strat Strategy, chunk int, seed in
 			DisableBatch:  name == "sched-scalar" || name == "rset-scalar",
 			Breaker:       BreakerConfig{Window: 5, Threshold: 0.4, MinSamples: 2, Probation: 2},
 		}
+		if name == "sched-opaque" {
+			cfg.Strategy = opaqueStrategy{strat}
+		}
 		var arm goldenArm
 		var err error
-		if name == "sched" || name == "sched-scalar" {
-			arm, err = New(cfg, pol, pred)
-		} else {
+		if name == "rset" || name == "rset-scalar" {
 			arm, err = NewReplicaSet(cfg, ReplicaConfig{Replicas: 1, Shards: 1}, pol, pred)
+		} else {
+			arm, err = New(cfg, pol, pred)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -372,7 +384,8 @@ func TestGoldenStreamDigests(t *testing.T) {
 
 // TestGoldenWaveDigests pins the seeded wave driver — every policy and
 // strategy, churn off and on, at the default WaveChunk and at WaveChunk 3
-// (so post-commit rescores cross chunk boundaries) — on all four arms.
+// (so post-commit rescores cross chunk boundaries) — on every arm of
+// goldenArmNames.
 func TestGoldenWaveDigests(t *testing.T) {
 	for pi, pol := range goldenPolicies() {
 		for si, strat := range goldenStrategies() {
@@ -382,7 +395,7 @@ func TestGoldenWaveDigests(t *testing.T) {
 					want, ok := goldenDigests[key]
 					seed := int64(2000 + 10*pi + si)
 					arms, preds, nP := goldenWaveArms(t, pol, strat, chunk, seed)
-					for _, name := range []string{"sched", "sched-scalar", "rset", "rset-scalar"} {
+					for _, name := range goldenArmNames {
 						got := goldenWaves(t, arms[name], preds[name], nP, churn, seed)
 						switch {
 						case !ok:

@@ -252,25 +252,26 @@ func (f *flipPred) EstimateSecondsBatch(qs []Query) []float64 {
 }
 
 // TestScoreTableMemoryBound pins the table's size: it evicts nothing and
-// grows to the largest workload index seen, one 32-byte cell per
-// (platform, workload).
+// grows to the largest workload index seen, 24 bytes (an 8-byte stamp and
+// two float64 scores) per (platform, workload).
 func TestScoreTableMemoryBound(t *testing.T) {
-	if sz := unsafe.Sizeof(scoreCell{}); sz != 32 {
-		t.Fatalf("scoreCell is %d bytes, want 32", sz)
+	if sz := unsafe.Sizeof(uint64(0)) + unsafe.Sizeof(scores{}); sz != 24 {
+		t.Fatalf("a cell is %d bytes, want 24", sz)
 	}
 	pred := &goldenPred{base: []float64{1, 2, 3}}
 	s := mustNew(t, Config{NumPlatforms: 3}, MeanPolicy{}, pred)
+	cells := func() (int, int) { return len(s.table.ver), len(s.table.val) }
 	s.PlaceAll(infeasibleWave(12))
-	if len(s.table.cells) != 12*3 {
-		t.Fatalf("table holds %d cells after workloads 0..11 on 3 platforms, want 36", len(s.table.cells))
+	if nv, ns := cells(); nv != 12*3 || ns != 12*3 {
+		t.Fatalf("table holds %d stamps, %d scores after workloads 0..11 on 3 platforms, want 36", nv, ns)
 	}
 	// Nothing was evicted: the same wave is served whole.
 	if hits, misses, _ := statsDelta(s, pred, func() { s.PlaceAll(infeasibleWave(12)) }); hits != 36 || misses != 0 {
 		t.Fatalf("repeat wave: hits %d misses %d", hits, misses)
 	}
 	s.Place(Job{Workload: 40, Deadline: 1e-12})
-	if len(s.table.cells) != 41*3 {
-		t.Fatalf("table holds %d cells after workload 40, want %d", len(s.table.cells), 41*3)
+	if nv, ns := cells(); nv != 41*3 || ns != 41*3 {
+		t.Fatalf("table holds %d stamps, %d scores after workload 40, want %d", nv, ns, 41*3)
 	}
 }
 

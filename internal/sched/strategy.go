@@ -40,13 +40,17 @@ func (LeastLoaded) Name() string { return "least-loaded" }
 
 // Better implements Strategy.
 func (LeastLoaded) Better(job Job, a, b Candidate) bool {
-	if a.Load != b.Load {
-		return a.Load < b.Load
+	return leastLoadedBetter(pickOf(a), pickOf(b))
+}
+
+func leastLoadedBetter(a, b pick) bool {
+	if a.load != b.load {
+		return a.load < b.load
 	}
-	if a.Degraded != b.Degraded {
-		return !a.Degraded
+	if a.degraded != b.degraded {
+		return !a.degraded
 	}
-	return a.Rank > b.Rank
+	return a.rank > b.rank
 }
 
 // BestFit picks the feasible platform whose ranking score sits closest to
@@ -62,14 +66,18 @@ func (BestFit) Name() string { return "best-fit" }
 
 // Better implements Strategy.
 func (BestFit) Better(job Job, a, b Candidate) bool {
-	ha, hb := job.Deadline-a.Rank, job.Deadline-b.Rank
+	return bestFitBetter(job.Deadline, pickOf(a), pickOf(b))
+}
+
+func bestFitBetter(deadline float64, a, b pick) bool {
+	ha, hb := deadline-a.rank, deadline-b.rank
 	if ha != hb {
 		return ha < hb
 	}
-	if a.Degraded != b.Degraded {
-		return !a.Degraded
+	if a.degraded != b.degraded {
+		return !a.degraded
 	}
-	return a.Load < b.Load
+	return a.load < b.load
 }
 
 // UtilizationAware minimizes the platform's projected occupancy — the
@@ -83,15 +91,31 @@ func (UtilizationAware) Name() string { return "utilization" }
 
 // Better implements Strategy.
 func (UtilizationAware) Better(job Job, a, b Candidate) bool {
-	ua, ub := a.Rank*float64(a.Load+1), b.Rank*float64(b.Load+1)
+	return utilizationBetter(pickOf(a), pickOf(b))
+}
+
+func utilizationBetter(a, b pick) bool {
+	ua, ub := a.rank*float64(a.load+1), b.rank*float64(b.load+1)
 	if ua != ub {
 		return ua < ub
 	}
-	if a.Degraded != b.Degraded {
-		return !a.Degraded
+	if a.degraded != b.degraded {
+		return !a.degraded
 	}
-	return a.Load < b.Load
+	return a.load < b.load
 }
+
+// pick is what the built-in strategies compare: a candidate's ranking
+// score, load and degraded flag. Small enough for the compiler to keep in
+// registers, so the wave path's selection scan compares picks directly
+// instead of copying whole Candidates into each Better call.
+type pick struct {
+	rank     float64
+	load     int
+	degraded bool
+}
+
+func pickOf(c Candidate) pick { return pick{rank: c.Rank, load: c.Load, degraded: c.Degraded} }
 
 // ParseStrategy resolves a strategy by name: "least-loaded", "best-fit",
 // or "utilization".

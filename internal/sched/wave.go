@@ -39,6 +39,11 @@ type engine struct {
 	chunk           int
 	degradedPenalty float64
 
+	// builtin identifies the strategy when it is one of the built-in
+	// three, so selection calls its Better directly (inlined) instead of
+	// through the interface.
+	builtin builtinStrategy
+
 	// met/rec are the optional observability hooks (Config.Metrics /
 	// Config.Recorder); both nil-safe, both off the decision path. ver
 	// reads the predictor's snapshot version for event stamping, epochFn
@@ -98,6 +103,14 @@ func newEngine(cfg Config, policy Policy, pred Predictor) (engine, error) {
 		rec:             cfg.Recorder,
 		epochFn:         resolveEpochFn(pred),
 	}
+	switch cfg.Strategy.(type) {
+	case LeastLoaded:
+		e.builtin = builtinLeastLoaded
+	case BestFit:
+		e.builtin = builtinBestFit
+	case UtilizationAware:
+		e.builtin = builtinUtilization
+	}
 	if v, ok := pred.(snapshotVersioner); ok {
 		e.ver = v.Version
 	}
@@ -113,6 +126,16 @@ func newEngine(cfg Config, policy Policy, pred Predictor) (engine, error) {
 	}
 	return e, nil
 }
+
+// builtinStrategy names the built-in strategies; builtinNone is any other.
+type builtinStrategy uint8
+
+const (
+	builtinNone builtinStrategy = iota
+	builtinLeastLoaded
+	builtinBestFit
+	builtinUtilization
+)
 
 // snapshotVersioner is the optional predictor facet exposing a snapshot
 // version; flight-recorder events are stamped with it so a trace ties each
@@ -206,15 +229,10 @@ type committer interface {
 	retry(p, attempt int) bool
 }
 
-// scoreCell is one (platform, workload) entry of a score table: the
-// policy's feasibility and ranking facets (equal on single-head policies),
-// stamped with the platform slot version plus one and the scoring epoch
-// they were computed under. ver 0 marks a cell never written, so it
-// matches no view even at slot version 0 and epoch 0.
-type scoreCell struct {
+// scores is one (platform, workload) cell's policy facets: feasibility
+// and ranking (equal on single-head policies).
+type scores struct {
 	feas, rank float64
-	ver        uint64
-	epoch      uint64
 }
 
 // waveTable is one engine instance's dense score table plus its chunk
@@ -225,24 +243,28 @@ type scoreCell struct {
 // predictor snapshot: any change to residents or health bumps the slot
 // version, and an Observe publish or fast-scoring toggle moves the epoch.
 //
-// Cells are laid out one row of NumPlatforms per workload, so a job's
-// selection scan reads one contiguous row and growth appends rows; the
-// table grows to the largest workload index seen. Each Scheduler and each
-// Replica owns one, guarded by its own mutex.
+// Each cell is stamped with the platform's slot version plus one (ver; 0
+// marks a cell never written, so it matches no view even at slot version
+// 0 and epoch 0). The epoch is stamped on the table as a whole: every
+// stamped cell was scored under epoch, and a chunk that reads a different
+// one unstamps them all first. Stamps and scores live in separate arrays,
+// each one row of NumPlatforms per workload: a chunk's lookups read only
+// the 8-byte stamps, a job's selection scan reads one contiguous row of
+// scores, and growth appends rows. The table grows to the largest
+// workload index seen. Each Scheduler and each Replica owns one, guarded
+// by its own mutex.
 type waveTable struct {
 	nP    int
 	nW    int
-	cells []scoreCell
+	ver   []uint64
+	val   []scores
+	epoch uint64
 
 	// hits counts cells served from the table, misses cells scored through
 	// the predictor — both in (platform, workload) cells, post-commit
 	// rescores included. Atomics so stats readers need no engine lock.
 	hits   atomic.Uint64
 	misses atomic.Uint64
-
-	// epoch is the scoring epoch captured at chunk start; every cell the
-	// chunk stores is stamped with it.
-	epoch uint64
 
 	distinct []int
 	qs       []Query
@@ -258,14 +280,18 @@ func (t *waveTable) grow(w int) {
 	if w < t.nW {
 		return
 	}
-	t.cells = append(t.cells, make([]scoreCell, (w+1-t.nW)*t.nP)...)
+	n := (w + 1 - t.nW) * t.nP
+	t.ver = append(t.ver, make([]uint64, n)...)
+	t.val = append(t.val, make([]scores, n)...)
 	t.nW = w + 1
 }
 
-// invalidate unstamps every cell.
-func (t *waveTable) invalidate() {
-	for i := range t.cells {
-		t.cells[i].ver = 0
+// setEpoch makes epoch the table's epoch, unstamping every cell if it
+// differs from the one they were scored under.
+func (t *waveTable) setEpoch(epoch uint64) {
+	if epoch != t.epoch {
+		clear(t.ver)
+		t.epoch = epoch
 	}
 }
 
@@ -302,8 +328,7 @@ func (t *waveTable) lookupColumn(qs []Query, p int, v *platformView) ([]Query, i
 	stamp := v.ver + 1
 	hits := 0
 	for _, w := range t.distinct {
-		c := &t.cells[w*t.nP+p]
-		if c.ver == stamp && c.epoch == t.epoch {
+		if t.ver[w*t.nP+p] == stamp {
 			hits++
 			continue
 		}
@@ -313,9 +338,8 @@ func (t *waveTable) lookupColumn(qs []Query, p int, v *platformView) ([]Query, i
 }
 
 // score runs the queued queries through the policy in one batched call and
-// stores every result, stamped with its platform's view version and the
-// chunk epoch. Single-head policies fill the rank facet with the
-// feasibility score.
+// stores every result, stamped with its platform's view version.
+// Single-head policies fill the rank facet with the feasibility score.
 func (t *waveTable) score(e *engine, views []platformView) {
 	n := len(t.qs)
 	if cap(t.feas) < n {
@@ -331,9 +355,9 @@ func (t *waveTable) score(e *engine, views []platformView) {
 	}
 	for i := range t.qs {
 		q := &t.qs[i]
-		c := &t.cells[q.Workload*t.nP+q.Platform]
-		c.feas, c.rank = feas[i], rank[i]
-		c.ver, c.epoch = views[q.Platform].ver+1, t.epoch
+		at := q.Workload*t.nP + q.Platform
+		t.val[at] = scores{feas: feas[i], rank: rank[i]}
+		t.ver[at] = views[q.Platform].ver + 1
 	}
 }
 
@@ -389,7 +413,7 @@ func (e *engine) rescore(t *waveTable, p int, jobs []Job, views []platformView) 
 // call, straight into the job's row. The cells stay unstamped, so nothing
 // is ever served from them.
 func (e *engine) scoreScalar(t *waveTable, job Job, plats []int, views []platformView) {
-	row := t.cells[job.Workload*t.nP : (job.Workload+1)*t.nP]
+	row := t.val[job.Workload*t.nP : (job.Workload+1)*t.nP]
 	for _, p := range plats {
 		v := &views[p]
 		if !v.open() {
@@ -402,7 +426,6 @@ func (e *engine) scoreScalar(t *waveTable, job Job, plats []int, views []platfor
 			c.feas = e.policy.Score(e.pred, job, p, v.ks)
 			c.rank = c.feas
 		}
-		c.ver = 0
 	}
 }
 
@@ -417,8 +440,9 @@ func (e *engine) scoreScalar(t *waveTable, job Job, plats []int, views []platfor
 // .Platform is -1 when nothing is feasible; placeable counts platforms
 // healthy enough to consider and open those with a free slot.
 func (e *engine) selectBest(t *waveTable, job Job, plats []int, views []platformView) (best Candidate, placeable, open int) {
-	best.Platform = -1
-	row := t.cells[job.Workload*t.nP : (job.Workload+1)*t.nP]
+	bestP, bestScore := -1, 0.0
+	var bestPick pick
+	row := t.val[job.Workload*t.nP : (job.Workload+1)*t.nP]
 	for _, p := range plats {
 		v := &views[p]
 		if !v.placeable {
@@ -430,18 +454,39 @@ func (e *engine) selectBest(t *waveTable, job Job, plats []int, views []platform
 		}
 		open++
 		cell := &row[p]
-		c := Candidate{Platform: p, Score: cell.feas, Rank: cell.rank, Load: v.load, Degraded: v.degraded}
-		if c.Degraded {
-			c.Score *= e.degradedPenalty
+		score := cell.feas
+		if v.degraded {
+			score *= e.degradedPenalty
 		}
-		if math.IsNaN(c.Score) || math.IsInf(c.Score, 1) || c.Score > job.Deadline {
+		if math.IsNaN(score) || math.IsInf(score, 1) || score > job.Deadline {
 			continue
 		}
-		if best.Platform < 0 || e.strategy.Better(job, c, best) {
-			best = c
+		c := pick{rank: cell.rank, load: v.load, degraded: v.degraded}
+		if bestP >= 0 {
+			var better bool
+			switch e.builtin {
+			case builtinLeastLoaded:
+				better = leastLoadedBetter(c, bestPick)
+			case builtinBestFit:
+				better = bestFitBetter(job.Deadline, c, bestPick)
+			case builtinUtilization:
+				better = utilizationBetter(c, bestPick)
+			default:
+				better = e.strategy.Better(job, candidate(p, score, c), candidate(bestP, bestScore, bestPick))
+			}
+			if !better {
+				continue
+			}
 		}
+		bestP, bestScore, bestPick = p, score, c
 	}
-	return best, placeable, open
+	return candidate(bestP, bestScore, bestPick), placeable, open
+}
+
+// candidate assembles the Candidate a pick on platform p with feasibility
+// score score stands for.
+func candidate(p int, score float64, c pick) Candidate {
+	return Candidate{Platform: p, Score: score, Rank: c.rank, Load: c.load, Degraded: c.degraded}
 }
 
 // unplacedReason explains a failed selection: placeable is how many
@@ -476,7 +521,7 @@ func (e *engine) placeChunk(t *waveTable, c committer, jobs []Job, out []Assignm
 	t.grow(maxW)
 	var hits, misses int
 	if batched {
-		t.epoch = e.epoch()
+		t.setEpoch(e.epoch())
 		hits, misses = e.prescore(t, plats, views)
 	}
 	for j, job := range jobs {
@@ -525,12 +570,12 @@ func (e *engine) placeChunk(t *waveTable, c committer, jobs []Job, out []Assignm
 	}
 	t.hits.Add(uint64(hits))
 	t.misses.Add(uint64(misses))
-	// A publish that landed while this chunk scored may have mixed its
-	// cells' snapshots under the chunk's stamp; the next chunk reads a new
-	// epoch and would miss them anyway, so drop them now rather than risk
-	// the epoch coming back (a fast-scoring toggle off and on again).
-	if misses > 0 && e.epoch() != t.epoch {
-		t.invalidate()
+	// A publish that landed while this chunk scored may have mixed
+	// snapshots under the table's epoch; the next chunk reads the new epoch
+	// and would unstamp them anyway, so do it now rather than risk the
+	// epoch coming back (a fast-scoring toggle off and on again).
+	if misses > 0 {
+		t.setEpoch(e.epoch())
 	}
 }
 
