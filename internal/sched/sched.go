@@ -36,7 +36,7 @@ type Query = core.Query
 
 // Job is one placement request.
 type Job struct {
-	// Workload index within the dataset.
+	// Workload index within the dataset; never negative.
 	Workload int
 	// Deadline in seconds for one execution of the workload.
 	Deadline float64

@@ -408,3 +408,16 @@ func TestScoreCacheStableWaveAllocsNoWorse(t *testing.T) {
 		t.Fatalf("warm wave allocates %v times, want at most 1 (the result slice)", allocs)
 	}
 }
+
+// TestScoreTableNegativeWorkloadPanics pins the guard on the table's row
+// index: a negative workload names no row and must fail loudly rather
+// than read another platform's cells.
+func TestScoreTableNegativeWorkloadPanics(t *testing.T) {
+	s := mustNew(t, Config{NumPlatforms: 3}, MeanPolicy{}, &goldenPred{base: []float64{1, 2, 3}})
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("placing workload -1 did not panic")
+		}
+	}()
+	s.PlaceAll([]Job{{Workload: 2, Deadline: 1}, {Workload: -1, Deadline: 1}})
+}

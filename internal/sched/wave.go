@@ -274,9 +274,6 @@ type waveTable struct {
 
 // grow extends the table to hold workload index w.
 func (t *waveTable) grow(w int) {
-	if w < 0 {
-		panic(fmt.Sprintf("sched: negative workload index %d", w))
-	}
 	if w < t.nW {
 		return
 	}
@@ -296,9 +293,11 @@ func (t *waveTable) setEpoch(epoch uint64) {
 }
 
 // dedupJobs collapses jobs to their distinct workloads in first-appearance
-// order, reusing distinct's storage, and reports the largest index. The
-// scan is quadratic in the distinct count, which is bounded by the chunk
-// size — a few dozen well-predicted comparisons, no map, no allocation.
+// order, reusing distinct's storage, and reports the largest index (-1
+// for no jobs). The scan is quadratic in the distinct count, which is
+// bounded by the chunk size — a few dozen well-predicted comparisons, no
+// map. A negative workload index is a caller bug (it names no table row),
+// reported by a panic.
 func dedupJobs(jobs []Job, distinct []int) ([]int, int) {
 	distinct = distinct[:0]
 	maxW := -1
@@ -312,6 +311,9 @@ func dedupJobs(jobs []Job, distinct []int) ([]int, int) {
 			}
 		}
 		if !seen {
+			if w < 0 {
+				panic(fmt.Sprintf("sched: negative workload index %d", w))
+			}
 			distinct = append(distinct, w)
 			if w > maxW {
 				maxW = w
@@ -483,8 +485,8 @@ func (e *engine) selectBest(t *waveTable, job Job, plats []int, views []platform
 	return candidate(bestP, bestScore, bestPick), placeable, open
 }
 
-// candidate assembles the Candidate a pick on platform p with feasibility
-// score score stands for.
+// candidate rebuilds the Candidate behind a pick on platform p whose
+// (padded) feasibility score is score.
 func candidate(p int, score float64, c pick) Candidate {
 	return Candidate{Platform: p, Score: score, Rank: c.rank, Load: c.load, Degraded: c.degraded}
 }
