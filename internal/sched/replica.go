@@ -79,9 +79,6 @@ func (r *Replica) setView(p int, st *platformSlots) {
 func (r *Replica) placeChunkLocked(jobs []Job, out []Assignment) {
 	set := r.set
 	shard := set.shardFor(r.idx)
-	if r.views == nil {
-		r.views = make([]platformView, set.cfg.NumPlatforms)
-	}
 	for _, p := range shard {
 		r.setView(p, set.store.load(p))
 	}

@@ -167,7 +167,7 @@ func NewReplicaSet(cfg Config, rc ReplicaConfig, policy Policy, pred Predictor) 
 	rs.shards.Store(&shardMap{shards: shards})
 	rs.replicas = make([]*Replica, rc.Replicas)
 	for i := range rs.replicas {
-		rs.replicas[i] = &Replica{set: rs, idx: i, table: waveTable{nP: nP}}
+		rs.replicas[i] = &Replica{set: rs, idx: i, views: make([]platformView, nP), table: waveTable{nP: nP}}
 	}
 	return rs, nil
 }
