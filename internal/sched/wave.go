@@ -267,6 +267,7 @@ type waveTable struct {
 	misses atomic.Uint64
 
 	distinct []int
+	last     []int
 	qs       []Query
 	feas     []float64
 	rank     []float64
@@ -292,44 +293,43 @@ func (t *waveTable) setEpoch(epoch uint64) {
 	}
 }
 
-// dedupJobs collapses jobs to their distinct workloads in first-appearance
-// order, reusing distinct's storage, and reports the largest index (-1
-// for no jobs). The scan is quadratic in the distinct count, which is
-// bounded by the chunk size — a few dozen well-predicted comparisons, no
-// map. A negative workload index is a caller bug (it names no table row),
-// reported by a panic.
-func dedupJobs(jobs []Job, distinct []int) ([]int, int) {
-	distinct = distinct[:0]
+// dedupJobs collapses the chunk's jobs to their distinct workloads in
+// first-appearance order, into t.distinct, and records in t.last[i] the
+// index of the last job with workload t.distinct[i], so a rescore after
+// job j needs only the workloads whose last job comes after j, with no
+// second pass over the jobs. It reports the largest index (-1 for no
+// jobs). The scan is quadratic in the distinct count, which is bounded by
+// the chunk size — a few dozen well-predicted comparisons, no map.
+func (t *waveTable) dedupJobs(jobs []Job) int {
+	t.distinct, t.last = t.distinct[:0], t.last[:0]
 	maxW := -1
-	for _, j := range jobs {
-		w := j.Workload
-		seen := false
-		for _, dw := range distinct {
-			if dw == w {
-				seen = true
-				break
-			}
+	for j, job := range jobs {
+		w := job.Workload
+		i := 0
+		for i < len(t.distinct) && t.distinct[i] != w {
+			i++
 		}
-		if !seen {
-			if w < 0 {
-				panic(fmt.Sprintf("sched: negative workload index %d", w))
-			}
-			distinct = append(distinct, w)
-			if w > maxW {
-				maxW = w
-			}
+		if i < len(t.distinct) {
+			t.last[i] = j
+			continue
 		}
+		t.distinct = append(t.distinct, w)
+		t.last = append(t.last, j)
+		maxW = max(maxW, w)
 	}
-	return distinct, maxW
+	return maxW
 }
 
-// lookupColumn queues a query for every distinct workload whose cell on
-// platform p is not current for view v, returning the grown queue and how
-// many cells were served.
-func (t *waveTable) lookupColumn(qs []Query, p int, v *platformView) ([]Query, int) {
+// lookupColumn queues a query for every distinct workload of the chunk's
+// jobs from index from on whose cell on platform p is not current for view
+// v, returning the grown queue and how many cells were served.
+func (t *waveTable) lookupColumn(qs []Query, p int, v *platformView, from int) ([]Query, int) {
 	stamp := v.ver + 1
 	hits := 0
-	for _, w := range t.distinct {
+	for i, w := range t.distinct {
+		if t.last[i] < from {
+			continue
+		}
 		if t.ver[w*t.nP+p] == stamp {
 			hits++
 			continue
@@ -376,7 +376,7 @@ func (e *engine) prescore(t *waveTable, plats []int, views []platformView) (hits
 			continue
 		}
 		var h int
-		qs, h = t.lookupColumn(qs, p, v)
+		qs, h = t.lookupColumn(qs, p, v, 0)
 		hits += h
 	}
 	t.qs = qs
@@ -397,12 +397,11 @@ func (e *engine) prescore(t *waveTable, plats []int, views []platformView) (hits
 	return hits, len(qs)
 }
 
-// rescore makes platform p's cells current for jobs after a commit or a
-// conflict refresh changed its view: one small batch over the distinct
-// workloads still to place.
-func (e *engine) rescore(t *waveTable, p int, jobs []Job, views []platformView) (hits, misses int) {
-	t.distinct, _ = dedupJobs(jobs, t.distinct)
-	qs, hits := t.lookupColumn(t.qs[:0], p, &views[p])
+// rescore makes platform p's cells current for the chunk's jobs from index
+// from on after a commit or a conflict refresh changed its view: one small
+// batch over the distinct workloads still to place.
+func (e *engine) rescore(t *waveTable, p, from int, views []platformView) (hits, misses int) {
+	qs, hits := t.lookupColumn(t.qs[:0], p, &views[p], from)
 	t.qs = qs
 	if len(qs) > 0 {
 		t.score(e, views)
@@ -518,9 +517,7 @@ func unplacedReason(placeable, open int) string {
 // selection.
 func (e *engine) placeChunk(t *waveTable, c committer, jobs []Job, out []Assignment, plats []int, views []platformView) {
 	batched := e.bpred != nil
-	var maxW int
-	t.distinct, maxW = dedupJobs(jobs, t.distinct)
-	t.grow(maxW)
+	t.grow(t.dedupJobs(jobs))
 	var hits, misses int
 	if batched {
 		t.setEpoch(e.epoch())
@@ -550,7 +547,7 @@ func (e *engine) placeChunk(t *waveTable, c committer, jobs []Job, out []Assignm
 					break
 				}
 				if batched && views[p].open() {
-					h, m := e.rescore(t, p, jobs[j:], views)
+					h, m := e.rescore(t, p, j, views)
 					hits, misses = hits+h, misses+m
 				}
 				continue
@@ -561,7 +558,7 @@ func (e *engine) placeChunk(t *waveTable, c committer, jobs []Job, out []Assignm
 			}
 			out[j] = Assignment{ID: id, Job: job, Platform: p, Budget: best.Score, Interferers: inter}
 			if batched && j+1 < len(jobs) && views[p].open() {
-				h, m := e.rescore(t, p, jobs[j+1:], views)
+				h, m := e.rescore(t, p, j+1, views)
 				hits, misses = hits+h, misses+m
 			}
 			break

@@ -129,3 +129,36 @@ func BenchmarkWaveLockHold256Chunk16(b *testing.B) { benchWaveLockHold(b, 16) }
 
 // BenchmarkWaveLockHold256Chunk64 is the default chunking.
 func BenchmarkWaveLockHold256Chunk64(b *testing.B) { benchWaveLockHold(b, 64) }
+
+// BenchmarkWaveNoReuse64 times the case the score table cannot help: each
+// 64-job wave has 64 distinct workloads, and completing every placed job
+// between waves changes every platform, so no cell is ever served and every
+// commit rescores one column for the workloads still to place. Its work is
+// the uncached engine's query for query (TestGoldenChurnQueries), so the
+// time per wave shows what the table's stamps and stores cost on top.
+func BenchmarkWaveNoReuse64(b *testing.B) {
+	const nP = 24
+	s, err := New(Config{NumPlatforms: nP, MaxColocation: 12}, MeanBoundPolicy{Eps: 0.1}, newCostPred(nP))
+	if err != nil {
+		b.Fatal(err)
+	}
+	wave := make([]Job, 64)
+	for i := range wave {
+		wave[i] = Job{Workload: i, Deadline: 1e9}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		as := s.PlaceAll(wave)
+		b.StopTimer()
+		for _, a := range as {
+			if !a.Placed() {
+				b.Fatal("wave job unplaced")
+			}
+			if err := s.Complete(a.ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+	}
+}
