@@ -61,6 +61,15 @@ type Predictor interface {
 // of a scheduler scanning every candidate platform for a job (or a whole
 // wave of jobs). The Pitot facade implements it on top of
 // EstimateBatch/BoundBatch; scalar-only predictors fall back to Predictor.
+//
+// The engines keep every batched score in a per-engine score table and
+// serve it again until the platform's residents or health change or the
+// predictor's scoring epoch moves. So for a given epoch a BatchPredictor's
+// answers must be a pure function of the query, and a predictor whose
+// answers can change must expose the change through a ScoreEpoch() uint64
+// or, failing that, a Version() uint64 method (the Pitot facade has both).
+// A predictor with neither is read as epoch 0 for the engine's lifetime,
+// which is correct only if it never changes.
 type BatchPredictor interface {
 	Predictor
 	// EstimateSecondsBatch returns the expected runtime for every query.
