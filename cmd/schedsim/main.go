@@ -22,7 +22,7 @@
 // With -replicas N, the streaming simulation is replaced by the replica
 // scaling bench: for each point on the doubling curve 1,2,...,N, that many
 // scheduler replicas place jobs concurrently against one shared
-// snapshot-isolated slot store, in both sharded (platforms partitioned
+// slot store, in both sharded (platforms partitioned
 // across replicas) and shared-pool (every replica sees every platform,
 // conflicts resolved by optimistic commit/retry) modes. The curve —
 // aggregate throughput, speedup, conflict-retry rate, sheds — is printed
@@ -53,7 +53,7 @@
 //	-strategy          least-loaded, best-fit, or utilization
 //	-arrival-rate      mean job arrivals per simulated second (Poisson)
 //	-trials            independent replays (run in parallel; aggregated)
-//	-chunk             jobs placed per scheduler-lock hold (0 default,
+//	-chunk             jobs placed per copy of the cluster state (0 default,
 //	                   negative = whole wave)
 //	-retry-limit       re-queue failed placements for up to N retries after
 //	                   subsequent completions (0 drops them immediately)
@@ -256,7 +256,7 @@ func main() {
 		trials      = flag.Int("trials", 4, "independent replay trials (parallel)")
 		coloc       = flag.Int("colocation", 4, "max workloads per platform")
 		maxInFlight = flag.Int("max-inflight", 0, "admission bound on in-flight jobs (0 = capacity only)")
-		chunk       = flag.Int("chunk", 0, "jobs placed per scheduler-lock hold (0 = default, negative = whole wave)")
+		chunk       = flag.Int("chunk", 0, "jobs placed per copy of the cluster state (0 = default, negative = whole wave)")
 		retryLimit  = flag.Int("retry-limit", 3, "retry failed placements after later completions, up to N attempts each (0 = drop)")
 		retryBO     = flag.Float64("retry-backoff", 0, "base retry backoff in simulated seconds, doubled per attempt with seeded jitter (0 = retry on next completion)")
 		retryBOMax  = flag.Float64("retry-backoff-max", 0, "cap on the exponential retry backoff (0 = uncapped)")

@@ -82,8 +82,8 @@ func main() {
 		placeInFlight = flag.Int("place-max-inflight", 0, "admission bound on in-flight jobs (0 = platform capacity)")
 		placeWindow   = flag.Duration("place-window", 200*time.Microsecond, "fuse concurrent single-job /place calls arriving within this window into one wave (0 disables)")
 		placeMaxWave  = flag.Int("place-max-wave", 64, "cap on a fused /place wave")
-		placeChunk    = flag.Int("place-chunk", 0, "jobs placed per scheduler-lock hold (0 = default, negative = whole wave)")
-		placeReplicas = flag.Int("place-replicas", 1, "scheduler replicas over one shared slot store (>1 enables optimistic replicated placement)")
+		placeChunk    = flag.Int("place-chunk", 0, "jobs placed per copy of the cluster state (0 = default, negative = whole wave)")
+		placeReplicas = flag.Int("place-replicas", 1, "scheduler replicas over the one slot store; /place waves round-robin across them, each commit version-checked")
 		placeShards   = flag.Int("place-shards", 0, "platform shards across replicas (0 = one shared pool; requires -place-replicas > 1)")
 
 		placePenalty     = flag.Float64("place-degraded-penalty", 0, "score multiplier applied to degraded platforms (0 = default 1.25)")

@@ -24,25 +24,13 @@ var goldenRealDigests = map[string]uint64{
 	"c1/k3": 0xa8d738dde78a87e8,
 }
 
-// realGoldenArm is the lifecycle surface the driver runs against; both
-// *sched.Scheduler and *sched.ReplicaSet satisfy it.
-type realGoldenArm interface {
-	Place(job sched.Job) sched.Assignment
-	PlaceAll(jobs []sched.Job) []sched.Assignment
-	Complete(id sched.JobID) error
-	CompleteOutcome(id sched.JobID, miss bool) (bool, error)
-	Fail(p int) ([]sched.Orphan, error)
-	Degrade(p int) error
-	Recover(p int) error
-}
-
-// realGoldenDigest drives one arm through a seeded op sequence over its
+// realGoldenDigest drives one engine through a seeded op sequence over its
 // own predictor — Zipf-skewed waves, single placements, completions,
 // Fail/Degrade/Recover churn with orphans re-placed, and one Observe
 // halfway that publishes a fine-tuned snapshot — and digests every
 // assignment (ID, platform, budget bits, reason, interferers) and
 // lifecycle answer.
-func realGoldenDigest(t *testing.T, arm realGoldenArm, pred *Predictor, nP, nW int, seed int64) uint64 {
+func realGoldenDigest(t *testing.T, arm *sched.ReplicaSet, pred *Predictor, nP, nW int, seed int64) uint64 {
 	t.Helper()
 	h := fnv.New64a()
 	u64 := func(v uint64) {
@@ -129,8 +117,8 @@ func realGoldenDigest(t *testing.T, arm realGoldenArm, pred *Predictor, nP, nW i
 // TestGoldenRealPredictorDigests is the real-model twin of the sched
 // package's golden digests: the bound policy under least-loaded and the
 // fused mean-bound policy under best-fit, at the default WaveChunk and at
-// WaveChunk 3, on the Scheduler and the one-replica ReplicaSet, each over a
-// fresh copy of one trained predictor on the exact kernel. The model's floats come from math.Exp and
+// WaveChunk 3, each over a fresh copy of one trained predictor on the
+// exact kernel. The model's floats come from math.Exp and
 // compiler-scheduled float arithmetic, so the digests are pinned on amd64
 // only.
 func TestGoldenRealPredictorDigests(t *testing.T) {
@@ -170,28 +158,19 @@ func TestGoldenRealPredictorDigests(t *testing.T) {
 		for _, chunk := range []int{0, 3} {
 			key := fmt.Sprintf("c%d/k%d", ci, chunk)
 			want, ok := goldenRealDigests[key]
-			for _, replica := range []bool{false, true} {
-				pred := fresh()
-				cfg := sched.Config{NumPlatforms: nP, MaxColocation: 3, MaxInFlight: 2 * nP,
-					Strategy: strat, WaveChunk: chunk,
-					Breaker: sched.BreakerConfig{Window: 6, Threshold: 0.5, MinSamples: 3}}
-				var arm realGoldenArm
-				if replica {
-					arm, err = sched.NewReplicaSet(cfg, sched.ReplicaConfig{Replicas: 1, Shards: 1}, pol, pred)
-				} else {
-					arm, err = sched.New(cfg, pol, pred)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := realGoldenDigest(t, arm, pred, nP, nW, int64(300+ci))
-				switch {
-				case !ok:
-					t.Errorf("no golden digest for %s: replica=%v got %#x", key, replica, got)
-				case got != want:
-					t.Errorf("%s (%s, %s) replica=%v: digest %#x, want %#x",
-						key, pol.Name(), strat.Name(), replica, got, want)
-				}
+			pred := fresh()
+			arm, err := sched.New(sched.Config{NumPlatforms: nP, MaxColocation: 3, MaxInFlight: 2 * nP,
+				Strategy: strat, WaveChunk: chunk,
+				Breaker: sched.BreakerConfig{Window: 6, Threshold: 0.5, MinSamples: 3}}, pol, pred)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := realGoldenDigest(t, arm, pred, nP, nW, int64(300+ci))
+			switch {
+			case !ok:
+				t.Errorf("no golden digest for %s: got %#x", key, got)
+			case got != want:
+				t.Errorf("%s (%s, %s): digest %#x, want %#x", key, pol.Name(), strat.Name(), got, want)
 			}
 		}
 	}

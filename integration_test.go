@@ -313,79 +313,6 @@ func TestConcurrentPlaceCompleteDuringObserve(t *testing.T) {
 	}
 }
 
-// TestReplicaPlacementMatchesScheduler pins the sharded-placement identity
-// property on the real trained model: a single-replica ReplicaSet over the
-// shared slot store makes bitwise the same decisions as the plain
-// Scheduler — platforms, IDs, budgets, rejections — across interleaved
-// placements, waves, and completions.
-func TestReplicaPlacementMatchesScheduler(t *testing.T) {
-	pred, ds := enginePredictor(t)
-	for _, pol := range []sched.Policy{sched.MeanPolicy{}, sched.BoundPolicy{Eps: 0.1}} {
-		cfg := sched.Config{NumPlatforms: ds.NumPlatforms(), MaxColocation: 3, MaxInFlight: 16}
-		s, err := sched.New(cfg, pol, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := sched.NewReplicaSet(cfg, sched.ReplicaConfig{Replicas: 1, Shards: 1}, pol, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jrng := rand.New(rand.NewSource(11))
-		var live []sched.JobID
-		for i := 0; i < 40; i++ {
-			if len(live) > 2 && i%4 == 0 {
-				id := live[0]
-				live = live[1:]
-				errS, errR := s.Complete(id), rs.Complete(id)
-				if (errS == nil) != (errR == nil) {
-					t.Fatalf("policy %s complete(%d): scheduler %v, replica %v", pol.Name(), id, errS, errR)
-				}
-				continue
-			}
-			if i%7 == 0 {
-				var jobs []sched.Job
-				for j := 0; j < 3; j++ {
-					w := jrng.Intn(ds.NumWorkloads())
-					p := jrng.Intn(ds.NumPlatforms())
-					jobs = append(jobs, sched.Job{
-						Workload: w,
-						Deadline: pred.Estimate(w, p, nil) * (1.2 + 2*jrng.Float64()),
-					})
-				}
-				wS, wR := s.PlaceAll(jobs), rs.PlaceAll(jobs)
-				for j := range wS {
-					if wS[j].Platform != wR[j].Platform || wS[j].ID != wR[j].ID ||
-						wS[j].Budget != wR[j].Budget || wS[j].Rejected != wR[j].Rejected {
-						t.Fatalf("policy %s wave job %d: scheduler %+v != replica %+v",
-							pol.Name(), j, wS[j], wR[j])
-					}
-					if wS[j].Placed() {
-						live = append(live, wS[j].ID)
-					}
-				}
-				continue
-			}
-			w := jrng.Intn(ds.NumWorkloads())
-			p := jrng.Intn(ds.NumPlatforms())
-			job := sched.Job{
-				Workload: w,
-				Deadline: pred.Estimate(w, p, nil) * (1.2 + 2*jrng.Float64()),
-			}
-			aS, aR := s.Place(job), rs.Place(job)
-			if aS.Platform != aR.Platform || aS.ID != aR.ID || aS.Budget != aR.Budget ||
-				aS.Rejected != aR.Rejected || aS.Reason != aR.Reason {
-				t.Fatalf("policy %s op %d: scheduler %+v != replica %+v", pol.Name(), i, aS, aR)
-			}
-			if aS.Placed() {
-				live = append(live, aS.ID)
-			}
-		}
-		if s.InFlight() != rs.InFlight() {
-			t.Fatalf("policy %s: in-flight %d != %d", pol.Name(), s.InFlight(), rs.InFlight())
-		}
-	}
-}
-
 // TestObserveSecondsFeedbackBridge checks the sched.Observer bridge: a
 // measured-runtime batch publishes a new snapshot whose calibration pool
 // includes the measurements, and predictions keep serving throughout.

@@ -12,8 +12,8 @@ type EventKind uint8
 const (
 	EvEnqueue  EventKind = 1 + iota // job arrived / admitted to a wave
 	EvScore                         // a wave chunk's scores were looked up (N = cells scored, Cached = cells served)
-	EvReserve                       // optimistic slot reservation committed (replica path)
-	EvConflict                      // CAS reservation lost, retrying (N = attempt)
+	_                               // retired (a reservation, which EvPlace records); kinds keep their values
+	EvConflict                      // slot reservation hit a newer version, retrying (N = attempt)
 	EvPlace                         // job committed to a platform
 	EvComplete                      // job finished and released its slot
 	EvOrphan                        // platform failed under a resident job
@@ -25,7 +25,6 @@ const (
 var kindNames = [...]string{
 	EvEnqueue:  "enqueue",
 	EvScore:    "score",
-	EvReserve:  "reserve",
 	EvConflict: "conflict",
 	EvPlace:    "place",
 	EvComplete: "complete",

@@ -473,7 +473,8 @@ func TestChaosOffIsBitIdentical(t *testing.T) {
 }
 
 // TestFailRacesPlaceAllAndComplete exercises Fail/Recover/Complete racing a
-// chunked PlaceAll (run under -race): failures land between chunks, and
+// chunked PlaceAll (run under -race): failures land between chunks and
+// inside them, where the reservations they stale conflict and retry, and
 // the exactly-once contract holds — every placed job is completed once or
 // orphaned once, never both, never lost.
 func TestFailRacesPlaceAllAndComplete(t *testing.T) {
@@ -487,7 +488,7 @@ func TestFailRacesPlaceAllAndComplete(t *testing.T) {
 		completed = make(map[JobID]int)
 	)
 	gap := make(chan struct{}, 64)
-	s.chunkGap = func() {
+	s.Replica(0).chunkGap = func() {
 		select {
 		case gap <- struct{}{}:
 		default:

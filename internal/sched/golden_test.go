@@ -148,7 +148,7 @@ func goldenStrategies() []Strategy {
 }
 
 // goldenStream runs one seeded sched.Stream (every placement goes through
-// Scheduler.Place) and digests what it exposes: every placement's
+// the engine's Place) and digests what it exposes: every placement's
 // (workload, platform, interferers) in order through the oracle, the
 // stream recorder's lifecycle events (without their wall-clock stamps)
 // and the full result.
@@ -213,24 +213,12 @@ func goldenStream(t *testing.T, pol Policy, strat Strategy, chaos bool, seed int
 	return d.sum()
 }
 
-// goldenArm is the lifecycle surface the wave driver runs against; both
-// *Scheduler and *ReplicaSet satisfy it.
-type goldenArm interface {
-	Place(job Job) Assignment
-	PlaceAll(jobs []Job) []Assignment
-	Complete(id JobID) error
-	CompleteOutcome(id JobID, miss bool) (bool, error)
-	Fail(p int) ([]Orphan, error)
-	Degrade(p int) error
-	Recover(p int) error
-}
-
 // goldenWaves drives one arm through a seeded op sequence — Zipf-skewed
 // PlaceAll waves, single Place calls, completions (half of them feeding
 // the breaker) and scoring-epoch bumps, plus with churn on Fail, Degrade
 // and Recover events that re-place their orphans — and digests every
 // assignment and lifecycle answer.
-func goldenWaves(t *testing.T, arm goldenArm, pred *goldenPred, nP int, churn bool, seed int64) uint64 {
+func goldenWaves(t *testing.T, arm *ReplicaSet, pred *goldenPred, nP int, churn bool, seed int64) uint64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	zipf := rand.NewZipf(rng, 1.3, 1, 19)
@@ -308,18 +296,17 @@ func goldenWaves(t *testing.T, arm goldenArm, pred *goldenPred, nP int, churn bo
 // built-in comparisons.
 type opaqueStrategy struct{ Strategy }
 
-// goldenArmNames are the engines the wave driver must agree across: the
-// batched Scheduler, the scalar (DisableBatch) reference, the one-replica
-// ReplicaSet on both scoring arms, and the Scheduler with its strategy
-// behind the interface.
-var goldenArmNames = []string{"sched", "sched-scalar", "rset", "rset-scalar", "sched-opaque"}
+// goldenArmNames are the configurations the wave driver must agree
+// across: the batched engine, the scalar (DisableBatch) reference, and the
+// batched engine with its strategy behind the interface.
+var goldenArmNames = []string{"batched", "scalar", "opaque"}
 
 // goldenWaveArms builds goldenArmNames' engines. Each arm gets a private
 // predictor from the same seed, since the driver bumps epochs.
-func goldenWaveArms(t *testing.T, pol Policy, strat Strategy, chunk int, seed int64) (map[string]goldenArm, map[string]*goldenPred, int) {
+func goldenWaveArms(t *testing.T, pol Policy, strat Strategy, chunk int, seed int64) (map[string]*ReplicaSet, map[string]*goldenPred, int) {
 	t.Helper()
 	const nP = 9
-	arms := map[string]goldenArm{}
+	arms := map[string]*ReplicaSet{}
 	preds := map[string]*goldenPred{}
 	for _, name := range goldenArmNames {
 		pred := newGoldenPred(rand.New(rand.NewSource(seed)), nP)
@@ -329,23 +316,13 @@ func goldenWaveArms(t *testing.T, pol Policy, strat Strategy, chunk int, seed in
 			MaxInFlight:   2*nP + 3,
 			Strategy:      strat,
 			WaveChunk:     chunk,
-			DisableBatch:  name == "sched-scalar" || name == "rset-scalar",
+			DisableBatch:  name == "scalar",
 			Breaker:       BreakerConfig{Window: 5, Threshold: 0.4, MinSamples: 2, Probation: 2},
 		}
-		if name == "sched-opaque" {
+		if name == "opaque" {
 			cfg.Strategy = opaqueStrategy{strat}
 		}
-		var arm goldenArm
-		var err error
-		if name == "rset" || name == "rset-scalar" {
-			arm, err = NewReplicaSet(cfg, ReplicaConfig{Replicas: 1, Shards: 1}, pol, pred)
-		} else {
-			arm, err = New(cfg, pol, pred)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		arms[name], preds[name] = arm, pred
+		arms[name], preds[name] = mustNew(t, cfg, pol, pred), pred
 	}
 	return arms, preds, nP
 }
@@ -385,7 +362,8 @@ func TestGoldenStreamDigests(t *testing.T) {
 // TestGoldenWaveDigests pins the seeded wave driver — every policy and
 // strategy, churn off and on, at the default WaveChunk and at WaveChunk 3
 // (so post-commit rescores cross chunk boundaries) — on every arm of
-// goldenArmNames.
+// goldenArmNames. The driver is one goroutine, so no reservation may ever
+// conflict.
 func TestGoldenWaveDigests(t *testing.T) {
 	for pi, pol := range goldenPolicies() {
 		for si, strat := range goldenStrategies() {
@@ -404,6 +382,9 @@ func TestGoldenWaveDigests(t *testing.T) {
 							t.Errorf("%s (%s, %s) %s: digest %#x, want %#x",
 								key, pol.Name(), strat.Name(), name, got, want)
 						}
+						if cs := arms[name].ConflictStats(); cs.Conflicts != 0 || cs.Shed != 0 {
+							t.Errorf("%s %s: uncontended engine saw conflicts: %+v", key, name, cs)
+						}
 					}
 				}
 			}
@@ -414,25 +395,13 @@ func TestGoldenWaveDigests(t *testing.T) {
 // churnQueries runs waves of all-distinct workloads and changes every
 // platform's state between waves (completions, then Degrade and Recover),
 // so no score is reusable within or across waves, and returns how many
-// queries the predictor scored. replica selects the one-replica
-// ReplicaSet instead of the Scheduler.
-func churnQueries(t *testing.T, replica bool, chunk int) int64 {
+// queries the predictor scored.
+func churnQueries(t *testing.T, chunk int) int64 {
 	t.Helper()
 	const nP = 8
 	rng := rand.New(rand.NewSource(77))
 	pred := newGoldenPred(rng, nP)
-	cfg := Config{NumPlatforms: nP, MaxColocation: 3, WaveChunk: chunk}
-	pol := MeanBoundPolicy{Eps: 0.1}
-	var arm goldenArm
-	var err error
-	if replica {
-		arm, err = NewReplicaSet(cfg, ReplicaConfig{Replicas: 1, Shards: 1}, pol, pred)
-	} else {
-		arm, err = New(cfg, pol, pred)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	arm := mustNew(t, Config{NumPlatforms: nP, MaxColocation: 3, WaveChunk: chunk}, MeanBoundPolicy{Eps: 0.1}, pred)
 	var live []JobID
 	for wave := 0; wave < 40; wave++ {
 		jobs := make([]Job, 10)
@@ -474,11 +443,9 @@ func churnQueries(t *testing.T, replica bool, chunk int) int64 {
 // waves. Score reuse may only remove queries; without reuse the count must
 // match the engines that scored every (job, platform) pair.
 func TestGoldenChurnQueries(t *testing.T) {
-	for _, replica := range []bool{false, true} {
-		for chunk, want := range goldenChurnQueries {
-			if got := churnQueries(t, replica, chunk); got != want {
-				t.Errorf("replica=%v WaveChunk %d: %d queries, want %d", replica, chunk, got, want)
-			}
+	for chunk, want := range goldenChurnQueries {
+		if got := churnQueries(t, chunk); got != want {
+			t.Errorf("WaveChunk %d: %d queries, want %d", chunk, got, want)
 		}
 	}
 }

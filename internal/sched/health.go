@@ -3,8 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/obs"
 )
 
 // HealthState is a platform's position in the failure lifecycle. Healthy
@@ -111,10 +109,8 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 }
 
 // healthCore is one platform's failure-lifecycle state plus its breaker
-// window. It is the transition logic shared by the mutex-guarded scheduler
-// (platformHealth) and the lock-free slot store (platformSlots): both arms
-// drive the identical state machine, they differ only in how mutations are
-// published. The outcome ring is allocated lazily on first use.
+// window, guarded by the slot store's mutex. The outcome ring is allocated
+// lazily on first use.
 type healthCore struct {
 	state     HealthState
 	probation bool // half-open: state==Degraded, colocation capped at 1
@@ -123,12 +119,6 @@ type healthCore struct {
 	outcomes     []bool // ring of recent outcomes, true = missed deadline
 	next, filled int
 	misses       int
-}
-
-// platformHealth is one platform's failure-lifecycle state, guarded by the
-// scheduler mutex.
-type platformHealth struct {
-	healthCore
 }
 
 // fail transitions to Down, reporting false when already Down (a no-op).
@@ -251,185 +241,6 @@ type FailureStats struct {
 	Closes       uint64
 }
 
-func (s *Scheduler) checkPlatform(p int) error {
-	if p < 0 || p >= s.cfg.NumPlatforms {
-		return fmt.Errorf("%w: %d not in [0,%d)", ErrPlatformOutOfRange, p, s.cfg.NumPlatforms)
-	}
-	return nil
-}
-
-// Fail marks platform p Down and orphans its residents: every resident
-// job's ID is retired (Complete returns ErrJobCompleted) and returned with
-// its Job so the caller can reschedule it — the job-conservation contract
-// is that each orphan is returned exactly once and nothing else about the
-// cluster changes. Failing an already-Down platform is a no-op.
-func (s *Scheduler) Fail(p int) ([]Orphan, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkPlatform(p); err != nil {
-		return nil, err
-	}
-	h := &s.healths[p]
-	if !h.fail() {
-		return nil, nil
-	}
-	s.stats.Fails++
-	s.bumpSlotLocked(p)
-	rs := s.residents[p]
-	if len(rs) == 0 {
-		return nil, nil
-	}
-	orphans := make([]Orphan, len(rs))
-	for i, r := range rs {
-		orphans[i] = Orphan{ID: r.id, Job: r.job}
-		delete(s.platformOf, r.id)
-		if s.rec != nil {
-			s.rec.Record(obs.Event{Kind: obs.EvOrphan, Job: uint64(r.id), ID: uint64(r.id),
-				Platform: int32(p)})
-		}
-	}
-	s.residents[p] = rs[:0]
-	s.ks[p] = s.ks[p][:0]
-	s.stats.Orphaned += uint64(len(orphans))
-	return orphans, nil
-}
-
-// Degrade marks platform p Degraded: it keeps its residents and keeps
-// accepting placements, but every candidate score is padded by
-// Config.DegradedPenalty and strategies prefer healthy platforms at equal
-// rank. Degrading a Down or Quarantined platform is an error (recover it
-// first); degrading a Degraded platform is a no-op.
-func (s *Scheduler) Degrade(p int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkPlatform(p); err != nil {
-		return err
-	}
-	h := &s.healths[p]
-	if h.state == Down || h.state == Quarantined {
-		return fmt.Errorf("%w: platform %d is %s", ErrPlatformUnavailable, p, h.state)
-	}
-	if h.degrade() {
-		s.stats.Degrades++
-		s.bumpSlotLocked(p)
-	}
-	return nil
-}
-
-// Recover advances platform p toward Healthy: a Down or Quarantined
-// platform re-enters half-open probation (Degraded, colocation capped at
-// one trial job, Probation consecutive successes to close); a Degraded
-// platform closes to Healthy. Recovering a Healthy platform is a no-op.
-func (s *Scheduler) Recover(p int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.checkPlatform(p); err != nil {
-		return err
-	}
-	h := &s.healths[p]
-	if h.state == Healthy {
-		return nil
-	}
-	readmitted, closed := h.recover(s.breaker.Probation)
-	s.stats.Recovers++
-	s.bumpSlotLocked(p)
-	if readmitted {
-		s.stats.Readmissions++
-		if s.rec != nil {
-			s.rec.Record(obs.Event{Kind: obs.EvReadmit, Platform: int32(p)})
-		}
-	}
-	if closed {
-		s.stats.Closes++
-	}
-	return nil
-}
-
-// Health returns platform p's current state (Healthy for out-of-range
-// indices; validate with the event methods).
-func (s *Scheduler) Health(p int) HealthState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p < 0 || p >= len(s.healths) {
-		return Healthy
-	}
-	return s.healths[p].state
-}
-
-// HealthSnapshot returns a copy of every platform's health state.
-func (s *Scheduler) HealthSnapshot() []HealthState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]HealthState, len(s.healths))
-	for p := range s.healths {
-		out[p] = s.healths[p].state
-	}
-	return out
-}
-
-// Impaired returns the number of platforms not currently Healthy.
-func (s *Scheduler) Impaired() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for p := range s.healths {
-		if s.healths[p].state != Healthy {
-			n++
-		}
-	}
-	return n
-}
-
-// FailureStats returns the failure-lifecycle counters.
-func (s *Scheduler) FailureStats() FailureStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// CompleteOutcome is Complete plus an outcome report for the circuit
-// breaker: miss records whether the execution overran its deadline on the
-// platform it ran on. The returned tripped flag reports whether this
-// outcome tripped the platform into quarantine (threshold crossing, or a
-// miss during probation) — callers drive re-admission from it.
-func (s *Scheduler) CompleteOutcome(id JobID, miss bool) (tripped bool, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, err := s.completeLocked(id)
-	if err != nil {
-		return false, err
-	}
-	return s.noteOutcomeLocked(p, miss), nil
-}
-
-// noteOutcomeLocked feeds one observed execution outcome into platform p's
-// breaker window and probation state, returning whether it tripped the
-// platform into quarantine.
-func (s *Scheduler) noteOutcomeLocked(p int, miss bool) bool {
-	tripped, closed := s.healths[p].noteOutcome(miss, s.breaker)
-	if tripped {
-		s.stats.Trips++
-	}
-	if closed {
-		s.stats.Closes++
-	}
-	if tripped || closed {
-		// State transitions only — plain in-window outcomes change nothing a
-		// score cell depends on.
-		s.bumpSlotLocked(p)
-	}
-	return tripped
-}
-
 func (h *healthCore) resetWindow() {
 	h.next, h.filled, h.misses = 0, 0, 0
-}
-
-// colocCapLocked is platform p's effective colocation cap: one trial job
-// during half-open probation, Config.MaxColocation otherwise.
-func (s *Scheduler) colocCapLocked(p int) int {
-	if s.healths[p].probation {
-		return 1
-	}
-	return s.cfg.MaxColocation
 }

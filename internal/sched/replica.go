@@ -9,24 +9,20 @@ import (
 	"repro/internal/obs"
 )
 
-// Replica is one scheduler frontend of a ReplicaSet: it scores waves
-// against a private snapshot of the shared SlotStore and commits each
-// placement with an optimistic slot reservation. A version conflict at
-// commit (another replica placed, a completion landed, a health event
-// fired) refreshes the platform's view, re-scores the affected column, and
-// retries selection with bounded backoff, up to MaxCommitRetries before the
-// job is shed with ReasonConflict.
-//
-// With one replica and no concurrent store mutations, placements are
-// bitwise identical to Scheduler.PlaceAll: both run the same wave path
-// (engine.placeChunk) over views of the same state, and conflict paths
-// never execute.
+// Replica is one scheduler frontend of a ReplicaSet. Each chunk of a wave
+// copies its shard's views from the SlotStore under the store mutex, then
+// scores and selects outside it, and commits each placement with a
+// version-checked reservation under it. A version conflict at commit
+// (another replica placed, a completion landed, a health event fired)
+// refreshes the platform's view, re-scores the affected column, and
+// retries selection with bounded backoff, up to MaxCommitRetries before
+// the job is shed with ReasonConflict.
 //
 // A Replica is safe for concurrent use; concurrent PlaceAll calls on the
 // same replica serialize on its private mutex (use distinct replicas for
-// parallel placement). Each replica owns its score table, guarded by that
-// mutex: its cells are stamped with SlotStore versions, so a view adopted
-// from a conflict restamps them with no extra locking.
+// parallel placement). The mutex guards the replica's views, whose
+// resident rows the replica owns, and its score table, whose cells are
+// stamped with SlotStore versions.
 type Replica struct {
 	set *ReplicaSet
 	idx int
@@ -35,91 +31,111 @@ type Replica struct {
 	views []platformView // indexed by platform
 	table waveTable
 
-	// conflictState is the store state the last refused reservation
-	// returned, adopted by retry after the backoff.
-	conflictState *platformSlots
-
 	commits   atomic.Uint64
 	conflicts atomic.Uint64
 	shed      atomic.Uint64
 
-	// chunkGap, when non-nil, runs between chunk placements (test hook,
-	// mirroring Scheduler.chunkGap).
+	// chunkGap, when non-nil, runs between chunk placements (test hook:
+	// deterministic mid-wave interleaving).
 	chunkGap func()
 }
 
-// PlaceAll places a wave of jobs in arrival order through this replica,
-// chunked like Scheduler.PlaceAll: each chunk snapshots the replica's
-// shard and commits per-job reservations against those snapshots.
-func (r *Replica) PlaceAll(jobs []Job) []Assignment {
-	return r.set.placeWave(&r.mu, jobs, r.placeChunkLocked, r.set.noteChunk, r.chunkGap)
-}
-
-// Place assigns one job through this replica.
+// Place assigns one job: among feasible platforms (score ≤ deadline after
+// accounting for the interference the job will experience from residents),
+// the configured Strategy picks the winner. The returned assignment is
+// unplaced when no platform is feasible, and Rejected when admission
+// control refused the job outright (MaxInFlight reached). A one-job wave.
 func (r *Replica) Place(job Job) Assignment {
 	return r.PlaceAll([]Job{job})[0]
 }
 
-// setView rebuilds platform p's view from a published store state: the
-// current one at chunk start, the committed one after a reservation, the
-// newer one a conflict returned.
-func (r *Replica) setView(p int, st *platformSlots) {
-	r.views[p] = platformView{
-		ver:       st.version,
-		ks:        st.workloads(),
-		load:      len(st.residents),
-		cap:       st.colocCap(r.set.store.maxColocation),
-		placeable: st.state.Placeable(),
-		degraded:  st.state == Degraded,
+// PlaceAll places a wave of jobs in arrival order, in chunks of
+// Config.WaveChunk jobs. Each chunk decides against the cluster state
+// copied at its start plus its own commits, and a completion or health
+// event that lands mid-wave is seen by the following chunks — or, when it
+// touches a platform the chunk then commits to, by that commit's conflict
+// retry. With no concurrent events, decisions are identical to the
+// unchunked wave (and to calling Place per job): scores are per-query
+// deterministic, so chunk boundaries never change a selection.
+func (r *Replica) PlaceAll(jobs []Job) []Assignment {
+	e := &r.set.engine
+	// Observability is guarded per-site so the disabled path never calls
+	// time.Now: one predictable branch per chunk, zero allocations.
+	var waveStart time.Time
+	if e.met != nil {
+		waveStart = time.Now()
+		e.met.WaveSize.Observe(float64(len(jobs)))
 	}
+	out := make([]Assignment, len(jobs))
+	chunk := e.chunk
+	if chunk < 0 || chunk > len(jobs) {
+		chunk = len(jobs)
+	}
+	for lo := 0; lo < len(jobs); lo += chunk {
+		hi := min(lo+chunk, len(jobs))
+		r.mu.Lock()
+		var holdStart time.Time
+		if e.met != nil {
+			holdStart = time.Now()
+		}
+		r.placeChunk(jobs[lo:hi], out[lo:hi])
+		if e.met != nil {
+			e.met.ChunkHold.ObserveSince(holdStart)
+		}
+		r.mu.Unlock()
+		r.set.noteChunk()
+		if r.chunkGap != nil && hi < len(jobs) {
+			r.chunkGap()
+		}
+	}
+	if e.met != nil {
+		e.met.WavePlace.ObserveSince(waveStart)
+	}
+	return out
 }
 
-// placeChunkLocked places one chunk of jobs under the replica mutex,
-// filling out[i] for jobs[i], over fresh views of the replica's shard.
-func (r *Replica) placeChunkLocked(jobs []Job, out []Assignment) {
+// placeChunk places one chunk under the replica mutex, filling out[i] for
+// jobs[i]: the shard's views are copied under the store mutex, then the
+// engine's chunk path scores, selects and commits against them.
+func (r *Replica) placeChunk(jobs []Job, out []Assignment) {
 	set := r.set
 	shard := set.shardFor(r.idx)
+	st := set.SlotStore
+	st.mu.Lock()
 	for _, p := range shard {
-		r.setView(p, set.store.load(p))
+		st.viewLocked(p, &r.views[p])
 	}
-	set.placeChunk(&r.table, r, jobs, out, shard, r.views)
+	st.mu.Unlock()
+	set.placeChunk(r, jobs, out, shard)
 }
 
-// admit implements committer: the store's cluster-wide MaxInFlight.
-func (r *Replica) admit() bool {
-	st := r.set.store
-	return st.maxInFlight <= 0 || st.InFlight() < st.maxInFlight
-}
-
-// commit implements committer with an optimistic reservation against the
-// view's version. The committed view is adopted at once; a conflict's
-// newer state waits for retry. The interference set is the view's shared
-// immutable snapshot.
+// commit reserves platform p for job against the view it was selected
+// from. On success the view holds the committed state and the placement
+// is recorded under the store mutex, so a racing Fail's orphan event can
+// never precede it.
 func (r *Replica) commit(p int, job Job) (JobID, []int, reserveStatus) {
 	set := r.set
-	inter := r.views[p].ks
-	id, st, status := set.store.reserve(p, r.views[p].ver, job)
-	switch status {
-	case reserveOK:
+	st := set.SlotStore
+	if st.reserveGap != nil {
+		st.reserveGap(p)
+	}
+	st.mu.Lock()
+	id, inter, status := st.reserveLocked(p, &r.views[p], job)
+	if status == reserveOK && set.rec != nil {
+		set.rec.Record(obs.Event{Kind: obs.EvPlace, Job: uint64(id), ID: uint64(id),
+			Platform: int32(p), Version: set.snapVersion()})
+	}
+	st.mu.Unlock()
+	if status == reserveOK {
 		r.commits.Add(1)
-		if set.rec != nil {
-			set.rec.Record(obs.Event{Kind: obs.EvPlace, Job: uint64(id), ID: uint64(id),
-				Platform: int32(p), Version: set.snapVersion()})
-		}
-		r.setView(p, st)
-	case reserveConflict:
-		r.conflictState = st
 	}
 	return id, inter, status
 }
 
-// unplaced implements committer; replicas record sheds only for conflicts.
-func (r *Replica) unplaced(string) {}
-
-// retry implements committer: the snapshot of p went stale. Past the retry
-// budget the job is shed; otherwise, after the backoff, the view adopts
-// the state the store returned and selection runs again — the refreshed
-// view may demote p or crown a different winner.
+// retry handles the attempt-th consecutive commit conflict on p. Past the
+// retry budget the job is shed and retry reports false; otherwise, after
+// the backoff, p's view is copied again and selection runs again — the
+// refreshed view may demote p or crown a different winner.
 func (r *Replica) retry(p, attempt int) bool {
 	set := r.set
 	r.conflicts.Add(1)
@@ -136,7 +152,10 @@ func (r *Replica) retry(p, attempt int) bool {
 		return false
 	}
 	set.backoff(attempt)
-	r.setView(p, r.conflictState)
+	st := set.SlotStore
+	st.mu.Lock()
+	st.viewLocked(p, &r.views[p])
+	st.mu.Unlock()
 	return true
 }
 

@@ -16,131 +16,19 @@ func mustNewReplicaSet(t *testing.T, cfg Config, rc ReplicaConfig, pol Policy, p
 	return rs
 }
 
-// The PR 8 decision-identity pin: a 1-replica ReplicaSet over the shared
-// slot store is bitwise decision-identical to the plain Scheduler — same
-// platforms, budgets, job IDs, rejection reasons, health transitions, and
-// Complete errors — across fused, batch, and scalar scoring, random waves,
-// completions, and the whole failure lifecycle. The commit protocol must
-// provably add no behavior at N=1.
-func TestReplicaIdentitySingleReplica(t *testing.T) {
-	policies := []Policy{MeanPolicy{}, BoundPolicy{Eps: 0.1}, MeanBoundPolicy{Eps: 0.1}, PaddedBoundPolicy{Eps: 0.2, Factor: 1.3}}
-	strategies := []Strategy{LeastLoaded{}, BestFit{}, UtilizationAware{}}
-	for seed := int64(0); seed < 10; seed++ {
-		rng := rand.New(rand.NewSource(800 + seed))
-		nP := 3 + rng.Intn(6)
-		base := make([]float64, nP)
-		for i := range base {
-			base[i] = 0.5 + 2*rng.Float64()
-		}
-		pol := policies[rng.Intn(len(policies))]
-		strat := strategies[rng.Intn(len(strategies))]
-		cfg := Config{
-			NumPlatforms:  nP,
-			MaxColocation: 1 + rng.Intn(3),
-			MaxInFlight:   4 + rng.Intn(10),
-			WaveChunk:     []int{0, 1, 2, 3, -1}[rng.Intn(5)],
-			Strategy:      strat,
-			Breaker:       BreakerConfig{Threshold: 0.5, Window: 4, Probation: 2},
-		}
-		scalar := rng.Float64() < 0.33
-		cfg.DisableBatch = scalar
-		var sPred, rPred Predictor
-		if rng.Float64() < 0.5 {
-			sPred = &fusedFake{batchPred: &batchPred{Predictor: variedPred{base}}}
-			rPred = &fusedFake{batchPred: &batchPred{Predictor: variedPred{base}}}
-		} else {
-			sPred = &batchPred{Predictor: variedPred{base}}
-			rPred = &batchPred{Predictor: variedPred{base}}
-		}
-		s := mustNew(t, cfg, pol, sPred)
-		rs := mustNewReplicaSet(t, cfg, ReplicaConfig{Replicas: 1, Shards: 1}, pol, rPred)
-		if s.Batched() != rs.Batched() || s.Fused() != rs.Fused() {
-			t.Fatalf("seed %d: scoring-path wiring differs: scheduler batched=%v fused=%v, replica batched=%v fused=%v",
-				seed, s.Batched(), s.Fused(), rs.Batched(), rs.Fused())
-		}
-		var live []JobID
-		for i := 0; i < 70; i++ {
-			switch op := rng.Float64(); {
-			case len(live) > 0 && op < 0.25:
-				id := live[rng.Intn(len(live))]
-				miss := rng.Float64() < 0.4
-				tS, errS := s.CompleteOutcome(id, miss)
-				tR, errR := rs.CompleteOutcome(id, miss)
-				if (errS == nil) != (errR == nil) || tS != tR {
-					t.Fatalf("seed %d: CompleteOutcome(%d) disagreement: (%v,%v) vs (%v,%v)", seed, id, tS, errS, tR, errR)
-				}
-				if errS == nil {
-					for j, l := range live {
-						if l == id {
-							live = append(live[:j], live[j+1:]...)
-							break
-						}
-					}
-				}
-			case op < 0.32:
-				p := rng.Intn(nP)
-				oS, errS := s.Fail(p)
-				oR, errR := rs.Fail(p)
-				if (errS == nil) != (errR == nil) || len(oS) != len(oR) {
-					t.Fatalf("seed %d: Fail(%d) disagreement: %v/%v vs %v/%v", seed, p, oS, errS, oR, errR)
-				}
-				for j := range oS {
-					if oS[j] != oR[j] {
-						t.Fatalf("seed %d: Fail(%d) orphan %d differs: %+v vs %+v", seed, p, j, oS[j], oR[j])
-					}
-					for k, l := range live {
-						if l == oS[j].ID {
-							live = append(live[:k], live[k+1:]...)
-							break
-						}
-					}
-				}
-			case op < 0.38:
-				p := rng.Intn(nP)
-				errS, errR := s.Degrade(p), rs.Degrade(p)
-				if (errS == nil) != (errR == nil) {
-					t.Fatalf("seed %d: Degrade(%d): %v vs %v", seed, p, errS, errR)
-				}
-			case op < 0.46:
-				p := rng.Intn(nP)
-				errS, errR := s.Recover(p), rs.Recover(p)
-				if (errS == nil) != (errR == nil) {
-					t.Fatalf("seed %d: Recover(%d): %v vs %v", seed, p, errS, errR)
-				}
-			default:
-				n := 1 + rng.Intn(6)
-				jobs := make([]Job, n)
-				for j := range jobs {
-					jobs[j] = Job{Workload: rng.Intn(20), Deadline: 0.3 + 6*rng.Float64()}
-				}
-				wS, wR := s.PlaceAll(jobs), rs.PlaceAll(jobs)
-				for j := range jobs {
-					if !sameAssignment(wS[j], wR[j]) || wS[j].Reason != wR[j].Reason {
-						t.Fatalf("seed %d wave job %d: scheduler %+v vs replica %+v (policy %s, strategy %s, chunk %d, scalar %v)",
-							seed, j, wS[j], wR[j], pol.Name(), strat.Name(), cfg.WaveChunk, scalar)
-					}
-					if wS[j].Placed() {
-						live = append(live, wS[j].ID)
-					}
-				}
-			}
-			if gotS, gotR := s.InFlight(), rs.InFlight(); gotS != gotR {
-				t.Fatalf("seed %d step %d: InFlight %d vs %d", seed, i, gotS, gotR)
-			}
-		}
-		hS, hR := s.HealthSnapshot(), rs.HealthSnapshot()
-		for p := range hS {
-			if hS[p] != hR[p] {
-				t.Fatalf("seed %d: health of platform %d: %s vs %s", seed, p, hS[p], hR[p])
-			}
-		}
-		if fS, fR := s.FailureStats(), rs.FailureStats(); fS != fR {
-			t.Fatalf("seed %d: failure stats differ: %+v vs %+v", seed, fS, fR)
-		}
-		if cs := rs.ConflictStats(); cs.Conflicts != 0 || cs.Shed != 0 {
-			t.Fatalf("seed %d: single uncontended replica saw conflicts: %+v", seed, cs)
-		}
+// seat commits job onto platform p straight through the store, against a
+// view copied in the same lock hold, as a competing replica would.
+func seat(t *testing.T, st *SlotStore, p int, job Job) JobID {
+	t.Helper()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var v platformView
+	st.viewLocked(p, &v)
+	id, _, status := st.reserveLocked(p, &v, job)
+	if status != reserveOK {
+		t.Fatalf("seat on platform %d: status %v", p, status)
 	}
+	return id
 }
 
 // Conflict-retry conservation under the race detector: concurrent replicas
@@ -290,40 +178,76 @@ func TestReplicaConservationConcurrent(t *testing.T) {
 		100*float64(cs.Conflicts)/float64(cs.Attempts), cs.Shed)
 }
 
-// A deterministic conflict: the reserveGap hook commits a competing job
-// into the chosen platform between the version check and the CAS, so the
-// replica's first reservation must lose, count one conflict, refresh, and
-// succeed on retry.
+// A deterministic conflict for each event that can land between a
+// chunk's view copy and its commit: the reserveGap hook fires one
+// competing event on the chosen platform — another replica's placement,
+// a completion, a failure or a degradation — so the first reservation
+// must lose, count one conflict, refresh, and place the job on retry,
+// with every job accounted for.
 func TestReplicaConflictRetryDeterministic(t *testing.T) {
-	base := []float64{1, 2, 3}
-	rs := mustNewReplicaSet(t,
-		Config{NumPlatforms: 3, MaxColocation: 4},
-		ReplicaConfig{Replicas: 1, Shards: 1},
-		MeanPolicy{},
-		&batchPred{Predictor: variedPred{base}})
-	st := rs.Store()
-	fired := false
-	st.reserveGap = func(p int) {
-		if fired {
-			return
-		}
-		fired = true
-		st.reserveGap = nil // the nested reserve must not recurse
-		if _, _, status := st.reserve(p, st.load(p).version, Job{Workload: 7, Deadline: 1e9}); status != reserveOK {
-			t.Fatalf("competing reserve failed: %v", status)
-		}
-		st.reserveGap = func(int) {}
-	}
-	a := rs.Place(Job{Workload: 1, Deadline: 1e9})
-	if !a.Placed() {
-		t.Fatalf("job not placed after conflict retry: %+v", a)
-	}
-	cs := rs.ConflictStats()
-	if cs.Conflicts != 1 {
-		t.Fatalf("want exactly 1 conflict, got %+v", cs)
-	}
-	if rs.InFlight() != 2 {
-		t.Fatalf("want 2 in flight (competitor + retried job), got %d", rs.InFlight())
+	for _, event := range []string{"place", "complete", "fail", "degrade"} {
+		t.Run(event, func(t *testing.T) {
+			const nP = 3
+			rs := mustNewReplicaSet(t,
+				Config{NumPlatforms: nP, MaxColocation: 4},
+				ReplicaConfig{Replicas: 1, Shards: 1},
+				MeanPolicy{},
+				&batchPred{Predictor: variedPred{[]float64{1, 2, 3}}})
+			// One resident per platform (least-loaded spreads them), so
+			// every platform has a job to complete or orphan.
+			residentOn := map[int]JobID{}
+			for w := 0; w < nP; w++ {
+				a := rs.Place(Job{Workload: w, Deadline: 1e9})
+				if !a.Placed() {
+					t.Fatalf("setup placement %d: %+v", w, a)
+				}
+				residentOn[a.Platform] = a.ID
+			}
+			placed, completed, orphaned := nP, 0, 0
+			hit := -1
+			rs.reserveGap = func(p int) {
+				rs.reserveGap = nil
+				hit = p
+				switch event {
+				case "place":
+					seat(t, rs.SlotStore, p, Job{Workload: 7, Deadline: 1e9})
+					placed++
+				case "complete":
+					if err := rs.Complete(residentOn[p]); err != nil {
+						t.Fatal(err)
+					}
+					completed++
+				case "fail":
+					orphans, err := rs.Fail(p)
+					if err != nil || len(orphans) != 1 {
+						t.Fatalf("Fail(%d): %v, %v", p, orphans, err)
+					}
+					orphaned++
+				case "degrade":
+					if err := rs.Degrade(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			a := rs.Place(Job{Workload: 1, Deadline: 1e9})
+			if hit < 0 {
+				t.Fatal("the competing event never fired")
+			}
+			if !a.Placed() {
+				t.Fatalf("job not placed after the conflict retry: %+v", a)
+			}
+			placed++
+			if event == "fail" && a.Platform == hit {
+				t.Fatalf("job placed on the platform that failed: %+v", a)
+			}
+			if cs := rs.ConflictStats(); cs.Conflicts != 1 || cs.Shed != 0 {
+				t.Fatalf("want exactly 1 conflict and no shed, got %+v", cs)
+			}
+			if got := completed + orphaned + rs.InFlight(); got != placed {
+				t.Fatalf("conservation: completed %d + orphaned %d + in flight %d != placed %d",
+					completed, orphaned, rs.InFlight(), placed)
+			}
+		})
 	}
 }
 
@@ -336,13 +260,15 @@ func TestReplicaConflictShed(t *testing.T) {
 		ReplicaConfig{Replicas: 1, Shards: 1, MaxCommitRetries: 3},
 		MeanPolicy{},
 		&batchPred{Predictor: variedPred{base}})
-	st := rs.Store()
-	st.reserveGap = func(p int) {
-		// Sabotage every attempt: bump the platform version underneath the
-		// in-flight reservation via a health wobble.
-		cur := st.load(p)
-		next := cur.clone()
-		st.plats[p].Store(next)
+	rs.reserveGap = func(p int) {
+		// Sabotage every attempt: move the platform's version underneath
+		// the reservation with a health wobble that leaves it healthy.
+		if err := rs.Degrade(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.Recover(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	a := rs.Place(Job{Workload: 1, Deadline: 1e9})
 	if a.Placed() || a.Reason != ReasonConflict {
@@ -371,12 +297,9 @@ func TestReplicaRebalance(t *testing.T) {
 		MeanPolicy{},
 		&batchPred{Predictor: variedPred{base}})
 	// Load platforms 0 and 2 (both shard 0 under the initial p%2 split).
-	st := rs.Store()
 	for i := 0; i < 4; i++ {
 		for _, p := range []int{0, 2} {
-			if _, _, status := st.reserve(p, st.load(p).version, Job{Workload: i, Deadline: 1e9}); status != reserveOK {
-				t.Fatalf("seed reserve on %d failed", p)
-			}
+			seat(t, rs.SlotStore, p, Job{Workload: i, Deadline: 1e9})
 		}
 	}
 	if skew := rs.shardSkew(); skew < 1.9 {
@@ -413,21 +336,10 @@ func TestReplicaRebalance(t *testing.T) {
 // neither.
 func TestSlotStoreFailCompleteRaces(t *testing.T) {
 	for round := 0; round < 30; round++ {
-		st, err := NewSlotStore(Config{NumPlatforms: 1, MaxColocation: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := newSlotStore(Config{NumPlatforms: 1, MaxColocation: 8})
 		var ids []JobID
 		for i := 0; i < 8; i++ {
-			id, _, status := st.reserve(0, st.load(0).version+uint64(0), Job{Workload: i, Deadline: 1})
-			if status != reserveOK {
-				// Versions advance as we commit; refresh and retry once.
-				id, _, status = st.reserve(0, st.load(0).version, Job{Workload: i, Deadline: 1})
-				if status != reserveOK {
-					t.Fatalf("seed reserve %d: %v", i, status)
-				}
-			}
-			ids = append(ids, id)
+			ids = append(ids, seat(t, st, 0, Job{Workload: i, Deadline: 1}))
 		}
 		var completedN, orphanedN atomic.Int64
 		var wg sync.WaitGroup

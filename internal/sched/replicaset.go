@@ -67,20 +67,23 @@ type ReplicaStats struct {
 	Shed      uint64
 }
 
-// ReplicaSet runs N scheduler replicas over one shared SlotStore and one
-// shared predictor: each replica scores waves optimistically against its
-// snapshot of the store and commits placements with compare-and-swap slot
-// reservations, so placements from many frontends proceed without a global
-// scheduler lock. Platforms are sharded across replicas (ReplicaConfig.
-// Shards); shards that run hot are rebalanced by resident load.
+// ReplicaSet is the placement engine: N scheduler replicas over one shared
+// SlotStore and one shared predictor. Each replica scores waves against
+// views of the store it copies at chunk start and commits placements with
+// version-checked slot reservations, so placements from many frontends
+// proceed without holding the store across scoring. Platforms are sharded
+// across replicas (ReplicaConfig.Shards); shards that run hot are
+// rebalanced by resident load. New builds the one-replica set.
 //
 // The lifecycle surface (Complete, Fail, Degrade, Recover, health and
-// stats accessors) matches Scheduler's, so callers can hold either behind
-// one interface. PlaceAll routes each wave to a replica round-robin;
-// drivers that own their parallelism (one goroutine per frontend) should
-// take Replica handles and call PlaceAll on them directly.
+// stats accessors) is the embedded store's, so every replica and external
+// caller sees one cluster. PlaceAll routes each wave to a replica
+// round-robin; drivers that own their parallelism (one goroutine per
+// frontend) should take Replica handles and call PlaceAll on them
+// directly.
 type ReplicaSet struct {
 	engine
+	*SlotStore
 
 	maxRetries       int
 	commitBackoff    time.Duration
@@ -88,7 +91,6 @@ type ReplicaSet struct {
 	rebalanceEvery   int
 	rebalanceSkew    float64
 
-	store    *SlotStore
 	replicas []*Replica
 	shards   atomic.Pointer[shardMap]
 
@@ -110,9 +112,19 @@ func (rs *ReplicaSet) ScoreTableStats() ScoreTableStats {
 	return st
 }
 
+// New creates the placement engine: the one-replica ReplicaSet. The batch
+// scoring path engages automatically when pred implements BatchPredictor
+// and policy implements BatchPolicy (all built-in policies do), unless
+// cfg.DisableBatch is set; dual-head policies (DualPolicy) additionally
+// score through one fused pass when the predictor implements
+// FusedPredictor.
+func New(cfg Config, policy Policy, pred Predictor) (*ReplicaSet, error) {
+	return NewReplicaSet(cfg, ReplicaConfig{}, policy, pred)
+}
+
 // NewReplicaSet builds rc.Replicas schedulers over one shared slot store.
 // cfg carries the cluster shape and scoring configuration exactly as for
-// New; batched and fused scoring engage under the same conditions.
+// New.
 func NewReplicaSet(cfg Config, rc ReplicaConfig, policy Policy, pred Predictor) (*ReplicaSet, error) {
 	if rc.Replicas == 0 {
 		rc.Replicas = 1
@@ -139,20 +151,16 @@ func NewReplicaSet(cfg Config, rc ReplicaConfig, policy Policy, pred Predictor) 
 	if rc.RebalanceSkew <= 1 {
 		rc.RebalanceSkew = 1.5
 	}
-	store, err := NewSlotStore(cfg)
-	if err != nil {
-		return nil, err
-	}
 	rs := &ReplicaSet{
 		engine:           e,
+		SlotStore:        newSlotStore(e.cfg),
 		maxRetries:       rc.MaxCommitRetries,
 		commitBackoff:    rc.CommitBackoff,
 		commitBackoffMax: rc.CommitBackoffMax,
 		rebalanceEvery:   rc.RebalanceEvery,
 		rebalanceSkew:    rc.RebalanceSkew,
-		store:            store,
 	}
-	nP := cfg.NumPlatforms
+	nP, mc := e.cfg.NumPlatforms, e.cfg.MaxColocation
 	nShards := rc.Shards
 	if nShards == 0 {
 		nShards = rc.Replicas
@@ -167,7 +175,14 @@ func NewReplicaSet(cfg Config, rc ReplicaConfig, policy Policy, pred Predictor) 
 	rs.shards.Store(&shardMap{shards: shards})
 	rs.replicas = make([]*Replica, rc.Replicas)
 	for i := range rs.replicas {
-		rs.replicas[i] = &Replica{set: rs, idx: i, views: make([]platformView, nP), table: waveTable{nP: nP}}
+		r := &Replica{set: rs, idx: i, views: make([]platformView, nP), table: waveTable{nP: nP}}
+		// Each view's resident row is the replica's own, capped at
+		// MaxColocation, so copying a platform's state never allocates.
+		buf := make([]int, nP*mc)
+		for p := range r.views {
+			r.views[p].ks = buf[p*mc : p*mc : (p+1)*mc]
+		}
+		rs.replicas[i] = r
 	}
 	return rs, nil
 }
@@ -188,8 +203,8 @@ func (rs *ReplicaSet) NumShards() int { return len(rs.shards.Load().shards) }
 // Replica returns frontend i, for drivers that pin work to replicas.
 func (rs *ReplicaSet) Replica(i int) *Replica { return rs.replicas[i] }
 
-// PlaceAll places a wave through the next replica round-robin. With one
-// replica this is exactly Scheduler.PlaceAll over the shared store.
+// PlaceAll places a wave through the next replica round-robin (see
+// Replica.PlaceAll).
 func (rs *ReplicaSet) PlaceAll(jobs []Job) []Assignment {
 	r := rs.replicas[(rs.router.Add(1)-1)%uint64(len(rs.replicas))]
 	return r.PlaceAll(jobs)
@@ -221,7 +236,7 @@ func (rs *ReplicaSet) shardSkew() float64 {
 	for _, shard := range m.shards {
 		load := 0
 		for _, p := range shard {
-			load += rs.store.Load(p)
+			load += rs.Load(p)
 		}
 		total += load
 		if load > max {
@@ -247,7 +262,7 @@ func (rs *ReplicaSet) Rebalance() {
 	type platLoad struct{ p, load int }
 	pls := make([]platLoad, rs.cfg.NumPlatforms)
 	for p := range pls {
-		pls[p] = platLoad{p: p, load: rs.store.Load(p)}
+		pls[p] = platLoad{p: p, load: rs.Load(p)}
 	}
 	sort.Slice(pls, func(i, j int) bool {
 		if pls[i].load != pls[j].load {
@@ -276,9 +291,12 @@ func (rs *ReplicaSet) Rebalance() {
 
 // ConflictStats returns the commit protocol's counters.
 func (rs *ReplicaSet) ConflictStats() ConflictStats {
+	rs.mu.Lock()
+	attempts, conflicts := rs.attempts, rs.conflicts
+	rs.mu.Unlock()
 	return ConflictStats{
-		Attempts:   rs.store.reserveAttempts.Load(),
-		Conflicts:  rs.store.reserveConflictsCnt.Load(),
+		Attempts:   attempts,
+		Conflicts:  conflicts,
 		Shed:       rs.sumShed(),
 		Rebalances: rs.rebalances.Load(),
 	}
@@ -304,45 +322,3 @@ func (rs *ReplicaSet) ReplicaStats() []ReplicaStats {
 	}
 	return out
 }
-
-// Store returns the shared slot store (shared-state introspection).
-func (rs *ReplicaSet) Store() *SlotStore { return rs.store }
-
-// Lifecycle surface, delegated to the shared store so every replica and
-// external caller sees one cluster.
-
-// Complete frees the colocation slot of a placed job.
-func (rs *ReplicaSet) Complete(id JobID) error { return rs.store.Complete(id) }
-
-// CompleteOutcome is Complete plus a breaker outcome report.
-func (rs *ReplicaSet) CompleteOutcome(id JobID, miss bool) (bool, error) {
-	return rs.store.CompleteOutcome(id, miss)
-}
-
-// Fail marks a platform Down, orphaning its residents exactly once.
-func (rs *ReplicaSet) Fail(p int) ([]Orphan, error) { return rs.store.Fail(p) }
-
-// Degrade marks a platform Degraded.
-func (rs *ReplicaSet) Degrade(p int) error { return rs.store.Degrade(p) }
-
-// Recover advances a platform toward Healthy.
-func (rs *ReplicaSet) Recover(p int) error { return rs.store.Recover(p) }
-
-// Health returns a platform's current state.
-func (rs *ReplicaSet) Health(p int) HealthState { return rs.store.Health(p) }
-
-// HealthSnapshot returns a copy of every platform's health state.
-func (rs *ReplicaSet) HealthSnapshot() []HealthState { return rs.store.HealthSnapshot() }
-
-// Impaired returns the number of platforms not currently Healthy.
-func (rs *ReplicaSet) Impaired() int { return rs.store.Impaired() }
-
-// FailureStats returns the failure-lifecycle counters.
-func (rs *ReplicaSet) FailureStats() FailureStats { return rs.store.FailureStats() }
-
-// InFlight returns the number of placed jobs that have not completed.
-func (rs *ReplicaSet) InFlight() int { return rs.store.InFlight() }
-
-// Residents returns a copy of the workloads currently placed on platform
-// p.
-func (rs *ReplicaSet) Residents(p int) []int { return rs.store.Residents(p) }

@@ -4,12 +4,14 @@
 //
 // The engine is event-driven: jobs arrive (Place) and complete (Complete),
 // so a platform's resident set — and therefore the interference every
-// candidate placement must account for — changes over time. A Scheduler
-// scores all candidate platforms for a job in one batched predictor call
-// when the predictor supports it (BatchPredictor; the Pitot facade does),
-// selects among feasible platforms with a pluggable Strategy, and bounds
-// admission so a saturated cluster fails fast instead of queueing
-// placements it cannot serve.
+// candidate placement must account for — changes over time. There is one
+// engine, ReplicaSet: New builds it with one replica, NewReplicaSet with
+// several over the same SlotStore. It scores all candidate platforms for a
+// wave's jobs in one batched predictor call when the predictor supports it
+// (BatchPredictor; the Pitot facade does), selects among feasible
+// platforms with a pluggable Strategy, commits each placement with a
+// version-checked slot reservation, and bounds admission so a saturated
+// cluster fails fast instead of queueing placements it cannot serve.
 //
 // Measured runtimes flow back through Observer: a simulator or live
 // orchestrator reports each completed job's (workload, platform,
@@ -116,7 +118,7 @@ type Observer interface {
 	ObserveSeconds(ms []Measurement) error
 }
 
-// ErrUnknownJob is returned by Complete for an ID the scheduler never
+// ErrUnknownJob is returned by Complete for an ID the engine never
 // issued.
 var ErrUnknownJob = errors.New("sched: unknown job")
 
@@ -137,9 +139,10 @@ const (
 	ReasonCapacity = "capacity"
 	// ReasonInfeasible: candidates were scored but none met the deadline.
 	ReasonInfeasible = "infeasible"
-	// ReasonConflict: a replicated placement lost the optimistic commit
-	// race (slot reservations kept hitting versions newer than the scored
-	// snapshot) more than ReplicaConfig.MaxCommitRetries times and was shed.
+	// ReasonConflict: the job's slot reservations kept hitting versions
+	// newer than the scored views (other replicas' placements, or
+	// lifecycle events landing mid-chunk) more than
+	// ReplicaConfig.MaxCommitRetries times, and it was shed.
 	ReasonConflict = "commit-conflict"
 )
 
@@ -182,14 +185,14 @@ type Config struct {
 	// Strategy selects among feasible platforms; nil means LeastLoaded.
 	Strategy Strategy
 	// WaveChunk bounds how many jobs of a PlaceAll wave are placed per
-	// scheduler-lock hold: the lock is released between chunks, so
-	// concurrent Place/Complete calls interleave mid-wave and a Complete
-	// waits at most one chunk — not the whole wave — behind a long
-	// placement burst. Each chunk scores against the then-current
-	// cluster state, so with no concurrent events chunked placement is
+	// copy of the cluster state: each chunk copies its platform views at
+	// its start and scores against them, so completions and health events
+	// that land mid-wave are seen by the following chunks (lifecycle calls
+	// never wait for a chunk: they take only the slot store's mutex, which
+	// scoring does not hold). Another PlaceAll on the same replica waits at
+	// most one chunk. With no concurrent events chunked placement is
 	// decision-identical to an unchunked wave. 0 means the default (64);
-	// negative places the whole wave under one lock hold (the PR 3
-	// behavior).
+	// negative places the whole wave as one chunk.
 	WaveChunk int
 	// DisableBatch forces scalar scoring even when both the policy and the
 	// predictor support batching — the reference path batch scoring must
@@ -207,7 +210,7 @@ type Config struct {
 	Breaker BreakerConfig
 	// Metrics, when non-nil, receives latency and size observations from
 	// the placement hot paths (score-batch latency, wave latency, per-chunk
-	// lock hold, wave size). Nil disables recording: every site is a single
+	// placement time, wave size). Nil disables recording: every site is a single
 	// nil check, no allocation, no time syscall.
 	Metrics *obs.SchedMetrics
 	// Recorder, when non-nil, receives typed lifecycle events (place,

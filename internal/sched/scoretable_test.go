@@ -27,10 +27,10 @@ func (c *coldPred) ScoreEpoch() uint64 {
 // TestScoreCacheDecisionIdentityUnderChurn is the reuse property on the
 // fake predictor: for seeded random op sequences — Zipf-skewed waves,
 // single placements, completions with breaker outcomes, Fail/Degrade/
-// Recover churn and scoring-epoch bumps — the warm-table Scheduler and
-// one-replica ReplicaSet produce assignments bitwise identical to a
-// cold-table Scheduler, including job IDs, budgets, unplaced reasons and
-// interference sets, at randomized cluster sizes and chunk sizes.
+// Recover churn and scoring-epoch bumps — the warm-table engine produces
+// assignments bitwise identical to a cold-table engine, including job IDs,
+// budgets, unplaced reasons and interference sets, at randomized cluster
+// sizes and chunk sizes.
 func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		for pi, pol := range goldenPolicies() {
@@ -45,34 +45,25 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 				Breaker:       BreakerConfig{Threshold: 0.5, Window: 4, Probation: 2},
 			}
 			digests := map[string]uint64{}
-			var warm *Scheduler
-			for _, name := range []string{"cold", "sched", "rset"} {
+			var warm *ReplicaSet
+			for _, name := range []string{"cold", "warm"} {
 				pred := newGoldenPred(rand.New(rand.NewSource(seed)), nP)
 				var p Predictor = pred
 				if name == "cold" {
 					p = &coldPred{goldenPred: pred}
 				}
-				var arm goldenArm
-				var err error
-				if name == "rset" {
-					arm, err = NewReplicaSet(cfg, ReplicaConfig{Replicas: 1, Shards: 1}, pol, p)
-				} else {
-					arm, err = New(cfg, pol, p)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if name == "sched" {
-					warm = arm.(*Scheduler)
+				arm := mustNew(t, cfg, pol, p)
+				if name == "warm" {
+					warm = arm
 				}
 				digests[name] = goldenWaves(t, arm, pred, nP, true, seed+100)
 			}
-			if digests["sched"] != digests["cold"] || digests["rset"] != digests["cold"] {
-				t.Errorf("seed %d %s: digests %#x (warm sched), %#x (warm rset), want %#x (cold)",
-					seed, pol.Name(), digests["sched"], digests["rset"], digests["cold"])
+			if digests["warm"] != digests["cold"] {
+				t.Errorf("seed %d %s: digest %#x (warm), want %#x (cold)",
+					seed, pol.Name(), digests["warm"], digests["cold"])
 			}
 			if st := warm.ScoreTableStats(); st.Hits == 0 {
-				t.Errorf("seed %d %s: warm scheduler served no cells: %+v", seed, pol.Name(), st)
+				t.Errorf("seed %d %s: warm engine served no cells: %+v", seed, pol.Name(), st)
 			}
 		}
 	}
@@ -133,67 +124,53 @@ func TestScoreCacheCountersAndInvalidation(t *testing.T) {
 // TestScoreTableRescoresOnlyChangedColumn pins the version bump of every
 // lifecycle event: one Complete, Fail, Degrade, Recover or breaker trip on
 // platform p rescores p's column and nothing else (a platform that leaves
-// the placeable set is not scored at all), on the Scheduler and the
-// one-replica ReplicaSet alike.
+// the placeable set is not scored at all).
 func TestScoreTableRescoresOnlyChangedColumn(t *testing.T) {
 	const nP, nD = 4, 5
-	for _, replica := range []bool{false, true} {
-		pred := &goldenPred{base: []float64{1, 1.5, 2, 2.5}}
-		cfg := Config{NumPlatforms: nP, MaxColocation: 4,
-			Breaker: BreakerConfig{Threshold: 0.5, Window: 2, MinSamples: 1, Probation: 1}}
-		var arm goldenArm
-		var err error
-		if replica {
-			arm, err = NewReplicaSet(cfg, ReplicaConfig{Replicas: 1, Shards: 1}, MeanPolicy{}, pred)
-		} else {
-			arm, err = New(cfg, MeanPolicy{}, pred)
+	pred := &goldenPred{base: []float64{1, 1.5, 2, 2.5}}
+	arm := mustNew(t, Config{NumPlatforms: nP, MaxColocation: 4,
+		Breaker: BreakerConfig{Threshold: 0.5, Window: 2, MinSamples: 1, Probation: 1}}, MeanPolicy{}, pred)
+	// Two residents per platform (least-loaded spreads them), so each
+	// platform has jobs to complete.
+	idsOn := map[int][]JobID{}
+	for i := 0; i < 2*nP; i++ {
+		a := arm.Place(Job{Workload: 20 + i, Deadline: 1e9})
+		if !a.Placed() {
+			t.Fatalf("setup placement %d unplaced: %+v", i, a)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats := arm.(interface{ ScoreTableStats() ScoreTableStats })
-		// Two residents per platform (least-loaded spreads them), so each
-		// platform has jobs to complete.
-		idsOn := map[int][]JobID{}
-		for i := 0; i < 2*nP; i++ {
-			a := arm.Place(Job{Workload: 20 + i, Deadline: 1e9})
-			if !a.Placed() {
-				t.Fatalf("setup placement %d unplaced: %+v", i, a)
-			}
-			idsOn[a.Platform] = append(idsOn[a.Platform], a.ID)
-		}
-		wave := infeasibleWave(nD)
-		arm.PlaceAll(wave) // warm every column
-		step := func(event string, apply func() error, open int, rescored int64) {
-			t.Helper()
-			if err := apply(); err != nil {
-				t.Fatalf("replica=%v %s: %v", replica, event, err)
-			}
-			hits, misses, queries := statsDelta(stats, pred, func() { arm.PlaceAll(wave) })
-			wantHits := int64(open)*nD - rescored
-			if misses != rescored || queries != rescored || hits != wantHits {
-				t.Fatalf("replica=%v after %s: hits %d misses %d queries %d, want %d/%d/%d",
-					replica, event, hits, misses, queries, wantHits, rescored, rescored)
-			}
-		}
-		step("nothing", func() error { return nil }, nP, 0)
-		step("Complete on 1", func() error { return arm.Complete(idsOn[1][0]) }, nP, nD)
-		step("Degrade 2", func() error { return arm.Degrade(2) }, nP, nD)
-		step("Recover 2", func() error { return arm.Recover(2) }, nP, nD)
-		step("Fail 3", func() error { _, err := arm.Fail(3); return err }, nP-1, 0)
-		step("Recover 3 (half-open)", func() error { return arm.Recover(3) }, nP, nD)
-		step("breaker trip on 0", func() error {
-			tripped, err := arm.CompleteOutcome(idsOn[0][0], true)
-			if err == nil && !tripped {
-				t.Fatalf("replica=%v: missed completion did not trip the breaker", replica)
-			}
-			return err
-		}, nP-1, 0)
-		// Half-open probation caps platform 0 at one job: it reopens once
-		// its last resident completes.
-		step("Recover 0 (half-open, full)", func() error { return arm.Recover(0) }, nP-1, 0)
-		step("Complete on 0", func() error { return arm.Complete(idsOn[0][1]) }, nP, nD)
+		idsOn[a.Platform] = append(idsOn[a.Platform], a.ID)
 	}
+	wave := infeasibleWave(nD)
+	arm.PlaceAll(wave) // warm every column
+	step := func(event string, apply func() error, open int, rescored int64) {
+		t.Helper()
+		if err := apply(); err != nil {
+			t.Fatalf("%s: %v", event, err)
+		}
+		hits, misses, queries := statsDelta(arm, pred, func() { arm.PlaceAll(wave) })
+		wantHits := int64(open)*nD - rescored
+		if misses != rescored || queries != rescored || hits != wantHits {
+			t.Fatalf("after %s: hits %d misses %d queries %d, want %d/%d/%d",
+				event, hits, misses, queries, wantHits, rescored, rescored)
+		}
+	}
+	step("nothing", func() error { return nil }, nP, 0)
+	step("Complete on 1", func() error { return arm.Complete(idsOn[1][0]) }, nP, nD)
+	step("Degrade 2", func() error { return arm.Degrade(2) }, nP, nD)
+	step("Recover 2", func() error { return arm.Recover(2) }, nP, nD)
+	step("Fail 3", func() error { _, err := arm.Fail(3); return err }, nP-1, 0)
+	step("Recover 3 (half-open)", func() error { return arm.Recover(3) }, nP, nD)
+	step("breaker trip on 0", func() error {
+		tripped, err := arm.CompleteOutcome(idsOn[0][0], true)
+		if err == nil && !tripped {
+			t.Fatal("missed completion did not trip the breaker")
+		}
+		return err
+	}, nP-1, 0)
+	// Half-open probation caps platform 0 at one job: it reopens once
+	// its last resident completes.
+	step("Recover 0 (half-open, full)", func() error { return arm.Recover(0) }, nP-1, 0)
+	step("Complete on 0", func() error { return arm.Complete(idsOn[0][1]) }, nP, nD)
 }
 
 // TestScoreTableUnwrittenCellNeverServed pins the stamp rule: slot
@@ -260,7 +237,8 @@ func TestScoreTableMemoryBound(t *testing.T) {
 	}
 	pred := &goldenPred{base: []float64{1, 2, 3}}
 	s := mustNew(t, Config{NumPlatforms: 3}, MeanPolicy{}, pred)
-	cells := func() (int, int) { return len(s.table.ver), len(s.table.val) }
+	table := &s.Replica(0).table
+	cells := func() (int, int) { return len(table.ver), len(table.val) }
 	s.PlaceAll(infeasibleWave(12))
 	if nv, ns := cells(); nv != 12*3 || ns != 12*3 {
 		t.Fatalf("table holds %d stamps, %d scores after workloads 0..11 on 3 platforms, want 36", nv, ns)

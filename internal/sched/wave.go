@@ -3,19 +3,16 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// engine is the placement configuration a Scheduler and every Replica of a
-// ReplicaSet share: the policy and strategy, the resolved scoring arm, the
-// chunking and degraded-padding knobs, and the observability hooks. The
-// wave path below (placeChunk) is the one scoring and selection path both
-// engines run; they differ only in where platform state comes from and how
-// a placement commits (committer).
+// engine is the placement configuration every Replica of a ReplicaSet
+// shares: the policy and strategy, the resolved scoring arm, the chunking
+// and degraded-padding knobs, and the observability hooks. The wave path
+// below (placeChunk) is the one scoring and selection path.
 type engine struct {
 	cfg      Config
 	policy   Policy
@@ -32,8 +29,8 @@ type engine struct {
 	bpolicy BatchPolicy
 	dpolicy DualPolicy
 
-	// chunk is the resolved Config.WaveChunk: max jobs placed per lock
-	// hold in PlaceAll. degradedPenalty multiplies the feasibility score of
+	// chunk is the resolved Config.WaveChunk: max jobs placed per view
+	// snapshot in PlaceAll. degradedPenalty multiplies the feasibility score of
 	// candidates on Degraded platforms (resolved Config.DegradedPenalty,
 	// ≥ 1).
 	chunk           int
@@ -55,9 +52,9 @@ type engine struct {
 	epochFn func() uint64
 }
 
-// defaultWaveChunk bounds a PlaceAll lock hold when Config.WaveChunk is 0:
+// defaultWaveChunk bounds a PlaceAll chunk when Config.WaveChunk is 0:
 // large enough to amortize the chunk's scoring call, small enough that a
-// concurrent Complete waits microseconds, not a whole 256-job wave.
+// lifecycle event is seen by the rest of a 256-job wave within one chunk.
 const defaultWaveChunk = 64
 
 // defaultDegradedPenalty inflates the feasibility score on Degraded
@@ -195,9 +192,10 @@ func (e *engine) Fused() bool {
 
 // platformView is what placement needs to know about one platform: the
 // slot version its scores are stamped with, the resident workloads (the
-// interference set), load, effective cap and health. Engines refresh the
-// views at chunk start and after each of their own commits, so a chunk's
-// decisions are a pure function of its views.
+// interference set, in a row the replica owns), load, effective cap and
+// health. A replica copies the views at chunk start and after each of its
+// commits and conflicts, so a chunk's decisions are a pure function of its
+// views.
 type platformView struct {
 	ver       uint64
 	ks        []int
@@ -209,25 +207,6 @@ type platformView struct {
 
 // open reports whether the platform can take one more job.
 func (v *platformView) open() bool { return v.placeable && v.load < v.cap }
-
-// committer is how an engine turns a selection into a placement. The
-// Scheduler commits under its mutex and never conflicts; a Replica
-// reserves the slot optimistically and may lose the race.
-type committer interface {
-	// admit reports whether admission control lets another job in.
-	admit() bool
-	// commit places job on platform p (the selection made against
-	// views[p]) and, on success, updates views[p] to the committed state.
-	// It returns the job's ID and the interference set it was scored
-	// under.
-	commit(p int, job Job) (JobID, []int, reserveStatus)
-	// unplaced is told when no platform could take the job.
-	unplaced(reason string)
-	// retry handles the attempt-th consecutive commit conflict on p: it
-	// refreshes views[p] and reports true to select again, or false once
-	// the retry budget is spent (the job is shed).
-	retry(p, attempt int) bool
-}
 
 // scores is one (platform, workload) cell's policy facets: feasibility
 // and ranking (equal on single-head policies).
@@ -251,8 +230,7 @@ type scores struct {
 // each one row of NumPlatforms per workload: a chunk's lookups read only
 // the 8-byte stamps, a job's selection scan reads one contiguous row of
 // scores, and growth appends rows. The table grows to the largest
-// workload index seen. Each Scheduler and each Replica owns one, guarded
-// by its own mutex.
+// workload index seen. Each Replica owns one, guarded by its mutex.
 type waveTable struct {
 	nP    int
 	nW    int
@@ -504,18 +482,20 @@ func unplacedReason(placeable, open int) string {
 }
 
 // placeChunk places one chunk of jobs in arrival order, filling out[i]
-// for jobs[i], over the platforms in plats (ascending) as views describes
-// them. On the batched arm the chunk prescores its distinct workloads
-// through the table, then each job is one selection pass over the table;
-// a commit (or a conflict refresh) changes one platform's view, and only
-// that platform's cells are rescored for the jobs still to place. The
-// scalar arm scores every open platform per job instead.
+// for jobs[i], over the platforms in plats (ascending) as r's views
+// describe them. On the batched arm the chunk prescores its distinct
+// workloads through r's table, then each job is one selection pass over
+// the table; a commit (or a conflict refresh) changes one platform's view,
+// and only that platform's cells are rescored for the jobs still to place.
+// The scalar arm scores every open platform per job instead. A job no
+// platform can take is recorded as shed, with its reason.
 //
 // Scores are per-query deterministic, so a chunk decides exactly as if it
 // had scored every (job, platform) pair against the current views: chunk
 // boundaries and cells served from earlier chunks never change a
 // selection.
-func (e *engine) placeChunk(t *waveTable, c committer, jobs []Job, out []Assignment, plats []int, views []platformView) {
+func (e *engine) placeChunk(r *Replica, jobs []Job, out []Assignment, plats []int) {
+	t, views, st := &r.table, r.views, r.set.SlotStore
 	batched := e.bpred != nil
 	t.grow(t.dedupJobs(jobs))
 	var hits, misses int
@@ -524,7 +504,7 @@ func (e *engine) placeChunk(t *waveTable, c committer, jobs []Job, out []Assignm
 		hits, misses = e.prescore(t, plats, views)
 	}
 	for j, job := range jobs {
-		if !c.admit() {
+		if !st.admits() {
 			out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
 			continue
 		}
@@ -535,14 +515,17 @@ func (e *engine) placeChunk(t *waveTable, c committer, jobs []Job, out []Assignm
 			best, placeable, open := e.selectBest(t, job, plats, views)
 			if best.Platform < 0 {
 				reason := unplacedReason(placeable, open)
-				c.unplaced(reason)
+				if e.rec != nil {
+					e.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ParseReason(reason),
+						Platform: -1, Version: e.snapVersion()})
+				}
 				out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: reason}
 				break
 			}
 			p := best.Platform
-			id, inter, status := c.commit(p, job)
+			id, inter, status := r.commit(p, job)
 			if status == reserveConflict {
-				if !c.retry(p, attempt) {
+				if !r.retry(p, attempt) {
 					out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: ReasonConflict}
 					break
 				}
@@ -576,47 +559,6 @@ func (e *engine) placeChunk(t *waveTable, c committer, jobs []Job, out []Assignm
 	if misses > 0 {
 		t.setEpoch(e.epoch())
 	}
-}
-
-// placeWave places jobs in chunks of e.chunk, each chunk under mu, with the
-// wave metrics observed around it. after runs once each chunk's lock is
-// released, gap between chunks (test hook); both may be nil.
-func (e *engine) placeWave(mu *sync.Mutex, jobs []Job, place func([]Job, []Assignment), after, gap func()) []Assignment {
-	// Observability is guarded per-site so the disabled path never calls
-	// time.Now: one predictable branch per chunk, zero allocations.
-	var waveStart time.Time
-	if e.met != nil {
-		waveStart = time.Now()
-		e.met.WaveSize.Observe(float64(len(jobs)))
-	}
-	out := make([]Assignment, len(jobs))
-	chunk := e.chunk
-	if chunk < 0 || chunk > len(jobs) {
-		chunk = len(jobs)
-	}
-	for lo := 0; lo < len(jobs); lo += chunk {
-		hi := min(lo+chunk, len(jobs))
-		mu.Lock()
-		var holdStart time.Time
-		if e.met != nil {
-			holdStart = time.Now()
-		}
-		place(jobs[lo:hi], out[lo:hi])
-		if e.met != nil {
-			e.met.ChunkHold.ObserveSince(holdStart)
-		}
-		mu.Unlock()
-		if after != nil {
-			after()
-		}
-		if gap != nil && hi < len(jobs) {
-			gap()
-		}
-	}
-	if e.met != nil {
-		e.met.WavePlace.ObserveSince(waveStart)
-	}
-	return out
 }
 
 // ScoreTableStats counts score-table traffic in (platform, workload)

@@ -64,12 +64,13 @@ func (c *costPred) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut 
 	}
 }
 
-// benchWaveLockHold measures how long PlaceAll holds the scheduler lock
-// per acquisition while placing 256-job waves — the exact quantity that
-// bounds a concurrent Complete's wait. Chunk-boundary timestamps come
-// from the chunkGap hook, so the measurement needs no cross-goroutine
-// scheduling (which a 1-vCPU runner would quantize to the Go preemption
-// interval and drown the signal).
+// benchWaveLockHold measures how long PlaceAll holds the replica lock per
+// chunk while placing 256-job waves — what another PlaceAll on the same
+// replica waits, and how stale a chunk's views can grow before the next
+// copy (lifecycle calls wait for neither: they take only the store mutex).
+// Chunk-boundary timestamps come from the chunkGap hook, so the
+// measurement needs no cross-goroutine scheduling (which a 1-vCPU runner
+// would quantize to the Go preemption interval and drown the signal).
 func benchWaveLockHold(b *testing.B, chunk int) {
 	b.Helper()
 	s, err := New(Config{
@@ -89,7 +90,7 @@ func benchWaveLockHold(b *testing.B, chunk int) {
 	var lockStart time.Time
 	// chunkGap runs between lock holds: close the previous hold, open the
 	// next. The final chunk's hold closes after PlaceAll returns.
-	s.chunkGap = func() {
+	s.Replica(0).chunkGap = func() {
 		now := time.Now()
 		holds = append(holds, now.Sub(lockStart))
 		lockStart = now
@@ -120,11 +121,11 @@ func benchWaveLockHold(b *testing.B, chunk int) {
 }
 
 // BenchmarkWaveLockHold256Unchunked: the whole 256-job wave under one
-// lock hold — a concurrent Complete waits out the entire wave.
+// lock hold, against one copy of the cluster state.
 func BenchmarkWaveLockHold256Unchunked(b *testing.B) { benchWaveLockHold(b, -1) }
 
-// BenchmarkWaveLockHold256Chunk16: the lock is released every 16 jobs —
-// a concurrent Complete waits at most one chunk's scoring.
+// BenchmarkWaveLockHold256Chunk16: the lock is released, and the views
+// copied again, every 16 jobs.
 func BenchmarkWaveLockHold256Chunk16(b *testing.B) { benchWaveLockHold(b, 16) }
 
 // BenchmarkWaveLockHold256Chunk64 is the default chunking.

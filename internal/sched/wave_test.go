@@ -1,11 +1,13 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // fusedFake extends the scalar-looping batchPred with the fused two-head
@@ -189,9 +191,10 @@ func TestChunkedWaveMidWaveComplete(t *testing.T) {
 	if !r.Placed() {
 		t.Fatal("resident unplaced")
 	}
-	// A completion concurrent with an unchunked wave can only land before
-	// or after the whole wave; mid-wave there is no window. (Complete here
-	// runs after the wave to show the wave itself saw a full platform.)
+	// An unchunked wave copies the cluster state once, at its start: a
+	// completion landing mid-wave frees the slot in the store but not in
+	// the wave's views, so the rest of the wave still sees a full platform.
+	// (Complete here runs after the wave to show the wave itself saw it.)
 	au := su.PlaceAll(wave)
 	if au[0].Placed() || au[1].Placed() {
 		t.Fatalf("unchunked wave placed through a full platform: %+v", au)
@@ -205,7 +208,7 @@ func TestChunkedWaveMidWaveComplete(t *testing.T) {
 		t.Fatal("resident unplaced")
 	}
 	gaps := 0
-	sc.chunkGap = func() {
+	sc.Replica(0).chunkGap = func() {
 		gaps++
 		if err := sc.Complete(r.ID); err != nil {
 			t.Errorf("mid-wave complete: %v", err)
@@ -223,6 +226,88 @@ func TestChunkedWaveMidWaveComplete(t *testing.T) {
 	}
 	if got := sc.Residents(0); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("residents after mid-wave interleave: %v", got)
+	}
+}
+
+// parkPred parks the first batched scoring call after it is armed until
+// release is closed, announcing on parked that a chunk is mid-scoring.
+type parkPred struct {
+	*batchPred
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkPred) EstimateSecondsBatch(qs []Query) []float64 {
+	if p.armed.CompareAndSwap(true, false) {
+		close(p.parked)
+		<-p.release
+	}
+	return p.batchPred.EstimateSecondsBatch(qs)
+}
+
+// Lifecycle events never wait for a chunk: with the chunk parked inside
+// its batched scoring call, Complete and Fail return at once, and the
+// chunk's commits then conflict on the platforms they touched, retry, and
+// place the wave, every job accounted for.
+func TestMidWaveLifecycleDoesNotWaitForChunk(t *testing.T) {
+	pred := &parkPred{
+		batchPred: &batchPred{Predictor: variedPred{base: []float64{1, 2, 3}}},
+		parked:    make(chan struct{}),
+		release:   make(chan struct{}),
+	}
+	s := mustNew(t, Config{NumPlatforms: 3, MaxColocation: 4}, MeanPolicy{}, pred)
+	var residents []Assignment
+	for w := 0; w < 2; w++ {
+		a := s.Place(Job{Workload: w, Deadline: 1e9})
+		if !a.Placed() {
+			t.Fatalf("setup placement %d: %+v", w, a)
+		}
+		residents = append(residents, a)
+	}
+	pred.armed.Store(true)
+	wave := make(chan []Assignment, 1)
+	go func() { wave <- s.PlaceAll([]Job{{Workload: 5, Deadline: 1e9}, {Workload: 6, Deadline: 1e9}}) }()
+	<-pred.parked
+
+	events := make(chan error, 1)
+	go func() {
+		if err := s.Complete(residents[0].ID); err != nil {
+			events <- err
+			return
+		}
+		orphans, err := s.Fail(residents[1].Platform)
+		if err == nil && len(orphans) != 1 {
+			err = fmt.Errorf("Fail orphaned %d jobs, want 1", len(orphans))
+		}
+		events <- err
+	}()
+	select {
+	case err := <-events:
+		if err != nil {
+			close(pred.release)
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(pred.release)
+		t.Fatal("Complete and Fail waited for the chunk's scoring")
+	}
+	close(pred.release)
+	as := <-wave
+	for i, a := range as {
+		if !a.Placed() {
+			t.Fatalf("wave job %d unplaced: %+v", i, a)
+		}
+		if a.Platform == residents[1].Platform {
+			t.Fatalf("wave job %d placed on the failed platform: %+v", i, a)
+		}
+	}
+	// Placed: 2 residents + 2 wave jobs; retired: 1 completed, 1 orphaned.
+	if got := s.InFlight(); got != 2 {
+		t.Fatalf("in flight %d, want 2", got)
+	}
+	if cs := s.ConflictStats(); cs.Conflicts == 0 || cs.Shed != 0 {
+		t.Fatalf("want a conflict retry and no shed, got %+v", cs)
 	}
 }
 
@@ -361,7 +446,7 @@ func TestStreamRetryQueue(t *testing.T) {
 // The time trigger must flush buffered measurements on its own, without
 // the count trigger, and cooperate with it when both are armed.
 func TestStreamFeedbackInterval(t *testing.T) {
-	newSched := func() *Scheduler {
+	newSched := func() *ReplicaSet {
 		pred := &batchPred{Predictor: variedPred{base: []float64{1, 1.2, 0.8}}}
 		return mustNew(t, Config{NumPlatforms: 3, MaxColocation: 2}, MeanPolicy{}, pred)
 	}

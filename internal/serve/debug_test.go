@@ -104,6 +104,46 @@ func TestDebugTraceEndpoints(t *testing.T) {
 	}
 }
 
+// TestDebugTraceShedAtEveryReplicaCount: a job no platform can serve in
+// time leaves exactly one shed/infeasible event in /debug/trace, whatever
+// the replica count.
+func TestDebugTraceShedAtEveryReplicaCount(t *testing.T) {
+	pred, _ := testPredictor(t)
+	for _, replicas := range []int{1, 2} {
+		s := New(pred, Config{})
+		if err := s.EnablePlacement(PlacementConfig{Policy: "bound", Eps: 0.1, MaxColocation: 2, Replicas: replicas}); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(NewHandler(s))
+		as, err := s.PlaceJobs([]sched.Job{{Workload: 0, Deadline: 1e-12}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if as[0].Placed() || as[0].Reason != sched.ReasonInfeasible {
+			t.Fatalf("replicas %d: want an infeasible job, got %+v", replicas, as[0])
+		}
+		var recent TraceResponse
+		if code := getJSON(t, ts.Client(), ts.URL+"/debug/trace/recent", &recent); code != http.StatusOK {
+			t.Fatalf("replicas %d: /debug/trace/recent: status %d", replicas, code)
+		}
+		ts.Close()
+		s.Close()
+		sheds := 0
+		for _, e := range recent.Events {
+			if e.Kind != "shed" {
+				continue
+			}
+			sheds++
+			if e.Reason != sched.ReasonInfeasible {
+				t.Fatalf("replicas %d: shed reason %q, want %q", replicas, e.Reason, sched.ReasonInfeasible)
+			}
+		}
+		if sheds != 1 {
+			t.Fatalf("replicas %d: %d shed events, want 1: %+v", replicas, sheds, recent.Events)
+		}
+	}
+}
+
 // TestDebugTraceScoreCells pins the units of a "score" event: "n" (cells
 // scored) and "cached" (cells served from the score table) both count
 // (platform, workload) cells, summing to the chunk's distinct workloads

@@ -297,14 +297,12 @@ func (s *Server) Metrics() Metrics {
 		for p, h := range hs {
 			out.PlatformHealth[p] = h.String()
 		}
-		if cr, ok := s.placer.(conflictReporter); ok {
-			cs := cr.ConflictStats()
-			out.PlaceReplicas = cr.NumReplicas()
-			out.ReserveAttempts = cs.Attempts
-			out.ReserveConflicts = cs.Conflicts
-			out.PlaceConflictShed = cs.Shed
-			out.PlaceRebalances = cs.Rebalances
-		}
+		cs := s.placer.ConflictStats()
+		out.PlaceReplicas = s.placer.NumReplicas()
+		out.ReserveAttempts = cs.Attempts
+		out.ReserveConflicts = cs.Conflicts
+		out.PlaceConflictShed = cs.Shed
+		out.PlaceRebalances = cs.Rebalances
 		ts := s.placer.ScoreTableStats()
 		out.ScoreCacheHits = ts.Hits
 		out.ScoreCacheMisses = ts.Misses

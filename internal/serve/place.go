@@ -12,7 +12,7 @@ import (
 )
 
 // PlacementConfig enables the /place orchestration surface: the daemon
-// holds a live sched.Scheduler over the serving predictor and serves
+// holds a live sched.ReplicaSet over the serving predictor and serves
 // placement decisions against the current model snapshot.
 type PlacementConfig struct {
 	// Platforms in the cluster; 0 uses the predictor's platform count.
@@ -31,7 +31,7 @@ type PlacementConfig struct {
 	PadFactor float64
 	// Strategy is "least-loaded" (default), "best-fit", or "utilization".
 	Strategy string
-	// WaveChunk bounds jobs placed per scheduler-lock hold (see
+	// WaveChunk bounds jobs placed per copy of the cluster state (see
 	// sched.Config.WaveChunk); 0 = default.
 	WaveChunk int
 	// Window accumulates concurrent single-job PlaceJobs calls for up to
@@ -49,16 +49,16 @@ type PlacementConfig struct {
 	// Breaker tunes the per-platform circuit breaker fed by /complete
 	// outcome reports; the zero value disables automatic trips.
 	Breaker sched.BreakerConfig
-	// Replicas runs N scheduler replicas over one shared snapshot-isolated
-	// slot store instead of a single mutex-serialized scheduler: /place
-	// requests round-robin across replicas, which commit optimistically and
-	// retry on conflict. 0 or 1 keeps the plain scheduler.
+	// Replicas is the number of scheduler replicas over the one slot
+	// store: /place waves round-robin across them, and each commits with a
+	// version-checked reservation, retrying on conflict. 0 or 1 runs one
+	// replica.
 	Replicas int
 	// Shards partitions platforms across replicas (see
-	// sched.ReplicaConfig.Shards). The serving default (0) is one shared
-	// pool — every HTTP client's job must be placeable on any platform no
-	// matter which replica handles it; set >1 only when callers accept
-	// shard-local placement.
+	// sched.ReplicaConfig.Shards); it applies only with Replicas > 1. The
+	// serving default (0) is one shared pool — every HTTP client's job
+	// must be placeable on any platform no matter which replica handles
+	// it; set >1 only when callers accept shard-local placement.
 	Shards int
 	// TraceDepth sizes the flight-recorder ring behind /debug/trace
 	// (retained lifecycle events, overwrite-oldest). 0 uses
@@ -67,34 +67,6 @@ type PlacementConfig struct {
 	// The pitot_place_* latency histograms are always attached — they are
 	// lock-free atomics with no retention to size.
 	TraceDepth int
-}
-
-// Placer is the placement engine behind /place — either a
-// *sched.Scheduler (Replicas <= 1) or a *sched.ReplicaSet. Both make
-// identical decisions for a serial request stream; the replica set adds
-// optimistic concurrency for parallel frontends.
-type Placer interface {
-	Place(job sched.Job) sched.Assignment
-	PlaceAll(jobs []sched.Job) []sched.Assignment
-	Complete(id sched.JobID) error
-	CompleteOutcome(id sched.JobID, miss bool) (bool, error)
-	Fail(p int) ([]sched.Orphan, error)
-	Degrade(p int) error
-	Recover(p int) error
-	Health(p int) sched.HealthState
-	HealthSnapshot() []sched.HealthState
-	FailureStats() sched.FailureStats
-	InFlight() int
-	Batched() bool
-	Fused() bool
-	ScoreTableStats() sched.ScoreTableStats
-}
-
-// conflictReporter is the optional replica-mode stats surface of a Placer;
-// *sched.ReplicaSet implements it.
-type conflictReporter interface {
-	ConflictStats() sched.ConflictStats
-	NumReplicas() int
 }
 
 // placeReq is one queued single-job placement awaiting wave fusion.
@@ -226,26 +198,15 @@ func (s *Server) EnablePlacement(pc PlacementConfig) error {
 		Metrics:         s.schedMetrics,
 		Recorder:        s.recorder,
 	}
-	if pc.Replicas > 1 {
-		shards := pc.Shards
-		if shards == 0 {
-			shards = 1 // shared pool: any replica can place anywhere
-		}
-		rs, err := sched.NewReplicaSet(cfg, sched.ReplicaConfig{
-			Replicas: pc.Replicas,
-			Shards:   shards,
-		}, pol, pred)
-		if err != nil {
-			return err
-		}
-		s.placer = rs
-	} else {
-		placer, err := sched.New(cfg, pol, pred)
-		if err != nil {
-			return err
-		}
-		s.placer = placer
+	replicas, shards := max(pc.Replicas, 1), pc.Shards
+	if shards == 0 || replicas == 1 {
+		shards = 1 // shared pool: any replica can place anywhere
 	}
+	placer, err := sched.NewReplicaSet(cfg, sched.ReplicaConfig{Replicas: replicas, Shards: shards}, pol, pred)
+	if err != nil {
+		return err
+	}
+	s.placer = placer
 	s.placementPolicy = pol.Name()
 	s.placementStrategy = strat.Name()
 	if pc.Window > 0 {
@@ -261,7 +222,7 @@ func (s *Server) EnablePlacement(pc PlacementConfig) error {
 }
 
 // Placer returns the placement engine, nil unless EnablePlacement ran.
-func (s *Server) Placer() Placer { return s.placer }
+func (s *Server) Placer() *sched.ReplicaSet { return s.placer }
 
 // PlaceJobs places a wave of jobs through the placement engine, updating
 // the serving metrics. Multi-job calls are already waves and place

@@ -115,8 +115,7 @@ func TestPlaceWindowQueueFullSheds(t *testing.T) {
 	}
 	waitFor(t, "queue to fill", func() bool { return len(s.placeQueue) == cap(s.placeQueue) })
 	// Queue full: this call must shed to the direct path. Poll the raw
-	// counter — Metrics() reads scheduler stats under the scheduler lock,
-	// which the gated placement is holding.
+	// counter.
 	go placeOne(6)
 	waitFor(t, "shed placement", func() bool { return s.metrics.placeShed.Load() == 1 })
 

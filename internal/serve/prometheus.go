@@ -62,7 +62,7 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "# HELP pitot_place_in_flight Placed jobs not yet completed.\n# TYPE pitot_place_in_flight gauge\npitot_place_in_flight %d\n",
 			s.placer.InFlight())
 		// Placement-stack latency histograms (attached by EnablePlacement):
-		// batched scoring, whole-wave placement, per-chunk scheduler-lock
+		// batched scoring, whole-wave placement, per-chunk replica-lock
 		// hold, and the wave-size distribution.
 		if s.schedMetrics != nil {
 			s.schedMetrics.ScoreBatch.WritePrometheus(&b)

@@ -32,6 +32,7 @@ import (
 
 	pitot "repro"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // Backend is the predictor surface the server batches over. *pitot.Predictor
@@ -171,9 +172,9 @@ type Server struct {
 
 	// placer is the optional orchestration engine behind /place; nil until
 	// EnablePlacement. Its decisions read the same lock-free snapshot the
-	// prediction paths serve. A single scheduler by default, a
-	// sched.ReplicaSet when PlacementConfig.Replicas > 1.
-	placer            Placer
+	// prediction paths serve. One replica unless PlacementConfig.Replicas
+	// asks for more.
+	placer            *sched.ReplicaSet
 	placementPolicy   string
 	placementStrategy string
 

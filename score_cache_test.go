@@ -37,23 +37,11 @@ func (c *coldPredictor) ScoreEpoch() uint64 {
 	return c.n
 }
 
-// tableArm is the lifecycle surface the identity checks drive in lockstep;
-// both *sched.Scheduler and *sched.ReplicaSet satisfy it.
-type tableArm interface {
-	PlaceAll(jobs []sched.Job) []sched.Assignment
-	Complete(id sched.JobID) error
-	Fail(p int) ([]sched.Orphan, error)
-	Degrade(p int) error
-	Recover(p int) error
-	ScoreTableStats() sched.ScoreTableStats
-}
-
 // TestScoreCacheRealPredictorDecisionIdentity is the reuse property on the
 // trained model with the exact kernel: under dup-heavy waves, completions,
-// and platform Fail/Degrade/Recover churn, the warm-table Scheduler and
-// single-replica ReplicaSet produce assignments bitwise identical to a
-// cold-table Scheduler — same platforms, same budgets, same unplaced
-// reasons.
+// and platform Fail/Degrade/Recover churn, the warm-table engine produces
+// assignments bitwise identical to a cold-table engine — same platforms,
+// same budgets, same unplaced reasons.
 func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 	pred, ds := enginePredictor(t)
 	nP := ds.NumPlatforms()
@@ -76,11 +64,6 @@ func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := sched.NewReplicaSet(cfg, sched.ReplicaConfig{Replicas: 1, Shards: 1}, pol, pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arms := map[string]tableArm{"sched": warm, "rset": rs}
 
 		rng := rand.New(rand.NewSource(41))
 		var live []sched.JobID
@@ -96,14 +79,10 @@ func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 						Deadline: pred.Estimate(w, rng.Intn(nP), nil) * (0.8 + 2*rng.Float64()),
 					}
 				}
-				want := ref.PlaceAll(jobs)
-				for name, arm := range arms {
-					got := arm.PlaceAll(jobs)
-					for i := range want {
-						if !equalAssignment(got[i], want[i]) {
-							t.Fatalf("%s op %d %s: job %d got %+v want %+v",
-								pol.Name(), op, name, i, got[i], want[i])
-						}
+				want, got := ref.PlaceAll(jobs), warm.PlaceAll(jobs)
+				for i := range want {
+					if !equalAssignment(got[i], want[i]) {
+						t.Fatalf("%s op %d: job %d got %+v want %+v", pol.Name(), op, i, got[i], want[i])
 					}
 				}
 				for _, a := range want {
@@ -115,21 +94,15 @@ func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 				i := rng.Intn(len(live))
 				id := live[i]
 				live = append(live[:i], live[i+1:]...)
-				wantErr := ref.Complete(id)
-				for name, arm := range arms {
-					if err := arm.Complete(id); (err == nil) != (wantErr == nil) {
-						t.Fatalf("%s op %d %s: Complete(%d) = %v want %v", pol.Name(), op, name, id, err, wantErr)
-					}
+				if err, wantErr := warm.Complete(id), ref.Complete(id); (err == nil) != (wantErr == nil) {
+					t.Fatalf("%s op %d: Complete(%d) = %v want %v", pol.Name(), op, id, err, wantErr)
 				}
 			case k < 85:
 				p := rng.Intn(nP)
 				want, wantErr := ref.Fail(p)
-				for name, arm := range arms {
-					got, err := arm.Fail(p)
-					if (err == nil) != (wantErr == nil) || len(got) != len(want) {
-						t.Fatalf("%s op %d %s: Fail(%d) = (%d, %v) want (%d, %v)",
-							pol.Name(), op, name, p, len(got), err, len(want), wantErr)
-					}
+				if got, err := warm.Fail(p); (err == nil) != (wantErr == nil) || len(got) != len(want) {
+					t.Fatalf("%s op %d: Fail(%d) = (%d, %v) want (%d, %v)",
+						pol.Name(), op, p, len(got), err, len(want), wantErr)
 				}
 				for _, o := range want {
 					for i, id := range live {
@@ -141,24 +114,18 @@ func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 				}
 			case k < 93:
 				p := rng.Intn(nP)
-				wantErr := ref.Degrade(p)
-				for name, arm := range arms {
-					if err := arm.Degrade(p); (err == nil) != (wantErr == nil) {
-						t.Fatalf("%s op %d %s: Degrade(%d) = %v want %v", pol.Name(), op, name, p, err, wantErr)
-					}
+				if err, wantErr := warm.Degrade(p), ref.Degrade(p); (err == nil) != (wantErr == nil) {
+					t.Fatalf("%s op %d: Degrade(%d) = %v want %v", pol.Name(), op, p, err, wantErr)
 				}
 			default:
 				p := rng.Intn(nP)
-				wantErr := ref.Recover(p)
-				for name, arm := range arms {
-					if err := arm.Recover(p); (err == nil) != (wantErr == nil) {
-						t.Fatalf("%s op %d %s: Recover(%d) = %v want %v", pol.Name(), op, name, p, err, wantErr)
-					}
+				if err, wantErr := warm.Recover(p), ref.Recover(p); (err == nil) != (wantErr == nil) {
+					t.Fatalf("%s op %d: Recover(%d) = %v want %v", pol.Name(), op, p, err, wantErr)
 				}
 			}
 		}
 		if st := warm.ScoreTableStats(); st.Hits == 0 {
-			t.Errorf("%s: warm scheduler served no cells: %+v", pol.Name(), st)
+			t.Errorf("%s: warm engine served no cells: %+v", pol.Name(), st)
 		}
 	}
 }
