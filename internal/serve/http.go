@@ -158,13 +158,13 @@ type RecoverResponse struct {
 // approximate fast kernel (within its documented error bound), false for
 // the exact bitwise path.
 type HealthResponse struct {
-	OK           bool    `json:"ok"`
-	Version      uint64  `json:"version"`
-	Observations int     `json:"observations"`
-	Workloads    int     `json:"workloads"`
-	Platforms    int     `json:"platforms"`
-	Bounds       bool    `json:"bounds"`
-	FastScoring  bool    `json:"fast_scoring"`
+	OK           bool   `json:"ok"`
+	Version      uint64 `json:"version"`
+	Observations int    `json:"observations"`
+	Workloads    int    `json:"workloads"`
+	Platforms    int    `json:"platforms"`
+	Bounds       bool   `json:"bounds"`
+	FastScoring  bool   `json:"fast_scoring"`
 	// UptimeSeconds is the time since the server was constructed;
 	// BuildVersion is the binary stamp injected at link time (cmd/serve
 	// builds with -ldflags "-X main.buildVersion=...", default "dev").
@@ -219,9 +219,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		body, _ = json.Marshal(errorResponse{Error: "encode response: " + err.Error()})
 		status = http.StatusInternalServerError
 	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeBody writes an encoded JSON reply, newline included.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(append(body, '\n'))
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {
@@ -258,8 +263,10 @@ func (s *Server) handlePrediction(w http.ResponseWriter, r *http.Request, bound 
 	}
 	start := time.Now()
 	defer h.ObserveSince(start)
-	var req EstimateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	c := getCodec()
+	defer c.release()
+	req, err := decode(c, r.Body, parseEstimate)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
@@ -268,10 +275,7 @@ func (s *Server) handlePrediction(w http.ResponseWriter, r *http.Request, bound 
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	var (
-		sec float64
-		err error
-	)
+	var sec float64
 	if bound {
 		sec, err = s.Bound(r.Context(), q, req.Eps)
 	} else {
@@ -292,7 +296,7 @@ func (s *Server) handlePrediction(w http.ResponseWriter, r *http.Request, bound 
 	if math.IsInf(sec, 1) {
 		resp = PredictionResponse{Infeasible: true, Version: resp.Version}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, c, http.StatusOK, resp, appendPrediction)
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
@@ -330,8 +334,10 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	defer s.hists.place.ObserveSince(start)
-	var req PlaceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	c := getCodec()
+	defer c.release()
+	req, err := decode(c, r.Body, parsePlace)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
@@ -366,7 +372,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 			resp.Placed++
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, c, http.StatusOK, resp, appendPlace)
 }
 
 func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -378,8 +384,10 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, ErrPlacementDisabled)
 		return
 	}
-	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	c := getCodec()
+	defer c.release()
+	req, err := decode(c, r.Body, parseComplete)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
@@ -420,7 +428,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if len(resp.Unknown) > 0 || len(resp.Stale) > 0 {
 		status = http.StatusConflict
 	}
-	writeJSON(w, status, resp)
+	writeReply(w, c, status, resp, appendComplete)
 }
 
 // failStatus maps scheduler failure-event errors onto HTTP statuses.

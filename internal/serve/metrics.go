@@ -233,10 +233,11 @@ type Metrics struct {
 	PlaceInline   int64 `json:"place_inline,omitempty"`
 	PlaceShed     int64 `json:"place_shed,omitempty"`
 
-	// Replicated-placement counters (PlacementConfig.Replicas > 1):
-	// scheduler replicas serving /place, optimistic slot reservations
-	// attempted, reservations that lost the commit race, jobs shed after
-	// exhausting their conflict-retry budget, and shard-map rebalances.
+	// Replicated-placement counters, set whenever placement is enabled (the
+	// engine is a replica set of at least one): scheduler replicas serving
+	// /place, optimistic slot reservations attempted, reservations that
+	// lost the commit race, jobs shed after exhausting their conflict-retry
+	// budget, and shard-map rebalances.
 	PlaceReplicas     int    `json:"place_replicas,omitempty"`
 	ReserveAttempts   uint64 `json:"reserve_attempts,omitempty"`
 	ReserveConflicts  uint64 `json:"reserve_conflicts,omitempty"`
