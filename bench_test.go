@@ -423,7 +423,7 @@ func buildHP(d *dataset.Dataset, tr quantAdapter, split dataset.Split) any {
 // steady-state 24-platform cluster: every platform pre-loaded with two
 // long-running residents, so candidate scoring pays the full interference
 // fold the orchestrator sees under load.
-func placementBench(b *testing.B, disableBatch bool) (*sched.ReplicaSet, []sched.Job) {
+func placementBench(b *testing.B, scalar bool) (*sched.ReplicaSet, []sched.Job) {
 	b.Helper()
 	ds := GenerateDataset(DatasetConfig{
 		Seed: 1, NumWorkloads: 40, MaxDevices: 8, SetsPerDegree: 15,
@@ -439,11 +439,11 @@ func placementBench(b *testing.B, disableBatch bool) (*sched.ReplicaSet, []sched
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := sched.New(sched.Config{
-		NumPlatforms:  platforms,
-		MaxColocation: 4,
-		DisableBatch:  disableBatch,
-	}, sched.BoundPolicy{Eps: 0.1}, pred)
+	var sp sched.Predictor = pred
+	if scalar {
+		sp = &scalarRef{p: pred}
+	}
+	s, err := sched.New(sched.Config{NumPlatforms: platforms, MaxColocation: 4}, policy(b, "bound"), sp)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -605,17 +605,19 @@ func BenchmarkScoreFastF3224(b *testing.B) {
 	b.ReportMetric(float64(len(qs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
-// BenchmarkPlacementScalar24 scores every candidate platform with one
-// scalar BoundSeconds call — the pre-engine serving pattern.
+// BenchmarkPlacementScalar24 places over the scalar reference: every
+// candidate platform scored with one scalar Bound call, nothing served from
+// the score table — the pre-engine serving pattern.
 func BenchmarkPlacementScalar24(b *testing.B) {
 	s, wave := placementBench(b, true)
 	runPlacementBench(b, s, wave)
 }
 
-// BenchmarkPlacementBatch24 scores through the batched path: the whole
-// wave is pre-scored in one BoundBatch call (platform-major, so each
+// BenchmarkPlacementBatch24 scores through the engine's one path: the whole
+// wave is pre-scored in one BoundBatch pass (platform-major, so each
 // platform's interference term is folded once and shared across the wave)
-// with per-job refreshes only for platforms dirtied mid-wave.
+// with per-job rescores only for platforms dirtied mid-wave, and cells
+// served from the score table across waves.
 func BenchmarkPlacementBatch24(b *testing.B) {
 	s, wave := placementBench(b, false)
 	runPlacementBench(b, s, wave)

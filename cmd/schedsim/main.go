@@ -583,7 +583,10 @@ func main() {
 		default:
 			fmt.Printf("\n-- online feedback (bound policy, observe every %d completions) --\n", *fbEvery)
 		}
-		bound := sched.BoundPolicy{Eps: *eps}
+		bound, err := sched.ParsePolicy("bound", *eps, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		// The no-feedback arm is seeded identically to the sweep, so reuse
 		// its aggregate when the sweep already ran the bound policy.
 		without, ok := sweep[bound.Name()]

@@ -85,12 +85,16 @@ func scalingPoints(max int) []int {
 // the next (bounded in-flight, so admission never dominates the signal).
 // Conservation is checked fatally, mirroring the streaming simulator.
 func runPoint(cfg replicaBenchConfig, nRep, nShards int) (benchPoint, error) {
+	bound, err := sched.ParsePolicy("bound", cfg.Eps, 0)
+	if err != nil {
+		return benchPoint{}, err
+	}
 	rs, err := sched.NewReplicaSet(sched.Config{
 		NumPlatforms:  cfg.Cluster.NumPlatforms(),
 		MaxColocation: cfg.Coloc,
 		WaveChunk:     cfg.Chunk,
 		Strategy:      cfg.Strategy,
-	}, sched.ReplicaConfig{Replicas: nRep, Shards: nShards}, sched.BoundPolicy{Eps: cfg.Eps}, cfg.Pred)
+	}, sched.ReplicaConfig{Replicas: nRep, Shards: nShards}, bound, cfg.Pred)
 	if err != nil {
 		return benchPoint{}, err
 	}

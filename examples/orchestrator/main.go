@@ -39,16 +39,20 @@ func main() {
 		log.Fatal(err)
 	}
 
+	bound, err := sched.ParsePolicy("bound", eps, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	s, err := sched.New(sched.Config{
 		NumPlatforms:  ds.NumPlatforms(),
 		MaxColocation: 4,
 		Strategy:      sched.BestFit{},
-	}, sched.BoundPolicy{Eps: eps}, pred)
+	}, bound, pred)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("engine: batch scoring %v, strategy best-fit, deadline-miss budget %.0f%%\n\n",
-		s.Batched(), 100*eps)
+	fmt.Printf("engine: policy %s, strategy best-fit, deadline-miss budget %.0f%%\n\n",
+		bound.Name(), 100*eps)
 
 	wave1 := []sched.Job{
 		{Workload: 0, Deadline: 2.0}, {Workload: 3, Deadline: 5.0},

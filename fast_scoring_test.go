@@ -90,9 +90,9 @@ func TestFastScoringDecisionIdentity(t *testing.T) {
 		})
 	}
 	policies := []sched.Policy{
-		sched.MeanBoundPolicy{Eps: 0.1},
-		sched.PaddedBoundPolicy{Eps: 0.1, Factor: 1.3},
-		sched.BoundPolicy{Eps: 0.1},
+		policy(t, "mean-bound"),
+		policy(t, "padded-bound"),
+		policy(t, "bound"),
 	}
 	run := func(pol sched.Policy) []int {
 		s, err := sched.New(sched.Config{

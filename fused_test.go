@@ -1,15 +1,13 @@
 package pitot
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/sched"
 )
-
-// The facade exposes the fused two-head scoring surface.
-var _ sched.FusedPredictor = (*Predictor)(nil)
 
 // fusedQueries builds a scheduler-shaped batch over the real dataset:
 // platform-major spans sharing resident sets (degrees 0..3, hitting
@@ -91,6 +89,49 @@ func TestScoreBatchBitwiseIdentical(t *testing.T) {
 	}
 }
 
+// TestScoreSecondsBatchOneHead pins the scheduler call's single-head
+// contract: asked for one head (the other buffer nil), ScoreSecondsBatch
+// runs exactly EstimateBatch's or BoundBatch's code, bitwise, even on a
+// fast-scoring snapshot, whose approximate kernel only the two-head pass
+// uses; and asked for none it does nothing.
+func TestScoreSecondsBatchOneHead(t *testing.T) {
+	shared, _ := enginePredictor(t)
+	// A private copy, since the test toggles fast scoring.
+	var dataB, meanB, quantB bytes.Buffer
+	if err := shared.Export(&dataB, &meanB, &quantB); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := ReadDataset(&dataB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := LoadPredictor(ds, &meanB, &quantB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := fusedQueries(ds, rand.New(rand.NewSource(41)))
+	for _, fast := range []bool{false, true} {
+		pred.SetFastScoring(fast)
+		mean := make([]float64, len(qs))
+		bound := make([]float64, len(qs))
+		pred.ScoreSecondsBatch(qs, 0.1, mean, nil)
+		pred.ScoreSecondsBatch(qs, 0.1, nil, bound)
+		pred.ScoreSecondsBatch(qs, 0.1, nil, nil)
+		wantMean := pred.EstimateBatch(qs)
+		wantBound, err := pred.BoundBatch(qs, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range qs {
+			if math.Float64bits(mean[i]) != math.Float64bits(wantMean[i]) ||
+				math.Float64bits(bound[i]) != math.Float64bits(wantBound[i]) {
+				t.Fatalf("fast %v query %d: one-head (%v, %v) != EstimateBatch/BoundBatch (%v, %v)",
+					fast, i, mean[i], bound[i], wantMean[i], wantBound[i])
+			}
+		}
+	}
+}
+
 // The shared engine predictor runs rank 16; this variant pins bitwise
 // identity on the default rank-32 configuration, whose span kernel takes
 // the fully unrolled dot32 fast path.
@@ -159,29 +200,21 @@ func TestScoreBatchWithoutBounds(t *testing.T) {
 }
 
 // TestFusedWavePlacementMatchesScalar pins the mixed-policy acceptance
-// property on the real model: fused-wave scoring (one ScoreBatch per
-// candidate scan / wave) picks the identical platform as scalar ScoreDual
-// scoring, including across completions and waves.
+// property on the real model: fused-wave scoring (one two-head
+// ScoreSecondsBatch pass per chunk) picks the identical platform as the
+// scalar reference, including across completions and waves.
 func TestFusedWavePlacementMatchesScalar(t *testing.T) {
 	pred, ds := enginePredictor(t)
-	for _, pol := range []sched.Policy{
-		sched.MeanBoundPolicy{Eps: 0.1},
-		sched.PaddedBoundPolicy{Eps: 0.1, Factor: 1.3},
-	} {
+	for _, pol := range []sched.Policy{policy(t, "mean-bound"), policy(t, "padded-bound")} {
 		for _, strat := range []sched.Strategy{sched.LeastLoaded{}, sched.BestFit{}} {
 			cfg := sched.Config{NumPlatforms: ds.NumPlatforms(), MaxColocation: 3, Strategy: strat}
-			scalarCfg := cfg
-			scalarCfg.DisableBatch = true
 			sf, err := sched.New(cfg, pol, pred)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss, err := sched.New(scalarCfg, pol, pred)
+			ss, err := sched.New(cfg, pol, &scalarRef{p: pred})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !sf.Fused() || ss.Batched() {
-				t.Fatal("fused/scalar wiring wrong")
 			}
 			jrng := rand.New(rand.NewSource(23))
 			var jobs []sched.Job
@@ -190,7 +223,7 @@ func TestFusedWavePlacementMatchesScalar(t *testing.T) {
 				p := jrng.Intn(ds.NumPlatforms())
 				jobs = append(jobs, sched.Job{
 					Workload: w,
-					Deadline: pred.BoundSeconds(w, p, nil, 0.1) * (0.9 + 1.5*jrng.Float64()),
+					Deadline: boundSeconds(pred, w, p, nil, 0.1) * (0.9 + 1.5*jrng.Float64()),
 				})
 			}
 			var live []sched.JobID

@@ -150,8 +150,8 @@ func TestGoldenRealPredictorDigests(t *testing.T) {
 		pol   sched.Policy
 		strat sched.Strategy
 	}{
-		{sched.BoundPolicy{Eps: 0.1}, sched.LeastLoaded{}},
-		{sched.MeanBoundPolicy{Eps: 0.1}, sched.BestFit{}},
+		{policy(t, "bound"), sched.LeastLoaded{}},
+		{policy(t, "mean-bound"), sched.BestFit{}},
 	}
 	for ci, c := range cases {
 		pol, strat := c.pol, c.strat

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/sched"
@@ -12,6 +13,47 @@ import (
 
 // The facade must plug directly into the scheduler.
 var _ sched.Predictor = (*Predictor)(nil)
+
+// policy parses a scheduler policy by name at eps 0.1 and pad factor 1.3.
+func policy(t testing.TB, name string) sched.Policy {
+	t.Helper()
+	p, err := sched.ParsePolicy(name, 0.1, 1.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// boundSeconds is Bound with errors as +Inf, as the scheduler reads it.
+func boundSeconds(p *Predictor, w, pl int, ks []int, eps float64) float64 {
+	b, err := p.Bound(w, pl, ks, eps)
+	if err != nil {
+		return math.Inf(1)
+	}
+	return b
+}
+
+// scalarRef is the scalar reference that placement over the real model is
+// checked against: it scores every query with the scalar Estimate and
+// Bound, and reports a new scoring epoch on every read, so nothing it
+// scores is ever served from the engine's score table.
+type scalarRef struct {
+	p     *Predictor
+	epoch atomic.Uint64
+}
+
+func (s *scalarRef) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut []float64) {
+	for i, q := range qs {
+		if meanOut != nil {
+			meanOut[i] = s.p.Estimate(q.Workload, q.Platform, q.Interferers)
+		}
+		if boundOut != nil {
+			boundOut[i] = boundSeconds(s.p, q.Workload, q.Platform, q.Interferers, eps)
+		}
+	}
+}
+
+func (s *scalarRef) ScoreEpoch() uint64 { return s.epoch.Add(1) }
 
 // clusterOracle exposes ground-truth runtimes for the simulation.
 type clusterOracle struct {
@@ -62,8 +104,8 @@ func TestEndToEndOrchestration(t *testing.T) {
 		return sched.Simulate(pol.Name(), as, oracle, s.Residents, 15)
 	}
 	const eps = 0.1
-	bound := run(sched.BoundPolicy{Eps: eps})
-	mean := run(sched.MeanPolicy{})
+	bound := run(policy(t, "bound"))
+	mean := run(policy(t, "mean"))
 	if bound.Placed == 0 {
 		t.Fatal("bound policy placed nothing")
 	}
@@ -107,6 +149,7 @@ func TestConcurrentOrchestration(t *testing.T) {
 	}()
 
 	const schedulers = 4
+	bound := policy(t, "bound")
 	var wg sync.WaitGroup
 	for g := 0; g < schedulers; g++ {
 		wg.Add(1)
@@ -114,7 +157,7 @@ func TestConcurrentOrchestration(t *testing.T) {
 			defer wg.Done()
 			s, err := sched.New(sched.Config{
 				NumPlatforms: ds.NumPlatforms(), MaxColocation: 4,
-			}, sched.BoundPolicy{Eps: 0.1}, pred)
+			}, bound, pred)
 			if err != nil {
 				t.Error(err)
 				return
@@ -123,7 +166,7 @@ func TestConcurrentOrchestration(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				w := rng.Intn(ds.NumWorkloads())
 				p := rng.Intn(ds.NumPlatforms())
-				deadline := pred.BoundSeconds(w, p, nil, 0.1) * (1.2 + rng.Float64())
+				deadline := boundSeconds(pred, w, p, nil, 0.1) * (1.2 + rng.Float64())
 				a := s.Place(sched.Job{Workload: w, Deadline: deadline})
 				if a.Placed() && a.Budget > a.Job.Deadline {
 					t.Errorf("scheduler %d accepted budget %.4f over deadline %.4f", g, a.Budget, a.Job.Deadline)
@@ -143,12 +186,8 @@ func TestConcurrentOrchestration(t *testing.T) {
 	}
 }
 
-// The facade satisfies the batch-scoring and feedback surfaces of the
-// orchestration engine.
-var (
-	_ sched.BatchPredictor = (*Predictor)(nil)
-	_ sched.Observer       = (*Predictor)(nil)
-)
+// The facade satisfies the feedback surface of the orchestration engine.
+var _ sched.Observer = (*Predictor)(nil)
 
 // engineShared lazily trains one bounds-enabled predictor shared by the
 // orchestration-engine tests below (training dominates their runtime, and
@@ -174,25 +213,21 @@ func enginePredictor(t *testing.T) (*Predictor, *Dataset) {
 }
 
 // TestBatchPlacementMatchesScalar pins the acceptance property on the real
-// model: batch-scored placement (one BoundBatch per candidate scan, wave
-// pre-scoring in PlaceAll) picks the identical platform as scalar scoring
-// for the same policy and job stream, including across completions.
+// model: batch-scored placement (one EstimateBatch or BoundBatch pass per
+// chunk, served from the score table after) picks the identical platform
+// as the scalar reference for the same policy and job stream, including
+// across completions.
 func TestBatchPlacementMatchesScalar(t *testing.T) {
 	pred, ds := enginePredictor(t)
-	for _, pol := range []sched.Policy{sched.MeanPolicy{}, sched.BoundPolicy{Eps: 0.1}} {
+	for _, pol := range []sched.Policy{policy(t, "mean"), policy(t, "bound")} {
 		cfg := sched.Config{NumPlatforms: ds.NumPlatforms(), MaxColocation: 3}
-		scalarCfg := cfg
-		scalarCfg.DisableBatch = true
 		sb, err := sched.New(cfg, pol, pred)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := sched.New(scalarCfg, pol, pred)
+		ss, err := sched.New(cfg, pol, &scalarRef{p: pred})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !sb.Batched() || ss.Batched() {
-			t.Fatal("batch wiring wrong")
 		}
 		jrng := rand.New(rand.NewSource(5))
 		var jobs []sched.Job
@@ -245,7 +280,7 @@ func TestConcurrentPlaceCompleteDuringObserve(t *testing.T) {
 	v0 := pred.Version()
 	s, err := sched.New(sched.Config{
 		NumPlatforms: ds.NumPlatforms(), MaxColocation: 4, MaxInFlight: 24,
-	}, sched.BoundPolicy{Eps: 0.1}, pred)
+	}, policy(t, "bound"), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +320,7 @@ func TestConcurrentPlaceCompleteDuringObserve(t *testing.T) {
 				}
 				w := rng.Intn(ds.NumWorkloads())
 				p := rng.Intn(ds.NumPlatforms())
-				deadline := pred.BoundSeconds(w, p, nil, 0.1) * (1.2 + rng.Float64())
+				deadline := boundSeconds(pred, w, p, nil, 0.1) * (1.2 + rng.Float64())
 				a := s.Place(sched.Job{Workload: w, Deadline: deadline})
 				if a.Placed() {
 					if a.Budget > a.Job.Deadline {

@@ -57,11 +57,11 @@ func runExtSched(scale Scale, seed int64) ([]*Table, error) {
 		Title:  fmt.Sprintf("Placement policies vs ground truth (eps=%.2f)", eps),
 		Header: []string{"policy", "placed", "unplaced", "miss rate", "headroom"},
 	}
-	for _, pol := range []sched.Policy{
-		sched.MeanPolicy{},
-		sched.PaddedMeanPolicy{Factor: 1.3},
-		sched.BoundPolicy{Eps: eps},
-	} {
+	for _, name := range []string{"mean", "padded", "bound"} {
+		pol, err := sched.ParsePolicy(name, eps, 1.3)
+		if err != nil {
+			return nil, err
+		}
 		sc, err := sched.New(sched.Config{NumPlatforms: d.NumPlatforms(), MaxColocation: 4}, pol, pred)
 		if err != nil {
 			return nil, err
@@ -77,7 +77,8 @@ func runExtSched(scale Scale, seed int64) ([]*Table, error) {
 }
 
 // schedPredictor adapts trained eval models to sched.Predictor, with
-// conformal calibration for bounds.
+// conformal calibration for bounds. The models score one query at a time,
+// so ScoreSecondsBatch loops the scalar heads.
 type schedPredictor struct {
 	d     *dataset.Dataset
 	mean  eval.Trained
@@ -86,6 +87,21 @@ type schedPredictor struct {
 
 	bounders map[float64]*conformal.Bounder
 }
+
+// ScoreSecondsBatch implements sched.Predictor.
+func (sp *schedPredictor) ScoreSecondsBatch(qs []sched.Query, eps float64, meanOut, boundOut []float64) {
+	for i, q := range qs {
+		if meanOut != nil {
+			meanOut[i] = sp.EstimateSeconds(q.Workload, q.Platform, q.Interferers)
+		}
+		if boundOut != nil {
+			boundOut[i] = sp.BoundSeconds(q.Workload, q.Platform, q.Interferers, eps)
+		}
+	}
+}
+
+// ScoreEpoch implements sched.Predictor: the adapted models never change.
+func (sp *schedPredictor) ScoreEpoch() uint64 { return 0 }
 
 func (sp *schedPredictor) EstimateSeconds(w, p int, ks []int) float64 {
 	return expOf(predictLogOne(sp.d, sp.mean, w, p, ks, 0))

@@ -4,9 +4,10 @@ package obs
 // pointer threads through sched.Config. A nil *SchedMetrics (or any nil
 // member) disables recording at that site with a single branch.
 type SchedMetrics struct {
-	// ScoreBatch is the latency of a wave chunk's batched predictor
-	// scoring call (seconds); chunks served wholly from the score table
-	// make no call and record nothing.
+	// ScoreBatch is the latency of one predictor scoring call of the
+	// placement engine (seconds): a chunk's prescore or a post-commit
+	// rescore. Cells served from the score table make no call and record
+	// nothing.
 	ScoreBatch *Histogram
 	// WavePlace is the end-to-end latency of one PlaceAll wave (seconds).
 	WavePlace *Histogram
@@ -22,7 +23,7 @@ type SchedMetrics struct {
 func NewSchedMetrics(prefix string) *SchedMetrics {
 	return &SchedMetrics{
 		ScoreBatch: NewHistogram(prefix+"score_batch_seconds",
-			"Latency of one batched predictor scoring call.", LatencyBuckets()),
+			"Latency of one predictor scoring call of the placement engine (a chunk's prescore or a post-commit rescore).", LatencyBuckets()),
 		WavePlace: NewHistogram(prefix+"wave_seconds",
 			"End-to-end latency of one placement wave.", LatencyBuckets()),
 		ChunkHold: NewHistogram(prefix+"chunk_hold_seconds",

@@ -8,35 +8,74 @@ import (
 	"testing"
 )
 
-// batchPred wraps a scalar Predictor with batch methods that loop the
-// scalar calls, so batch and scalar scoring produce bitwise-identical
-// values — isolating the scheduler's decision logic from the predictor's
-// own batch-vs-scalar float reassociation. Counters record call shapes.
+// scalarHeads is what the package's fake predictors implement: the two
+// heads, one query at a time.
+type scalarHeads interface {
+	EstimateSeconds(w, p int, ks []int) float64
+	BoundSeconds(w, p int, ks []int, eps float64) float64
+}
+
+// loopHeads fills the heads asked for (non-nil buffers) from h, one query
+// at a time.
+func loopHeads(h scalarHeads, qs []Query, eps float64, meanOut, boundOut []float64) {
+	for i, q := range qs {
+		if meanOut != nil {
+			meanOut[i] = h.EstimateSeconds(q.Workload, q.Platform, q.Interferers)
+		}
+		if boundOut != nil {
+			boundOut[i] = h.BoundSeconds(q.Workload, q.Platform, q.Interferers, eps)
+		}
+	}
+}
+
+// batchPred adapts scalar fake heads to Predictor by looping them at a
+// constant scoring epoch, so every score is the scalar value bitwise —
+// isolating the engine's decision logic from a real predictor's
+// batch-vs-scalar float reassociation. Counters record call shapes.
 type batchPred struct {
-	Predictor
+	scalarHeads
 	batchCalls   atomic.Int64
 	batchQueries atomic.Int64
 }
 
-func (b *batchPred) EstimateSecondsBatch(qs []Query) []float64 {
+func (b *batchPred) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut []float64) {
 	b.batchCalls.Add(1)
 	b.batchQueries.Add(int64(len(qs)))
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = b.EstimateSeconds(q.Workload, q.Platform, q.Interferers)
-	}
-	return out
+	loopHeads(b.scalarHeads, qs, eps, meanOut, boundOut)
 }
 
-func (b *batchPred) BoundSecondsBatch(qs []Query, eps float64) []float64 {
-	b.batchCalls.Add(1)
-	b.batchQueries.Add(int64(len(qs)))
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = b.BoundSeconds(q.Workload, q.Platform, q.Interferers, eps)
-	}
-	return out
+func (b *batchPred) ScoreEpoch() uint64 { return 0 }
+
+// loop adapts scalar fake heads to Predictor (see batchPred).
+func loop(h scalarHeads) *batchPred { return &batchPred{scalarHeads: h} }
+
+// scalarRef is the scalar reference the engine's decisions are checked
+// against: it loops the scalar heads like batchPred, but reports a new
+// scoring epoch on every read, so every chunk starts from an unstamped
+// table and nothing it scores is ever served from the table.
+type scalarRef struct {
+	scalarHeads
+	epoch atomic.Uint64
 }
+
+func (s *scalarRef) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut []float64) {
+	loopHeads(s.scalarHeads, qs, eps, meanOut, boundOut)
+}
+
+func (s *scalarRef) ScoreEpoch() uint64 { return s.epoch.Add(1) }
+
+// policy parses a policy by name at eps 0.1 and pad factor 1.3, the
+// defaults the package's tests use.
+func policy(name string) Policy {
+	p, err := ParsePolicy(name, 0.1, 1.3)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// policyNames are the five policies ParsePolicy knows.
+var policyNames = []string{"mean", "padded", "bound", "mean-bound", "padded-bound"}
 
 // variedPred is a scalar predictor with enough structure that different
 // platforms, workloads, and interference levels all score differently.
@@ -69,28 +108,26 @@ func sameAssignment(a, b Assignment) bool {
 }
 
 // The core decision-identity property: for any policy, strategy, and
-// arrival/completion sequence, batch-scored placement picks the identical
-// platform (and budget, and job ID) as scalar scoring.
+// sequence of placements, waves and completions, the engine over its score
+// table picks the identical platform (and budget, and job ID) as over the
+// scalar reference, whose scores are never served from the table.
 func TestBatchScalarDecisionIdentical(t *testing.T) {
-	policies := []Policy{MeanPolicy{}, PaddedMeanPolicy{Factor: 1.3}, BoundPolicy{Eps: 0.1}}
 	strategies := []Strategy{LeastLoaded{}, BestFit{}, UtilizationAware{}}
-	for seed := int64(0); seed < 8; seed++ {
+	for seed := int64(0); seed < 16; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nP := 3 + rng.Intn(6)
 		base := make([]float64, nP)
 		for i := range base {
 			base[i] = 0.5 + 2*rng.Float64()
 		}
-		pol := policies[rng.Intn(len(policies))]
+		pol, err := ParsePolicy(policyNames[seed%int64(len(policyNames))], 0.1+0.1*float64(rng.Intn(2)), 1.3)
+		if err != nil {
+			t.Fatal(err)
+		}
 		strat := strategies[rng.Intn(len(strategies))]
 		cfg := Config{NumPlatforms: nP, MaxColocation: 1 + rng.Intn(3), MaxInFlight: 2 + rng.Intn(8), Strategy: strat}
-		scalarCfg := cfg
-		scalarCfg.DisableBatch = true
-		sb := mustNew(t, cfg, pol, &batchPred{Predictor: variedPred{base}})
-		ss := mustNew(t, scalarCfg, pol, &batchPred{Predictor: variedPred{base}})
-		if !sb.Batched() || ss.Batched() {
-			t.Fatal("batch path not wired as expected")
-		}
+		sb := mustNew(t, cfg, pol, loop(variedPred{base}))
+		ss := mustNew(t, cfg, pol, &scalarRef{scalarHeads: variedPred{base}})
 		var live []JobID
 		for i := 0; i < 60; i++ {
 			if len(live) > 0 && rng.Float64() < 0.3 {
@@ -109,15 +146,26 @@ func TestBatchScalarDecisionIdentical(t *testing.T) {
 				}
 				continue
 			}
-			job := Job{Workload: rng.Intn(20), Deadline: 0.3 + 6*rng.Float64()}
-			ab, as := sb.Place(job), ss.Place(job)
-			if !sameAssignment(ab, as) {
-				t.Fatalf("seed %d job %d: batch %+v != scalar %+v (policy %s, strategy %s)",
-					seed, i, ab, as, pol.Name(), strat.Name())
+			jobs := []Job{{Workload: rng.Intn(20), Deadline: 0.3 + 6*rng.Float64()}}
+			if rng.Float64() < 0.3 {
+				// A small wave instead of a single placement.
+				for n := 1 + rng.Intn(4); n > 0; n-- {
+					jobs = append(jobs, Job{Workload: rng.Intn(20), Deadline: 0.3 + 6*rng.Float64()})
+				}
 			}
-			if ab.Placed() {
-				live = append(live, ab.ID)
+			wb, ws := sb.PlaceAll(jobs), ss.PlaceAll(jobs)
+			for j := range jobs {
+				if !sameAssignment(wb[j], ws[j]) {
+					t.Fatalf("seed %d op %d job %d: table %+v != scalar %+v (policy %s, strategy %s)",
+						seed, i, j, wb[j], ws[j], pol.Name(), strat.Name())
+				}
+				if wb[j].Placed() {
+					live = append(live, wb[j].ID)
+				}
 			}
+		}
+		if st := ss.ScoreTableStats(); st.Hits != 0 {
+			t.Fatalf("seed %d: the scalar reference was served %d cells from the table", seed, st.Hits)
 		}
 	}
 }
@@ -133,8 +181,8 @@ func TestPlaceAllMatchesSequentialPlace(t *testing.T) {
 			base[i] = 0.5 + 2*rng.Float64()
 		}
 		cfg := Config{NumPlatforms: nP, MaxColocation: 2, MaxInFlight: nP}
-		wave := mustNew(t, cfg, BoundPolicy{Eps: 0.1}, &batchPred{Predictor: variedPred{base}})
-		seq := mustNew(t, cfg, BoundPolicy{Eps: 0.1}, &batchPred{Predictor: variedPred{base}})
+		wave := mustNew(t, cfg, policy("bound"), loop(variedPred{base}))
+		seq := mustNew(t, cfg, policy("bound"), loop(variedPred{base}))
 		jobs := make([]Job, 25)
 		for i := range jobs {
 			jobs[i] = Job{Workload: rng.Intn(15), Deadline: 0.3 + 6*rng.Float64()}
@@ -157,8 +205,8 @@ func TestPlaceAllBatchesWave(t *testing.T) {
 	for i := range base {
 		base[i] = 1
 	}
-	bp := &batchPred{Predictor: variedPred{base}}
-	s := mustNew(t, Config{NumPlatforms: nP, MaxColocation: 4}, MeanPolicy{}, bp)
+	bp := loop(variedPred{base})
+	s := mustNew(t, Config{NumPlatforms: nP, MaxColocation: 4}, policy("mean"), bp)
 	jobs := make([]Job, 12)
 	for i := range jobs {
 		jobs[i] = Job{Workload: i, Deadline: 1000}
@@ -175,8 +223,8 @@ func TestPlaceAllBatchesWave(t *testing.T) {
 }
 
 func TestCompleteFreesSlot(t *testing.T) {
-	pred := variedPred{base: []float64{1.0}}
-	s := mustNew(t, Config{NumPlatforms: 1, MaxColocation: 2}, MeanPolicy{}, pred)
+	pred := loop(variedPred{base: []float64{1.0}})
+	s := mustNew(t, Config{NumPlatforms: 1, MaxColocation: 2}, policy("mean"), pred)
 	a1 := s.Place(Job{Workload: 0, Deadline: 100})
 	a2 := s.Place(Job{Workload: 1, Deadline: 100})
 	if !a1.Placed() || !a2.Placed() {
@@ -209,8 +257,8 @@ func TestCompleteFreesSlot(t *testing.T) {
 }
 
 func TestAdmissionBound(t *testing.T) {
-	pred := variedPred{base: []float64{1, 1, 1, 1}}
-	s := mustNew(t, Config{NumPlatforms: 4, MaxColocation: 4, MaxInFlight: 2}, MeanPolicy{}, pred)
+	pred := loop(variedPred{base: []float64{1, 1, 1, 1}})
+	s := mustNew(t, Config{NumPlatforms: 4, MaxColocation: 4, MaxInFlight: 2}, policy("mean"), pred)
 	a1 := s.Place(Job{Workload: 0, Deadline: 100})
 	a2 := s.Place(Job{Workload: 1, Deadline: 100})
 	if !a1.Placed() || !a2.Placed() {
@@ -239,8 +287,8 @@ func TestAdmissionBound(t *testing.T) {
 
 // Callers mutating returned slices must never corrupt scheduler state.
 func TestResidentsNoAliasing(t *testing.T) {
-	pred := variedPred{base: []float64{1.0}}
-	s := mustNew(t, Config{NumPlatforms: 1, MaxColocation: 3}, MeanPolicy{}, pred)
+	pred := loop(variedPred{base: []float64{1.0}})
+	s := mustNew(t, Config{NumPlatforms: 1, MaxColocation: 3}, policy("mean"), pred)
 	s.Place(Job{Workload: 7, Deadline: 100})
 	a := s.Place(Job{Workload: 8, Deadline: 100})
 	res := s.Residents(0)
@@ -279,21 +327,21 @@ func (f oracleFunc) TrueSeconds(w, p int, ks []int) float64 { return f(w, p, ks)
 
 func TestStrategySelection(t *testing.T) {
 	// Platform speeds: 0 fast, 1 medium, 2 slow; all empty.
-	pred := variedPred{base: []float64{0.5, 1.0, 1.8}}
+	pred := loop(variedPred{base: []float64{0.5, 1.0, 1.8}})
 	job := Job{Workload: 0, Deadline: 2.0}
 
-	ll := mustNew(t, Config{NumPlatforms: 3, Strategy: LeastLoaded{}}, MeanPolicy{}, pred)
+	ll := mustNew(t, Config{NumPlatforms: 3, Strategy: LeastLoaded{}}, policy("mean"), pred)
 	ll.Place(Job{Workload: 0, Deadline: 100}) // occupy the fast platform
 	if a := ll.Place(job); a.Platform == 0 {
 		t.Fatalf("least-loaded picked the loaded platform: %+v", a)
 	}
 
-	bf := mustNew(t, Config{NumPlatforms: 3, Strategy: BestFit{}}, MeanPolicy{}, pred)
+	bf := mustNew(t, Config{NumPlatforms: 3, Strategy: BestFit{}}, policy("mean"), pred)
 	if a := bf.Place(job); a.Platform != 2 {
 		t.Fatalf("best-fit should pick the tightest feasible platform 2, got %+v", a)
 	}
 
-	ua := mustNew(t, Config{NumPlatforms: 3, Strategy: UtilizationAware{}}, MeanPolicy{}, pred)
+	ua := mustNew(t, Config{NumPlatforms: 3, Strategy: UtilizationAware{}}, policy("mean"), pred)
 	ua.Place(Job{Workload: 0, Deadline: 100}) // platform 0 now loaded
 	// Occupancy: p0 = 0.5*(1+0.37)*2 ≈ 1.37, p1 = 1.0, p2 = 1.8 → p1 wins.
 	if a := ua.Place(job); a.Platform != 1 {
@@ -302,16 +350,40 @@ func TestStrategySelection(t *testing.T) {
 }
 
 func TestParseHelpers(t *testing.T) {
-	for _, n := range []string{"mean", "padded", "bound"} {
-		if _, err := ParsePolicy(n, 0.1, 1.3); err != nil {
+	for _, tc := range []struct {
+		name, want string
+		bounds     bool
+	}{
+		{"mean", "mean", false},
+		{"padded", "mean*1.3", false},
+		{"bound", "bound(eps=0.10)", true},
+		{"mean-bound", "mean|bound(eps=0.10)", true},
+		{"padded-bound", "padded*1.3|bound(eps=0.10)", true},
+	} {
+		pol, err := ParsePolicy(tc.name, 0.1, 1.3)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if pol.Name() != tc.want || pol.NeedsBounds() != tc.bounds {
+			t.Fatalf("%s: Name %q NeedsBounds %v, want %q %v", tc.name, pol.Name(), pol.NeedsBounds(), tc.want, tc.bounds)
+		}
+		if tc.bounds {
+			for _, eps := range []float64{0, 1, 2, -0.1, math.NaN()} {
+				if _, err := ParsePolicy(tc.name, eps, 1.3); err == nil {
+					t.Fatalf("%s accepted eps %v", tc.name, eps)
+				}
+			}
 		}
 	}
 	if _, err := ParsePolicy("bogus", 0.1, 1.3); err == nil {
 		t.Fatal("accepted unknown policy")
 	}
-	if _, err := ParsePolicy("bound", 2, 0); err == nil {
-		t.Fatal("accepted out-of-range eps")
+	// A factor of 0 means the default; it is not a policy of its own.
+	if pol, err := ParsePolicy("padded", 0.1, 0); err != nil || pol.Name() != "mean*1.3" {
+		t.Fatalf("factor 0: %v %v", pol.Name(), err)
+	}
+	if _, err := New(Config{NumPlatforms: 1}, Policy{}, loop(flatPred{v: 1})); err == nil {
+		t.Fatal("New accepted the zero Policy")
 	}
 	for _, n := range []string{"", "least-loaded", "best-fit", "utilization"} {
 		if _, err := ParseStrategy(n); err != nil {
@@ -323,11 +395,41 @@ func TestParseHelpers(t *testing.T) {
 	}
 }
 
+// Pad factors and degraded penalties arrive from flags and configs: a
+// value that is not a finite number in range must be refused, not turned
+// into a cluster on which every placement is infeasible.
+func TestRejectsNonFiniteFactorAndPenalty(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -0.5} {
+		for _, n := range []string{"padded", "padded-bound"} {
+			if _, err := ParsePolicy(n, 0.1, f); err == nil {
+				t.Errorf("ParsePolicy(%q, 0.1, %v) accepted the factor", n, f)
+			}
+		}
+	}
+	for _, f := range []float64{1, 1.3, 1e6} {
+		if _, err := ParsePolicy("padded", 0.1, f); err != nil {
+			t.Errorf("ParsePolicy(padded, 0.1, %v): %v", f, err)
+		}
+	}
+	for _, tc := range []struct {
+		penalty float64
+		ok      bool
+	}{
+		{0, true}, {1, true}, {1.25, true}, {1e9, true},
+		{0.99, false}, {-1, false}, {math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+	} {
+		_, err := New(Config{NumPlatforms: 2, DegradedPenalty: tc.penalty}, policy("mean"), loop(flatPred{v: 1}))
+		if (err == nil) != tc.ok {
+			t.Errorf("DegradedPenalty %v: err %v, want ok %v", tc.penalty, err, tc.ok)
+		}
+	}
+}
+
 // Concurrent Place/Complete from many goroutines must keep the bookkeeping
 // consistent (run under -race).
 func TestConcurrentPlaceComplete(t *testing.T) {
-	pred := &batchPred{Predictor: variedPred{base: []float64{1, 1.2, 0.8, 1.5}}}
-	s := mustNew(t, Config{NumPlatforms: 4, MaxColocation: 4}, BoundPolicy{Eps: 0.1}, pred)
+	pred := loop(variedPred{base: []float64{1, 1.2, 0.8, 1.5}})
+	s := mustNew(t, Config{NumPlatforms: 4, MaxColocation: 4}, policy("bound"), pred)
 	const workers = 8
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
@@ -391,8 +493,8 @@ func (o *feedbackObserver) ObserveSeconds(ms []Measurement) error {
 // placed = completed once the event queue drains) and drives the feedback
 // observer on the configured cadence.
 func TestStreamConservation(t *testing.T) {
-	pred := &batchPred{Predictor: variedPred{base: []float64{1, 1.2, 0.8}}}
-	s := mustNew(t, Config{NumPlatforms: 3, MaxColocation: 2, MaxInFlight: 5}, BoundPolicy{Eps: 0.1}, pred)
+	pred := loop(variedPred{base: []float64{1, 1.2, 0.8}})
+	s := mustNew(t, Config{NumPlatforms: 3, MaxColocation: 2, MaxInFlight: 5}, policy("bound"), pred)
 	obs := &feedbackObserver{}
 	rng := rand.New(rand.NewSource(42))
 	source := func(rng *rand.Rand, i int) Job {

@@ -20,8 +20,8 @@ func (f flatPred) BoundSeconds(w, p int, ks []int, eps float64) float64 {
 // TestHealthLifecycle walks the failure state machine through every
 // documented transition and error.
 func TestHealthLifecycle(t *testing.T) {
-	pred := variedPred{base: []float64{1, 1, 1}}
-	s := mustNew(t, Config{NumPlatforms: 3, MaxColocation: 4}, MeanPolicy{}, pred)
+	pred := loop(variedPred{base: []float64{1, 1, 1}})
+	s := mustNew(t, Config{NumPlatforms: 3, MaxColocation: 4}, policy("mean"), pred)
 
 	// Out-of-range platforms are typed errors on every event method.
 	if _, err := s.Fail(-1); !errors.Is(err, ErrPlatformOutOfRange) {
@@ -119,8 +119,8 @@ func TestHealthLifecycle(t *testing.T) {
 // candidates; when no placeable platform remains, jobs shed with
 // ReasonNoHealthy (not Rejected, not Infeasible).
 func TestPlacementSkipsUnavailable(t *testing.T) {
-	pred := variedPred{base: []float64{1, 1, 1}}
-	s := mustNew(t, Config{NumPlatforms: 3, MaxColocation: 4}, MeanPolicy{}, pred)
+	pred := loop(variedPred{base: []float64{1, 1, 1}})
+	s := mustNew(t, Config{NumPlatforms: 3, MaxColocation: 4}, policy("mean"), pred)
 	for p := 0; p < 3; p++ {
 		if _, err := s.Fail(p); err != nil {
 			t.Fatal(err)
@@ -156,8 +156,8 @@ func TestPlacementSkipsUnavailable(t *testing.T) {
 // for single-head policies and the strategy tie-break in general.
 func TestDegradedSteersPlacement(t *testing.T) {
 	for _, strat := range []Strategy{LeastLoaded{}, BestFit{}, UtilizationAware{}} {
-		s := mustNew(t, Config{NumPlatforms: 2, MaxColocation: 4, Strategy: strat, DisableBatch: true},
-			MeanPolicy{}, flatPred{v: 1})
+		s := mustNew(t, Config{NumPlatforms: 2, MaxColocation: 4, Strategy: strat},
+			policy("mean"), loop(flatPred{v: 1}))
 		if err := s.Degrade(0); err != nil {
 			t.Fatal(err)
 		}
@@ -172,8 +172,8 @@ func TestDegradedSteersPlacement(t *testing.T) {
 	// The padding is a feasibility penalty, not just a tie-break: a job the
 	// degraded platform could serve at score 1 is shed once the padded
 	// score clears the deadline.
-	s := mustNew(t, Config{NumPlatforms: 1, MaxColocation: 4, DegradedPenalty: 2, DisableBatch: true},
-		MeanPolicy{}, flatPred{v: 1})
+	s := mustNew(t, Config{NumPlatforms: 1, MaxColocation: 4, DegradedPenalty: 2},
+		policy("mean"), loop(flatPred{v: 1}))
 	if a := s.Place(Job{Workload: 0, Deadline: 1.5}); !a.Placed() {
 		t.Fatalf("healthy baseline infeasible: %+v", a)
 	}
@@ -188,12 +188,11 @@ func TestDegradedSteersPlacement(t *testing.T) {
 	}
 }
 
-// TestDegradedDecisionIdentity extends the batch/scalar identity property
+// TestDegradedDecisionIdentity extends the table/scalar identity property
 // to impaired clusters: random fail/degrade/recover events interleave with
-// placements, and the batch- and scalar-scored schedulers must keep making
-// identical decisions throughout.
+// placements, and the engine over its score table and over the scalar
+// reference must keep making identical decisions throughout.
 func TestDegradedDecisionIdentity(t *testing.T) {
-	policies := []Policy{MeanPolicy{}, PaddedMeanPolicy{Factor: 1.3}, BoundPolicy{Eps: 0.1}}
 	strategies := []Strategy{LeastLoaded{}, BestFit{}, UtilizationAware{}}
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(500 + seed))
@@ -202,13 +201,11 @@ func TestDegradedDecisionIdentity(t *testing.T) {
 		for i := range base {
 			base[i] = 0.5 + 2*rng.Float64()
 		}
-		pol := policies[rng.Intn(len(policies))]
+		pol := policy(policyNames[seed%int64(len(policyNames))])
 		strat := strategies[rng.Intn(len(strategies))]
 		cfg := Config{NumPlatforms: nP, MaxColocation: 2, Strategy: strat, DegradedPenalty: 1.3}
-		scalarCfg := cfg
-		scalarCfg.DisableBatch = true
-		sb := mustNew(t, cfg, pol, &batchPred{Predictor: variedPred{base}})
-		ss := mustNew(t, scalarCfg, pol, &batchPred{Predictor: variedPred{base}})
+		sb := mustNew(t, cfg, pol, loop(variedPred{base}))
+		ss := mustNew(t, cfg, pol, &scalarRef{scalarHeads: variedPred{base}})
 		for i := 0; i < 80; i++ {
 			p := rng.Intn(nP)
 			switch r := rng.Float64(); {
@@ -232,7 +229,7 @@ func TestDegradedDecisionIdentity(t *testing.T) {
 				job := Job{Workload: rng.Intn(20), Deadline: 0.3 + 6*rng.Float64()}
 				ab, as := sb.Place(job), ss.Place(job)
 				if !sameAssignment(ab, as) || ab.Reason != as.Reason {
-					t.Fatalf("seed %d job %d: batch %+v != scalar %+v (policy %s, strategy %s)",
+					t.Fatalf("seed %d job %d: table %+v != scalar %+v (policy %s, strategy %s)",
 						seed, i, ab, as, pol.Name(), strat.Name())
 				}
 			}
@@ -247,7 +244,7 @@ func TestBreakerTripHalfOpenClose(t *testing.T) {
 	s := mustNew(t, Config{
 		NumPlatforms: 1, MaxColocation: 8,
 		Breaker: BreakerConfig{Window: 4, Threshold: 0.5, MinSamples: 2, Probation: 2},
-	}, MeanPolicy{}, flatPred{v: 1})
+	}, policy("mean"), loop(flatPred{v: 1}))
 
 	place := func(n int) []JobID {
 		t.Helper()
@@ -330,7 +327,7 @@ func TestBreakerWindowSlides(t *testing.T) {
 	s := mustNew(t, Config{
 		NumPlatforms: 1, MaxColocation: 16,
 		Breaker: BreakerConfig{Window: 4, Threshold: 0.75, MinSamples: 4, Probation: 1},
-	}, MeanPolicy{}, flatPred{v: 1})
+	}, policy("mean"), loop(flatPred{v: 1}))
 	outcome := func(miss bool) bool {
 		t.Helper()
 		a := s.Place(Job{Workload: 0, Deadline: 100})
@@ -406,7 +403,7 @@ func TestStreamChaosConservation(t *testing.T) {
 			s := mustNew(t, Config{
 				NumPlatforms: nP, MaxColocation: 2, MaxInFlight: 2 * nP,
 				Breaker: BreakerConfig{Window: 6, Threshold: 0.5, MinSamples: 3},
-			}, BoundPolicy{Eps: 0.1}, &batchPred{Predictor: variedPred{base}})
+			}, policy("bound"), loop(variedPred{base}))
 			res, err := Stream(cfg, s, oracle, source, nil, rand.New(rand.NewSource(seed)))
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -456,7 +453,7 @@ func TestChaosOffIsBitIdentical(t *testing.T) {
 	}
 	run := func(chaos *ChaosConfig) StreamResult {
 		s := mustNew(t, Config{NumPlatforms: 3, MaxColocation: 2},
-			BoundPolicy{Eps: 0.1}, &batchPred{Predictor: variedPred{base}})
+			policy("bound"), loop(variedPred{base}))
 		res, err := Stream(StreamConfig{Jobs: 50, ArrivalRate: 3, Chaos: chaos},
 			s, oracle, source, nil, rand.New(rand.NewSource(11)))
 		if err != nil {
@@ -478,9 +475,9 @@ func TestChaosOffIsBitIdentical(t *testing.T) {
 // the exactly-once contract holds — every placed job is completed once or
 // orphaned once, never both, never lost.
 func TestFailRacesPlaceAllAndComplete(t *testing.T) {
-	pred := &batchPred{Predictor: variedPred{base: []float64{1, 1.2, 0.8, 1.5, 0.9}}}
+	pred := loop(variedPred{base: []float64{1, 1.2, 0.8, 1.5, 0.9}})
 	s := mustNew(t, Config{NumPlatforms: 5, MaxColocation: 16, WaveChunk: 3},
-		BoundPolicy{Eps: 0.1}, pred)
+		policy("bound"), pred)
 
 	var (
 		mu        sync.Mutex
@@ -588,7 +585,7 @@ func TestFailRacesPlaceAllAndComplete(t *testing.T) {
 // TestCompleteErrors: the Complete surface distinguishes never-issued IDs
 // from already-retired ones with typed errors.
 func TestCompleteErrors(t *testing.T) {
-	s := mustNew(t, Config{NumPlatforms: 1}, MeanPolicy{}, flatPred{v: 1})
+	s := mustNew(t, Config{NumPlatforms: 1}, policy("mean"), loop(flatPred{v: 1}))
 	if err := s.Complete(1); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("never-issued id: %v", err)
 	}

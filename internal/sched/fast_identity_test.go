@@ -46,13 +46,13 @@ func (f jitteredPred) BoundSeconds(w, p int, ks []int, eps float64) float64 {
 // scores differ by percents, the kernel by parts per billion), placements
 // and tie-breaks must be identical to the exact path, while scores are
 // allowed to differ within tolerance. Exercised under degraded-health
-// penalties and the mixed-head dual policies across waves, completions,
+// penalties and the mixed-head policies across waves, completions,
 // and deliberately injected exact ties.
 func TestFastScoringDecisionIdentityProperty(t *testing.T) {
 	policies := []Policy{
-		MeanBoundPolicy{Eps: 0.1},
-		PaddedBoundPolicy{Eps: 0.1, Factor: 1.3},
-		BoundPolicy{Eps: 0.1},
+		policy("mean-bound"),
+		policy("padded-bound"),
+		policy("bound"),
 	}
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(900 + seed))
@@ -74,14 +74,8 @@ func TestFastScoringDecisionIdentityProperty(t *testing.T) {
 			DegradedPenalty: 1.25,
 		}
 		exact := variedPred{base}
-		se := mustNew(t, cfg, pol, &fusedFake{batchPred: &batchPred{Predictor: exact}})
-		sj := mustNew(t, cfg, pol, &fusedFake{batchPred: &batchPred{Predictor: jitteredPred{exact: exact, tol: fastTol}}})
-		// Dual policies engage the fused path; single-head BoundPolicy
-		// scores through the batch path. Either way both schedulers must
-		// sit on the same path so only the kernel differs.
-		if se.Fused() != sj.Fused() || !se.Batched() || !sj.Batched() {
-			t.Fatal("scoring-path wiring differs between exact and approximate schedulers")
-		}
+		se := mustNew(t, cfg, pol, loop(exact))
+		sj := mustNew(t, cfg, pol, loop(jitteredPred{exact: exact, tol: fastTol}))
 		deg := rng.Intn(nP)
 		if err := se.Degrade(deg); err != nil {
 			t.Fatal(err)

@@ -19,11 +19,11 @@ import (
 
 // goldenPred is the digest tests' fake predictor: deterministic, sensitive
 // to the workload, the platform, every interferer and a mutable scoring
-// epoch (an Observe stand-in), with batch and fused facets that loop the
-// scalar calls so every scoring arm yields the same bits. Every product is
-// rounded explicitly, so no architecture may fuse it into an FMA and the
-// digests hold on any GOARCH. queries counts the queries scored through
-// the batch facets.
+// epoch (an Observe stand-in), with a scoring call that loops the scalar
+// heads so every arm yields the same bits. Every product is rounded
+// explicitly, so no architecture may fuse it into an FMA and the digests
+// hold on any GOARCH. queries counts the queries scored through
+// ScoreSecondsBatch.
 type goldenPred struct {
 	base    []float64
 	epoch   uint64
@@ -56,30 +56,9 @@ func (g *goldenPred) BoundSeconds(w, p int, ks []int, eps float64) float64 {
 	return float64(g.EstimateSeconds(w, p, ks) * float64(1+float64(0.6*float64(1-eps))))
 }
 
-func (g *goldenPred) EstimateSecondsBatch(qs []Query) []float64 {
-	g.queries += int64(len(qs))
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = g.EstimateSeconds(q.Workload, q.Platform, q.Interferers)
-	}
-	return out
-}
-
-func (g *goldenPred) BoundSecondsBatch(qs []Query, eps float64) []float64 {
-	g.queries += int64(len(qs))
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = g.BoundSeconds(q.Workload, q.Platform, q.Interferers, eps)
-	}
-	return out
-}
-
 func (g *goldenPred) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut []float64) {
 	g.queries += int64(len(qs))
-	for i, q := range qs {
-		meanOut[i] = g.EstimateSeconds(q.Workload, q.Platform, q.Interferers)
-		boundOut[i] = g.BoundSeconds(q.Workload, q.Platform, q.Interferers, eps)
-	}
+	loopHeads(g, qs, eps, meanOut, boundOut)
 }
 
 func (g *goldenPred) ScoreEpoch() uint64 { return g.epoch }
@@ -134,13 +113,11 @@ func (d *digest) assignment(a Assignment) {
 func (d *digest) sum() uint64 { return d.h.Sum64() }
 
 func goldenPolicies() []Policy {
-	return []Policy{
-		MeanPolicy{},
-		PaddedMeanPolicy{Factor: 1.3},
-		BoundPolicy{Eps: 0.1},
-		MeanBoundPolicy{Eps: 0.1},
-		PaddedBoundPolicy{Eps: 0.1, Factor: 1.3},
+	pols := make([]Policy, len(policyNames))
+	for i, n := range policyNames {
+		pols[i] = policy(n)
 	}
+	return pols
 }
 
 func goldenStrategies() []Strategy {
@@ -297,8 +274,9 @@ func goldenWaves(t *testing.T, arm *ReplicaSet, pred *goldenPred, nP int, churn 
 type opaqueStrategy struct{ Strategy }
 
 // goldenArmNames are the configurations the wave driver must agree
-// across: the batched engine, the scalar (DisableBatch) reference, and the
-// batched engine with its strategy behind the interface.
+// across: the engine over its score table, the engine over the scalar
+// reference (scalarRef: nothing served from the table), and the table
+// engine with its strategy behind the interface.
 var goldenArmNames = []string{"batched", "scalar", "opaque"}
 
 // goldenWaveArms builds goldenArmNames' engines. Each arm gets a private
@@ -316,13 +294,16 @@ func goldenWaveArms(t *testing.T, pol Policy, strat Strategy, chunk int, seed in
 			MaxInFlight:   2*nP + 3,
 			Strategy:      strat,
 			WaveChunk:     chunk,
-			DisableBatch:  name == "scalar",
 			Breaker:       BreakerConfig{Window: 5, Threshold: 0.4, MinSamples: 2, Probation: 2},
 		}
-		if name == "opaque" {
+		var p Predictor = pred
+		switch name {
+		case "scalar":
+			p = &scalarRef{scalarHeads: pred}
+		case "opaque":
 			cfg.Strategy = opaqueStrategy{strat}
 		}
-		arms[name], preds[name] = mustNew(t, cfg, pol, pred), pred
+		arms[name], preds[name] = mustNew(t, cfg, pol, p), pred
 	}
 	return arms, preds, nP
 }
@@ -401,7 +382,7 @@ func churnQueries(t *testing.T, chunk int) int64 {
 	const nP = 8
 	rng := rand.New(rand.NewSource(77))
 	pred := newGoldenPred(rng, nP)
-	arm := mustNew(t, Config{NumPlatforms: nP, MaxColocation: 3, WaveChunk: chunk}, MeanBoundPolicy{Eps: 0.1}, pred)
+	arm := mustNew(t, Config{NumPlatforms: nP, MaxColocation: 3, WaveChunk: chunk}, policy("mean-bound"), pred)
 	var live []JobID
 	for wave := 0; wave < 40; wave++ {
 		jobs := make([]Job, 10)

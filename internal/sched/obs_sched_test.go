@@ -20,10 +20,8 @@ func obsTestScheduler(t *testing.T, attach bool) (*ReplicaSet, *obs.Recorder, *o
 		cfg.Recorder = rec
 		cfg.Metrics = met
 	}
-	// batchPred wraps the scalar fake so the batched wave path (and its
-	// score-batch instrumentation) is exercised.
-	pred := &batchPred{Predictor: fakePred{base: []float64{1, 1.1, 1.2, 1.3}}}
-	s, err := New(cfg, MeanPolicy{}, pred)
+	pred := loop(fakePred{base: []float64{1, 1.1, 1.2, 1.3}})
+	s, err := New(cfg, policy("mean"), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,6 +34,29 @@ func obsWave(n int) []Job {
 		jobs[i] = Job{Workload: i % 3, Deadline: 100}
 	}
 	return jobs
+}
+
+// TestScoreHistogramCountsEveryCall pins the attribution contract: every
+// predictor call of a wave — the chunk's prescore and each post-commit
+// rescore — is one ScoreBatch observation, so a profile that subtracts the
+// histogram's time from the wave's charges no predictor time to the
+// engine.
+func TestScoreHistogramCountsEveryCall(t *testing.T) {
+	met := obs.NewSchedMetrics("test_place_")
+	pred := loop(fakePred{base: []float64{1, 1.1, 1.2, 1.3}})
+	s := mustNew(t, Config{NumPlatforms: 4, MaxColocation: 4, Metrics: met}, policy("mean"), pred)
+	jobs := make([]Job, 6)
+	for i := range jobs {
+		jobs[i] = Job{Workload: i, Deadline: 100}
+	}
+	s.PlaceAll(jobs)
+	calls := pred.batchCalls.Load()
+	if calls < 2 {
+		t.Fatalf("a wave of %d distinct jobs made %d predictor calls; its commits must force rescores", len(jobs), calls)
+	}
+	if got := met.ScoreBatch.Count(); got != uint64(calls) {
+		t.Fatalf("score histogram counted %d calls, the predictor saw %d", got, calls)
+	}
 }
 
 // TestFlightRecorderConcurrentChunkedWave races chunked PlaceAll waves
@@ -152,7 +173,7 @@ func benchPlaceAll(b *testing.B, attach bool) {
 		cfg.Recorder = obs.NewRecorder(1 << 12)
 		cfg.Metrics = obs.NewSchedMetrics("bench_place_")
 	}
-	s, err := New(cfg, MeanPolicy{}, fakePred{base: []float64{1, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7}})
+	s, err := New(cfg, policy("mean"), loop(fakePred{base: []float64{1, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7}}))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,224 +1,78 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Policy ranks candidate platforms for a job. Score returns the predicted
-// runtime metric used for feasibility (compared against the deadline) —
-// lower is better; returning +Inf marks the platform infeasible.
-type Policy interface {
-	Name() string
-	Score(pred Predictor, job Job, platform int, residents []int) float64
+// head names one of the predictor's two outputs: the expected runtime or
+// the conformal (1−eps) budget.
+type head uint8
+
+const (
+	headMean head = iota
+	headBound
+)
+
+// Policy says which predictor head a placement decision reads for each of
+// its two facets, feasibility (compared against the deadline, and reported
+// as the assignment's Budget) and ranking (what strategies order the
+// feasible platforms by), and the pad factor every mean read is multiplied
+// by (1 for the unpadded policies). ParsePolicy builds one by name; the
+// zero value is not a policy, and New rejects it.
+type Policy struct {
+	name       string
+	feas, rank head
+	factor     float64
+	eps        float64
 }
 
-// BatchPolicy scores a whole candidate set in one predictor call. The
-// scheduler uses it whenever the predictor is a BatchPredictor — for a
-// single job's platform scan and for whole waves of jobs at once, so the
-// score must be fully determined by the query (deadline feasibility is the
-// scheduler's concern). ScoreBatch must assign out[i] the same value Score
-// would return for qs[i] (up to the predictor's own batch-vs-scalar
-// floating-point reassociation), which keeps batch-scored placement
-// decision-identical to scalar scoring.
-type BatchPolicy interface {
-	Policy
-	// ScoreBatch fills out[i] with the score of qs[i]. len(out) == len(qs).
-	ScoreBatch(pred BatchPredictor, qs []Query, out []float64)
-}
+// Name is the policy's display name, as reported in stream results.
+func (p Policy) Name() string { return p.name }
 
-// MeanPolicy places on the expected runtime — the natural choice when only
-// a point predictor is available. It systematically underestimates tail
-// latency, which the simulation harness exposes.
-type MeanPolicy struct{}
+// NeedsBounds reports whether the policy reads the conformal bound head,
+// which only a quantile-trained predictor serves.
+func (p Policy) NeedsBounds() bool { return p.reads(headBound) }
 
-// Name implements Policy.
-func (MeanPolicy) Name() string { return "mean" }
+func (p Policy) reads(h head) bool { return p.feas == h || p.rank == h }
 
-// Score implements Policy.
-func (MeanPolicy) Score(pred Predictor, job Job, platform int, residents []int) float64 {
-	return pred.EstimateSeconds(job.Workload, platform, residents)
-}
-
-// ScoreBatch implements BatchPolicy.
-func (MeanPolicy) ScoreBatch(pred BatchPredictor, qs []Query, out []float64) {
-	copy(out, pred.EstimateSecondsBatch(qs))
-}
-
-// BoundPolicy places on the conformal (1−eps)-sufficient runtime bound,
-// giving each placement a per-job probabilistic deadline guarantee.
-type BoundPolicy struct{ Eps float64 }
-
-// Name implements Policy.
-func (p BoundPolicy) Name() string { return fmt.Sprintf("bound(eps=%.2f)", p.Eps) }
-
-// Score implements Policy.
-func (p BoundPolicy) Score(pred Predictor, job Job, platform int, residents []int) float64 {
-	return pred.BoundSeconds(job.Workload, platform, residents, p.Eps)
-}
-
-// ScoreBatch implements BatchPolicy; all candidates share one conformal
-// calibration fetch.
-func (p BoundPolicy) ScoreBatch(pred BatchPredictor, qs []Query, out []float64) {
-	copy(out, pred.BoundSecondsBatch(qs, p.Eps))
-}
-
-// PaddedMeanPolicy is the common heuristic alternative: mean estimate
-// inflated by a fixed safety factor. It has no calibration guarantee —
-// too small on volatile platforms, wasteful on stable ones.
-type PaddedMeanPolicy struct{ Factor float64 }
-
-// Name implements Policy.
-func (p PaddedMeanPolicy) Name() string { return fmt.Sprintf("mean*%.1f", p.Factor) }
-
-// Score implements Policy.
-func (p PaddedMeanPolicy) Score(pred Predictor, job Job, platform int, residents []int) float64 {
-	return pred.EstimateSeconds(job.Workload, platform, residents) * p.Factor
-}
-
-// ScoreBatch implements BatchPolicy.
-func (p PaddedMeanPolicy) ScoreBatch(pred BatchPredictor, qs []Query, out []float64) {
-	copy(out, pred.EstimateSecondsBatch(qs))
-	for i := range out {
-		out[i] *= p.Factor
-	}
-}
-
-// DualPolicy scores the two facets of a placement decision separately,
-// from both predictor heads: a feasibility value (compared against the
-// deadline, and reported as the assignment's Budget) and a ranking value
-// (what strategies order candidates by). Single-head policies collapse the
-// two — for them the scheduler sets Rank = Score — while a dual policy can
-// gate feasibility on the conservative conformal bound yet rank platforms
-// by the cheap mean estimate. When the predictor implements FusedPredictor
-// both facets of a whole wave come out of one fused pass.
-type DualPolicy interface {
-	Policy
-	// ScoreDual is the scalar reference path: the feasibility score and the
-	// ranking score of one candidate. Batch-scored placement must be
-	// decision-identical to it (up to predictor batch-vs-scalar float
-	// reassociation).
-	ScoreDual(pred Predictor, job Job, platform int, residents []int) (feas, rank float64)
-	// ScoreDualBatch fills feas[i] and rank[i] for qs[i].
-	// len(feas) == len(rank) == len(qs).
-	ScoreDualBatch(pred BatchPredictor, qs []Query, feas, rank []float64)
-}
-
-// MeanBoundPolicy is the mixed-head policy the fused scoring path exists
-// for: feasibility (and the reported budget) comes from the conformal
-// (1−eps)-sufficient bound — every placement keeps its probabilistic
-// deadline guarantee — while strategies rank the feasible platforms by the
-// expected runtime, so e.g. BestFit packs on mean headroom ("best-fit
-// mean, feasible bound") instead of on the padded bound.
-type MeanBoundPolicy struct{ Eps float64 }
-
-// Name implements Policy.
-func (p MeanBoundPolicy) Name() string { return fmt.Sprintf("mean|bound(eps=%.2f)", p.Eps) }
-
-// Score implements Policy: the feasibility facet alone, for schedulers
-// that treat the policy as single-head.
-func (p MeanBoundPolicy) Score(pred Predictor, job Job, platform int, residents []int) float64 {
-	return pred.BoundSeconds(job.Workload, platform, residents, p.Eps)
-}
-
-// ScoreBatch implements BatchPolicy (feasibility facet alone).
-func (p MeanBoundPolicy) ScoreBatch(pred BatchPredictor, qs []Query, out []float64) {
-	copy(out, pred.BoundSecondsBatch(qs, p.Eps))
-}
-
-// ScoreDual implements DualPolicy.
-func (p MeanBoundPolicy) ScoreDual(pred Predictor, job Job, platform int, residents []int) (feas, rank float64) {
-	rank = pred.EstimateSeconds(job.Workload, platform, residents)
-	feas = pred.BoundSeconds(job.Workload, platform, residents, p.Eps)
-	return feas, rank
-}
-
-// ScoreDualBatch implements DualPolicy: one fused two-head pass when the
-// predictor supports it, two vectorized passes otherwise.
-func (p MeanBoundPolicy) ScoreDualBatch(pred BatchPredictor, qs []Query, feas, rank []float64) {
-	if fp, ok := pred.(FusedPredictor); ok {
-		fp.ScoreSecondsBatch(qs, p.Eps, rank, feas)
-		return
-	}
-	copy(rank, pred.EstimateSecondsBatch(qs))
-	copy(feas, pred.BoundSecondsBatch(qs, p.Eps))
-}
-
-// PaddedBoundPolicy gates feasibility on the conformal bound but ranks by
-// the padded mean — the tie-break heuristic deployments that already run
-// padded-mean scheduling can keep while upgrading their guarantee to the
-// calibrated bound.
-type PaddedBoundPolicy struct {
-	Eps    float64
-	Factor float64
-}
-
-// Name implements Policy.
-func (p PaddedBoundPolicy) Name() string {
-	return fmt.Sprintf("padded*%.1f|bound(eps=%.2f)", p.Factor, p.Eps)
-}
-
-// Score implements Policy (feasibility facet alone).
-func (p PaddedBoundPolicy) Score(pred Predictor, job Job, platform int, residents []int) float64 {
-	return pred.BoundSeconds(job.Workload, platform, residents, p.Eps)
-}
-
-// ScoreBatch implements BatchPolicy (feasibility facet alone).
-func (p PaddedBoundPolicy) ScoreBatch(pred BatchPredictor, qs []Query, out []float64) {
-	copy(out, pred.BoundSecondsBatch(qs, p.Eps))
-}
-
-// ScoreDual implements DualPolicy.
-func (p PaddedBoundPolicy) ScoreDual(pred Predictor, job Job, platform int, residents []int) (feas, rank float64) {
-	rank = pred.EstimateSeconds(job.Workload, platform, residents) * p.Factor
-	feas = pred.BoundSeconds(job.Workload, platform, residents, p.Eps)
-	return feas, rank
-}
-
-// ScoreDualBatch implements DualPolicy.
-func (p PaddedBoundPolicy) ScoreDualBatch(pred BatchPredictor, qs []Query, feas, rank []float64) {
-	if fp, ok := pred.(FusedPredictor); ok {
-		fp.ScoreSecondsBatch(qs, p.Eps, rank, feas)
-	} else {
-		copy(rank, pred.EstimateSecondsBatch(qs))
-		copy(feas, pred.BoundSecondsBatch(qs, p.Eps))
-	}
-	for i := range rank {
-		rank[i] *= p.Factor
-	}
-}
-
-// ParsePolicy resolves a policy by name: "mean", "padded" (mean×factor),
-// "bound" (conformal 1−eps budget), or the mixed-head policies
-// "mean-bound" (rank on mean, feasibility on bound) and "padded-bound"
-// (rank on padded mean, feasibility on bound).
+// ParsePolicy resolves a policy by name: "mean" (the expected runtime for
+// both facets, which underestimates tail latency), "padded" (the mean
+// times factor, a heuristic with no calibration guarantee), "bound" (the
+// conformal (1−eps)-sufficient budget, a per-job probabilistic deadline
+// guarantee), or the mixed-head "mean-bound" and "padded-bound"
+// (feasibility on the bound, ranking on the mean or the padded mean, so
+// e.g. BestFit packs on mean headroom under the bound's guarantee).
+// factor must be a positive finite number, or 0 for the default 1.3; the
+// bound policies need eps in (0,1).
 func ParsePolicy(name string, eps, factor float64) (Policy, error) {
-	needEps := func() error {
-		if !(eps > 0 && eps < 1) {
-			return fmt.Errorf("sched: %s policy needs eps in (0,1), got %v", name, eps)
-		}
-		return nil
-	}
-	if factor <= 0 {
+	if factor == 0 {
 		factor = 1.3
 	}
+	if !(factor > 0) || math.IsInf(factor, 1) {
+		return Policy{}, fmt.Errorf("sched: pad factor must be a positive finite number, got %v", factor)
+	}
+	var p Policy
 	switch name {
 	case "mean":
-		return MeanPolicy{}, nil
+		p = Policy{name: "mean", feas: headMean, rank: headMean, factor: 1}
 	case "padded":
-		return PaddedMeanPolicy{Factor: factor}, nil
+		p = Policy{name: fmt.Sprintf("mean*%.1f", factor), feas: headMean, rank: headMean, factor: factor}
 	case "bound":
-		if err := needEps(); err != nil {
-			return nil, err
-		}
-		return BoundPolicy{Eps: eps}, nil
+		p = Policy{name: fmt.Sprintf("bound(eps=%.2f)", eps), feas: headBound, rank: headBound, factor: 1}
 	case "mean-bound":
-		if err := needEps(); err != nil {
-			return nil, err
-		}
-		return MeanBoundPolicy{Eps: eps}, nil
+		p = Policy{name: fmt.Sprintf("mean|bound(eps=%.2f)", eps), feas: headBound, rank: headMean, factor: 1}
 	case "padded-bound":
-		if err := needEps(); err != nil {
-			return nil, err
-		}
-		return PaddedBoundPolicy{Eps: eps, Factor: factor}, nil
+		p = Policy{name: fmt.Sprintf("padded*%.1f|bound(eps=%.2f)", factor, eps),
+			feas: headBound, rank: headMean, factor: factor}
+	default:
+		return Policy{}, fmt.Errorf("sched: unknown policy %q (want mean, padded, bound, mean-bound, or padded-bound)", name)
 	}
-	return nil, fmt.Errorf("sched: unknown policy %q (want mean, padded, bound, mean-bound, or padded-bound)", name)
+	if p.NeedsBounds() {
+		if !(eps > 0 && eps < 1) {
+			return Policy{}, fmt.Errorf("sched: %s policy needs eps in (0,1), got %v", name, eps)
+		}
+		p.eps = eps
+	}
+	return p, nil
 }

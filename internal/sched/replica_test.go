@@ -52,8 +52,8 @@ func TestReplicaConservationConcurrent(t *testing.T) {
 	rs := mustNewReplicaSet(t,
 		Config{NumPlatforms: nP, MaxColocation: coloc, WaveChunk: 2},
 		ReplicaConfig{Replicas: replicas, Shards: 1, MaxCommitRetries: 4},
-		BoundPolicy{Eps: 0.1},
-		&fusedFake{batchPred: &batchPred{Predictor: variedPred{base}}})
+		policy("bound"),
+		loop(variedPred{base}))
 
 	var (
 		placed, unplaced, rejected, shed atomic.Int64
@@ -191,8 +191,8 @@ func TestReplicaConflictRetryDeterministic(t *testing.T) {
 			rs := mustNewReplicaSet(t,
 				Config{NumPlatforms: nP, MaxColocation: 4},
 				ReplicaConfig{Replicas: 1, Shards: 1},
-				MeanPolicy{},
-				&batchPred{Predictor: variedPred{[]float64{1, 2, 3}}})
+				policy("mean"),
+				loop(variedPred{[]float64{1, 2, 3}}))
 			// One resident per platform (least-loaded spreads them), so
 			// every platform has a job to complete or orphan.
 			residentOn := map[int]JobID{}
@@ -258,8 +258,8 @@ func TestReplicaConflictShed(t *testing.T) {
 	rs := mustNewReplicaSet(t,
 		Config{NumPlatforms: 2, MaxColocation: 2},
 		ReplicaConfig{Replicas: 1, Shards: 1, MaxCommitRetries: 3},
-		MeanPolicy{},
-		&batchPred{Predictor: variedPred{base}})
+		policy("mean"),
+		loop(variedPred{base}))
 	rs.reserveGap = func(p int) {
 		// Sabotage every attempt: move the platform's version underneath
 		// the reservation with a health wobble that leaves it healthy.
@@ -294,8 +294,8 @@ func TestReplicaRebalance(t *testing.T) {
 	rs := mustNewReplicaSet(t,
 		Config{NumPlatforms: 8, MaxColocation: 4},
 		ReplicaConfig{Replicas: 2, Shards: 2},
-		MeanPolicy{},
-		&batchPred{Predictor: variedPred{base}})
+		policy("mean"),
+		loop(variedPred{base}))
 	// Load platforms 0 and 2 (both shard 0 under the initial p%2 split).
 	for i := 0; i < 4; i++ {
 		for _, p := range []int{0, 2} {
@@ -382,8 +382,8 @@ func TestReplicaSharding(t *testing.T) {
 	rs := mustNewReplicaSet(t,
 		Config{NumPlatforms: 6, MaxColocation: 4},
 		ReplicaConfig{Replicas: 2}, // Shards 0 = one shard per replica
-		MeanPolicy{},
-		&batchPred{Predictor: variedPred{base}})
+		policy("mean"),
+		loop(variedPred{base}))
 	if rs.NumShards() != 2 {
 		t.Fatalf("want 2 shards, got %d", rs.NumShards())
 	}

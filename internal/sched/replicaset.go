@@ -112,12 +112,8 @@ func (rs *ReplicaSet) ScoreTableStats() ScoreTableStats {
 	return st
 }
 
-// New creates the placement engine: the one-replica ReplicaSet. The batch
-// scoring path engages automatically when pred implements BatchPredictor
-// and policy implements BatchPolicy (all built-in policies do), unless
-// cfg.DisableBatch is set; dual-head policies (DualPolicy) additionally
-// score through one fused pass when the predictor implements
-// FusedPredictor.
+// New creates the placement engine: the one-replica ReplicaSet, scoring
+// through pred the heads policy reads (see ParsePolicy).
 func New(cfg Config, policy Policy, pred Predictor) (*ReplicaSet, error) {
 	return NewReplicaSet(cfg, ReplicaConfig{}, policy, pred)
 }

@@ -6,12 +6,14 @@
 // so a platform's resident set — and therefore the interference every
 // candidate placement must account for — changes over time. There is one
 // engine, ReplicaSet: New builds it with one replica, NewReplicaSet with
-// several over the same SlotStore. It scores all candidate platforms for a
-// wave's jobs in one batched predictor call when the predictor supports it
-// (BatchPredictor; the Pitot facade does), selects among feasible
-// platforms with a pluggable Strategy, commits each placement with a
-// version-checked slot reservation, and bounds admission so a saturated
-// cluster fails fast instead of queueing placements it cannot serve.
+// several over the same SlotStore. It scores the candidate platforms of a
+// wave's jobs through one predictor call (Predictor.ScoreSecondsBatch,
+// asking only for the heads the Policy reads), keeps every score in a
+// table until the platform or the predictor's scoring epoch changes,
+// selects among feasible platforms with a pluggable Strategy, commits each
+// placement with a version-checked slot reservation, and bounds admission
+// so a saturated cluster fails fast instead of queueing placements it
+// cannot serve.
 //
 // Measured runtimes flow back through Observer: a simulator or live
 // orchestrator reports each completed job's (workload, platform,
@@ -48,57 +50,25 @@ type Job struct {
 // frees its colocation slot.
 type JobID uint64
 
-// Predictor supplies scalar runtime estimates for placement decisions.
-// Both the Pitot facade and a ground-truth oracle satisfy it.
-type Predictor interface {
-	// EstimateSeconds returns the expected runtime of w on platform p with
-	// the given co-located workloads.
-	EstimateSeconds(w, p int, interferers []int) float64
-	// BoundSeconds returns a runtime budget sufficient with probability
-	// ≥ 1−eps, or +Inf if no valid bound exists.
-	BoundSeconds(w, p int, interferers []int, eps float64) float64
-}
-
-// BatchPredictor additionally scores many queries in one call — the shape
-// of a scheduler scanning every candidate platform for a job (or a whole
-// wave of jobs). The Pitot facade implements it on top of
-// EstimateBatch/BoundBatch; scalar-only predictors fall back to Predictor.
+// Predictor scores placement queries: the Pitot facade, or any model that
+// offers the same two heads.
 //
-// The engines keep every batched score in a per-engine score table and
-// serve it again until the platform's residents or health change or the
-// predictor's scoring epoch moves. So for a given epoch a BatchPredictor's
-// answers must be a pure function of the query, and a predictor whose
-// answers can change must expose the change through a ScoreEpoch() uint64
-// or, failing that, a Version() uint64 method (the Pitot facade has both).
-// A predictor with neither is read as epoch 0 for the engine's lifetime,
-// which is correct only if it never changes.
-type BatchPredictor interface {
-	Predictor
-	// EstimateSecondsBatch returns the expected runtime for every query.
-	EstimateSecondsBatch(qs []Query) []float64
-	// BoundSecondsBatch returns the 1−eps runtime budget for every query,
-	// +Inf where no valid bound exists.
-	BoundSecondsBatch(qs []Query, eps float64) []float64
-}
-
-// FusedPredictor additionally scores both heads — the mean estimate and
-// the conformal (1−eps) budget — for every query in one pass. Policies
-// that mix the heads (rank on mean, gate feasibility on the bound) consume
-// it through one call instead of back-to-back EstimateSecondsBatch +
-// BoundSecondsBatch, sharing the per-platform interference fold and the
-// query traversal across both models. The Pitot facade implements it on
-// top of the fused core kernel.
-type FusedPredictor interface {
-	BatchPredictor
-	// ScoreSecondsBatch fills meanOut[i] with the expected runtime and
-	// boundOut[i] with the 1−eps budget (+Inf where no valid bound exists)
-	// of qs[i]. len(meanOut) == len(boundOut) == len(qs). The values must
-	// agree with what EstimateSecondsBatch and BoundSecondsBatch would
-	// return for the same queries — exactly by default, or within the
-	// implementation's documented relative-error tolerance when it runs an
-	// approximate scoring mode (the Pitot facade's fast scoring keeps
-	// every score within core.FastScoreMaxRelErr).
+// The engine keeps every score in a per-replica table and serves it again
+// until the platform's residents or health change or the scoring epoch
+// moves. So for a given epoch the answers must be a pure function of the
+// query, and a predictor whose answers can change must move its epoch when
+// they do.
+type Predictor interface {
+	// ScoreSecondsBatch fills meanOut[i] with the expected runtime of
+	// qs[i] and boundOut[i] with its runtime budget sufficient with
+	// probability ≥ 1−eps, +Inf where no valid bound exists. A nil buffer
+	// skips that head; a non-nil one has len(qs) elements.
 	ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut []float64)
+	// ScoreEpoch is an opaque value that changes whenever the predictor
+	// would score the same query differently (a new model snapshot, a
+	// scoring-kernel switch). A predictor that never changes returns a
+	// constant.
+	ScoreEpoch() uint64
 }
 
 // Measurement is one observed job execution: the runtime actually measured
@@ -194,24 +164,19 @@ type Config struct {
 	// decision-identical to an unchunked wave. 0 means the default (64);
 	// negative places the whole wave as one chunk.
 	WaveChunk int
-	// DisableBatch forces scalar scoring even when both the policy and the
-	// predictor support batching — the reference path batch scoring must
-	// be decision-identical to (used by tests and benchmarks).
-	DisableBatch bool
 	// DegradedPenalty multiplies the feasibility score of candidates on
 	// Degraded platforms: a flaky platform must clear the deadline with
-	// padding to spare before it wins a placement. Must be ≥ 1; 0 means
-	// the default (1.25). Applied identically on the scalar, batch, and
-	// fused scoring paths, so it preserves their decision identity.
+	// padding to spare before it wins a placement. Must be finite and
+	// ≥ 1; 0 means the default (1.25).
 	DegradedPenalty float64
 	// Breaker tunes the per-platform circuit breaker fed by
 	// CompleteOutcome; the zero value gets defaults (window 20, automatic
 	// trips disabled until Threshold is set).
 	Breaker BreakerConfig
 	// Metrics, when non-nil, receives latency and size observations from
-	// the placement hot paths (score-batch latency, wave latency, per-chunk
-	// placement time, wave size). Nil disables recording: every site is a single
-	// nil check, no allocation, no time syscall.
+	// the placement hot paths (predictor-call latency, wave latency,
+	// per-chunk placement time, wave size). Nil disables recording: every
+	// site is a single nil check, no allocation, no time syscall.
 	Metrics *obs.SchedMetrics
 	// Recorder, when non-nil, receives typed lifecycle events (place,
 	// complete, shed, orphan, …) keyed by JobID — the flight recorder

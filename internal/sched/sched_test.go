@@ -21,10 +21,10 @@ func (f fakePred) BoundSeconds(w, p int, ks []int, eps float64) float64 {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}, MeanPolicy{}, fakePred{}); err == nil {
+	if _, err := New(Config{}, policy("mean"), loop(fakePred{})); err == nil {
 		t.Fatal("accepted zero platforms")
 	}
-	s, err := New(Config{NumPlatforms: 2}, MeanPolicy{}, fakePred{base: []float64{1, 2}})
+	s, err := New(Config{NumPlatforms: 2}, policy("mean"), loop(fakePred{base: []float64{1, 2}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +34,8 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestPlaceFeasibility(t *testing.T) {
-	pred := fakePred{base: []float64{1.0, 5.0}}
-	s, _ := New(Config{NumPlatforms: 2}, MeanPolicy{}, pred)
+	pred := loop(fakePred{base: []float64{1.0, 5.0}})
+	s, _ := New(Config{NumPlatforms: 2}, policy("mean"), pred)
 	// Deadline 2: only platform 0 feasible.
 	a := s.Place(Job{Workload: 0, Deadline: 2})
 	if !a.Placed() || a.Platform != 0 {
@@ -49,8 +49,8 @@ func TestPlaceFeasibility(t *testing.T) {
 }
 
 func TestPlacePrefersLeastLoaded(t *testing.T) {
-	pred := fakePred{base: []float64{1.0, 1.0}}
-	s, _ := New(Config{NumPlatforms: 2}, MeanPolicy{}, pred)
+	pred := loop(fakePred{base: []float64{1.0, 1.0}})
+	s, _ := New(Config{NumPlatforms: 2}, policy("mean"), pred)
 	a1 := s.Place(Job{Workload: 0, Deadline: 10})
 	a2 := s.Place(Job{Workload: 1, Deadline: 10})
 	if a1.Platform == a2.Platform {
@@ -59,8 +59,8 @@ func TestPlacePrefersLeastLoaded(t *testing.T) {
 }
 
 func TestPlaceRespectsColocationCap(t *testing.T) {
-	pred := fakePred{base: []float64{1.0}}
-	s, _ := New(Config{NumPlatforms: 1, MaxColocation: 2}, MeanPolicy{}, pred)
+	pred := loop(fakePred{base: []float64{1.0}})
+	s, _ := New(Config{NumPlatforms: 1, MaxColocation: 2}, policy("mean"), pred)
 	if !s.Place(Job{Workload: 0, Deadline: 100}).Placed() {
 		t.Fatal("first job unplaced")
 	}
@@ -78,8 +78,8 @@ func TestPlaceRespectsColocationCap(t *testing.T) {
 func TestPlaceAccountsForInterference(t *testing.T) {
 	// Platform runtime doubles with 2 residents; the third job's deadline
 	// only fits an empty platform.
-	pred := fakePred{base: []float64{1.0, 1.2}}
-	s, _ := New(Config{NumPlatforms: 2}, MeanPolicy{}, pred)
+	pred := loop(fakePred{base: []float64{1.0, 1.2}})
+	s, _ := New(Config{NumPlatforms: 2}, policy("mean"), pred)
 	s.Place(Job{Workload: 0, Deadline: 10})
 	s.Place(Job{Workload: 1, Deadline: 10})
 	// both platforms have 1 resident; estimate = base*1.5
@@ -89,31 +89,64 @@ func TestPlaceAccountsForInterference(t *testing.T) {
 	}
 }
 
+// Each policy reads its heads from one predictor call and pads only the
+// mean reads: the Budget is the feasibility facet, Rank what strategies
+// order candidates by.
 func TestPolicies(t *testing.T) {
-	pred := fakePred{base: []float64{2.0}}
-	if MeanPolicy.Score(MeanPolicy{}, pred, Job{}, 0, nil) != 2.0 {
-		t.Fatal("mean score")
-	}
-	if (BoundPolicy{Eps: 0.1}).Score(pred, Job{}, 0, nil) != 3.0 {
-		t.Fatal("bound score")
-	}
-	if (PaddedMeanPolicy{Factor: 2}).Score(pred, Job{}, 0, nil) != 4.0 {
-		t.Fatal("padded score")
-	}
-	for _, p := range []Policy{MeanPolicy{}, BoundPolicy{0.1}, PaddedMeanPolicy{1.5}} {
-		if p.Name() == "" {
-			t.Fatal("empty policy name")
+	pred := loop(fakePred{base: []float64{2.0, 2.0}}) // mean 2, bound 3
+	for _, tc := range []struct {
+		name         string
+		budget, rank float64
+	}{
+		{"mean", 2, 2},
+		{"padded", 2 * 1.3, 2 * 1.3},
+		{"bound", 3, 3},
+		{"mean-bound", 3, 2},
+		{"padded-bound", 3, 2 * 1.3},
+	} {
+		pred.batchCalls.Store(0)
+		var got Candidate
+		s := mustNew(t, Config{NumPlatforms: 2, Strategy: recordStrategy{&got}}, policy(tc.name), pred)
+		a := s.Place(Job{Workload: 0, Deadline: 10})
+		if a.Budget != tc.budget || got.Score != tc.budget || got.Rank != tc.rank {
+			t.Errorf("%s: budget %v, candidate %+v; want budget %v rank %v", tc.name, a.Budget, got, tc.budget, tc.rank)
+		}
+		if n := pred.batchCalls.Load(); n != 1 {
+			t.Errorf("%s: %d predictor calls for one placement, want 1", tc.name, n)
 		}
 	}
+}
+
+// recordStrategy is LeastLoaded behind the interface, recording the last
+// candidate it compared.
+type recordStrategy struct{ last *Candidate }
+
+func (recordStrategy) Name() string { return "record" }
+
+func (r recordStrategy) Better(job Job, a, b Candidate) bool {
+	*r.last = a
+	return LeastLoaded{}.Better(job, a, b)
 }
 
 // swapPred is a concurrency-safe Predictor whose per-platform speed table
 // is swapped atomically — the same publication discipline as the snapshot-
 // isolated Pitot facade. Score calls racing a swap see either the old or
-// the new table, never a torn one.
+// the new table, never a torn one, and every swap moves the scoring epoch.
 type swapPred struct {
-	base atomic.Pointer[[]float64]
+	base  atomic.Pointer[[]float64]
+	epoch atomic.Uint64
 }
+
+func (p *swapPred) publish(base *[]float64) {
+	p.base.Store(base)
+	p.epoch.Add(1)
+}
+
+func (p *swapPred) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut []float64) {
+	loopHeads(p, qs, eps, meanOut, boundOut)
+}
+
+func (p *swapPred) ScoreEpoch() uint64 { return p.epoch.Load() }
 
 func newSwapPred(base []float64) *swapPred {
 	p := &swapPred{}
@@ -152,9 +185,9 @@ func TestConcurrentSchedulersSharedPredictor(t *testing.T) {
 			default:
 			}
 			if i%2 == 0 {
-				pred.base.Store(&tableB)
+				pred.publish(&tableB)
 			} else {
-				pred.base.Store(&tableA)
+				pred.publish(&tableA)
 			}
 		}
 	}()
@@ -165,7 +198,7 @@ func TestConcurrentSchedulersSharedPredictor(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for _, pol := range []Policy{MeanPolicy{}, BoundPolicy{Eps: 0.1}} {
+			for _, pol := range []Policy{policy("mean"), policy("bound")} {
 				s, err := New(Config{NumPlatforms: 3, MaxColocation: 2}, pol, pred)
 				if err != nil {
 					t.Error(err)
@@ -232,7 +265,7 @@ func (c calibratedPred) BoundSeconds(w, p int, ks []int, eps float64) float64 {
 func TestSimulateBoundPolicyMeetsDeadlines(t *testing.T) {
 	const n = 6
 	base := []float64{1, 1.1, 0.9, 1.2, 1.0, 0.95}
-	pred := calibratedPred{base: base, sigma: 0.4}
+	pred := loop(calibratedPred{base: base, sigma: 0.4})
 	var jobs []Job
 	for i := 0; i < 30; i++ {
 		jobs = append(jobs, Job{Workload: i, Deadline: 2.2})
@@ -243,8 +276,8 @@ func TestSimulateBoundPolicyMeetsDeadlines(t *testing.T) {
 		oracle := &noisyOracle{base: base, sigma: 0.4, rng: rand.New(rand.NewSource(1))}
 		return Simulate(pol.Name(), as, oracle, s.Residents, 20)
 	}
-	mean := run(MeanPolicy{})
-	bound := run(BoundPolicy{Eps: 0.1})
+	mean := run(policy("mean"))
+	bound := run(policy("bound"))
 
 	if mean.Placed == 0 || bound.Placed == 0 {
 		t.Fatalf("no placements: %+v %+v", mean, bound)
@@ -273,14 +306,18 @@ func TestBoundPolicyMissRateNearEps(t *testing.T) {
 	base := []float64{1, 1, 1, 1}
 	const sigma = 0.4
 	const eps = 0.1
-	pred := calibratedPred{base: base, sigma: sigma}
+	pred := loop(calibratedPred{base: base, sigma: sigma})
 	var jobs []Job
 	for i := 0; i < 20; i++ {
 		// Deadline exactly at the calibrated bound for an empty platform:
 		// placements are feasible and the guarantee is tested at its edge.
 		jobs = append(jobs, Job{Workload: i, Deadline: pred.BoundSeconds(i, 0, nil, eps) * 1.001})
 	}
-	s, _ := New(Config{NumPlatforms: 4, MaxColocation: 1}, BoundPolicy{Eps: eps}, pred)
+	bound, err := ParsePolicy("bound", eps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := New(Config{NumPlatforms: 4, MaxColocation: 1}, bound, pred)
 	as := s.PlaceAll(jobs)
 	oracle := &noisyOracle{base: base, sigma: sigma, rng: rand.New(rand.NewSource(3))}
 	out := Simulate("bound", as, oracle, s.Residents, 200)

@@ -10,20 +10,6 @@ import (
 // not: a cell is served only while its platform's slot version and the
 // scoring epoch both still match, and reuse never changes a decision.
 
-// coldPred hides a predictor's scoring epoch behind one that changes on
-// every read, so an engine built on it can serve nothing from its score
-// table across chunks: every chunk rescores every cell. It is the
-// no-reuse reference the warm table must match bit for bit.
-type coldPred struct {
-	*goldenPred
-	n uint64
-}
-
-func (c *coldPred) ScoreEpoch() uint64 {
-	c.n++
-	return c.n
-}
-
 // TestScoreCacheDecisionIdentityUnderChurn is the reuse property on the
 // fake predictor: for seeded random op sequences — Zipf-skewed waves,
 // single placements, completions with breaker outcomes, Fail/Degrade/
@@ -50,7 +36,9 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 				pred := newGoldenPred(rand.New(rand.NewSource(seed)), nP)
 				var p Predictor = pred
 				if name == "cold" {
-					p = &coldPred{goldenPred: pred}
+					// The no-reuse reference the warm table must match bit
+					// for bit: every chunk rescores every cell.
+					p = &scalarRef{scalarHeads: pred}
 				}
 				arm := mustNew(t, cfg, pol, p)
 				if name == "warm" {
@@ -95,7 +83,7 @@ func statsDelta(s interface{ ScoreTableStats() ScoreTableStats }, pred *goldenPr
 // mutation.
 func TestScoreCacheCountersAndInvalidation(t *testing.T) {
 	pred := &goldenPred{base: []float64{1, 2, 3}}
-	s := mustNew(t, Config{NumPlatforms: 3}, MeanPolicy{}, pred)
+	s := mustNew(t, Config{NumPlatforms: 3}, policy("mean"), pred)
 	wave := infeasibleWave(5)
 	check := func(stage string, wantHits, wantMisses int64) {
 		t.Helper()
@@ -129,7 +117,7 @@ func TestScoreTableRescoresOnlyChangedColumn(t *testing.T) {
 	const nP, nD = 4, 5
 	pred := &goldenPred{base: []float64{1, 1.5, 2, 2.5}}
 	arm := mustNew(t, Config{NumPlatforms: nP, MaxColocation: 4,
-		Breaker: BreakerConfig{Threshold: 0.5, Window: 2, MinSamples: 1, Probation: 1}}, MeanPolicy{}, pred)
+		Breaker: BreakerConfig{Threshold: 0.5, Window: 2, MinSamples: 1, Probation: 1}}, policy("mean"), pred)
 	// Two residents per platform (least-loaded spreads them), so each
 	// platform has jobs to complete.
 	idsOn := map[int][]JobID{}
@@ -186,8 +174,8 @@ func TestScoreTableUnwrittenCellNeverServed(t *testing.T) {
 	}
 
 	// End to end: a predictor with neither epoch nor version facet.
-	pred := &batchPred{Predictor: variedPred{base: []float64{1, 2, 3}}}
-	s := mustNew(t, Config{NumPlatforms: 3}, MeanPolicy{}, pred)
+	pred := loop(variedPred{base: []float64{1, 2, 3}})
+	s := mustNew(t, Config{NumPlatforms: 3}, policy("mean"), pred)
 	s.PlaceAll(infeasibleWave(4))
 	if st := s.ScoreTableStats(); st.Hits != 0 || st.Misses != 12 || pred.batchQueries.Load() != 12 {
 		t.Fatalf("first wave at version 0, epoch 0: %+v, %d queries", st, pred.batchQueries.Load())
@@ -204,7 +192,7 @@ func TestScoreTableUnwrittenCellNeverServed(t *testing.T) {
 // fast-scoring toggle off and on again).
 func TestScoreCacheEpochMovesMidChunk(t *testing.T) {
 	pred := &flipPred{goldenPred: &goldenPred{base: []float64{1, 2}}}
-	s := mustNew(t, Config{NumPlatforms: 2}, MeanPolicy{}, pred)
+	s := mustNew(t, Config{NumPlatforms: 2}, policy("mean"), pred)
 	pred.flip = true // the chunk's scoring call moves the epoch 0 -> 1
 	s.PlaceAll(infeasibleWave(3))
 	pred.flip = false
@@ -215,17 +203,17 @@ func TestScoreCacheEpochMovesMidChunk(t *testing.T) {
 	}
 }
 
-// flipPred bumps its epoch inside a batched scoring call when flip is set.
+// flipPred bumps its epoch inside a scoring call when flip is set.
 type flipPred struct {
 	*goldenPred
 	flip bool
 }
 
-func (f *flipPred) EstimateSecondsBatch(qs []Query) []float64 {
+func (f *flipPred) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut []float64) {
 	if f.flip {
 		f.goldenPred.epoch++
 	}
-	return f.goldenPred.EstimateSecondsBatch(qs)
+	f.goldenPred.ScoreSecondsBatch(qs, eps, meanOut, boundOut)
 }
 
 // TestScoreTableMemoryBound pins the table's size: it evicts nothing and
@@ -236,7 +224,7 @@ func TestScoreTableMemoryBound(t *testing.T) {
 		t.Fatalf("a cell is %d bytes, want 24", sz)
 	}
 	pred := &goldenPred{base: []float64{1, 2, 3}}
-	s := mustNew(t, Config{NumPlatforms: 3}, MeanPolicy{}, pred)
+	s := mustNew(t, Config{NumPlatforms: 3}, policy("mean"), pred)
 	table := &s.Replica(0).table
 	cells := func() (int, int) { return len(table.ver), len(table.val) }
 	s.PlaceAll(infeasibleWave(12))
@@ -258,7 +246,7 @@ func TestScoreTableMemoryBound(t *testing.T) {
 // consulted.
 func TestScoreCacheIntraWaveDedup(t *testing.T) {
 	pred := &goldenPred{base: []float64{1, 2, 3, 4}}
-	s := mustNew(t, Config{NumPlatforms: 4}, MeanPolicy{}, pred)
+	s := mustNew(t, Config{NumPlatforms: 4}, policy("mean"), pred)
 	jobs := make([]Job, 12)
 	for i := range jobs {
 		jobs[i] = Job{Workload: i % 3, Deadline: 1e-12}
@@ -269,16 +257,17 @@ func TestScoreCacheIntraWaveDedup(t *testing.T) {
 	}
 }
 
-// TestScoreCacheScalarArmDisabled pins that the scalar reference arm keeps
-// no table: every placement scores through the scalar policy call and the
-// counters stay zero.
-func TestScoreCacheScalarArmDisabled(t *testing.T) {
+// TestScoreTableScalarReferenceNeverHits pins what makes scalarRef a
+// reference: its epoch moves on every read, so a repeated wave on an
+// unchanged cluster, which a constant-epoch predictor serves wholly from
+// the table, is scored afresh.
+func TestScoreTableScalarReferenceNeverHits(t *testing.T) {
 	pred := &goldenPred{base: []float64{1, 2}}
-	s := mustNew(t, Config{NumPlatforms: 2, DisableBatch: true}, MeanPolicy{}, pred)
+	s := mustNew(t, Config{NumPlatforms: 2}, policy("mean"), &scalarRef{scalarHeads: pred})
 	s.PlaceAll(infeasibleWave(3))
 	s.PlaceAll(infeasibleWave(3))
-	if st := s.ScoreTableStats(); st != (ScoreTableStats{}) || pred.queries != 0 {
-		t.Fatalf("scalar arm touched the table: %+v, %d batch queries", st, pred.queries)
+	if st := s.ScoreTableStats(); st.Hits != 0 || st.Misses != 12 {
+		t.Fatalf("scalar reference served from the table: %+v", st)
 	}
 }
 
@@ -287,7 +276,7 @@ func TestScoreCacheScalarArmDisabled(t *testing.T) {
 // for the first on an unchanged store.
 func TestScoreTablePerReplica(t *testing.T) {
 	pred := &goldenPred{base: []float64{1, 2, 3, 4}}
-	rs, err := NewReplicaSet(Config{NumPlatforms: 4}, ReplicaConfig{Replicas: 2, Shards: 1}, MeanPolicy{}, pred)
+	rs, err := NewReplicaSet(Config{NumPlatforms: 4}, ReplicaConfig{Replicas: 2, Shards: 1}, policy("mean"), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +303,7 @@ func hitRate(t *testing.T, churn float64) float64 {
 	const nP, nW = 80, 48
 	rng := rand.New(rand.NewSource(5))
 	pred := newGoldenPred(rng, nP)
-	s := mustNew(t, Config{NumPlatforms: nP, MaxColocation: 4}, BoundPolicy{Eps: 0.1}, pred)
+	s := mustNew(t, Config{NumPlatforms: nP, MaxColocation: 4}, policy("bound"), pred)
 	zipf := rand.NewZipf(rng, 1.2, 1, nW-1)
 	var live []JobID
 	wave := func() {
@@ -374,7 +363,7 @@ func TestScoreCacheStableWaveAllocsNoWorse(t *testing.T) {
 	for p := range pred.base {
 		pred.base[p] = 1 + float64(p)/8
 	}
-	s := mustNew(t, Config{NumPlatforms: nP, MaxColocation: 4}, BoundPolicy{Eps: 0.1}, pred)
+	s := mustNew(t, Config{NumPlatforms: nP, MaxColocation: 4}, policy("bound"), pred)
 	for i := 0; i < 2*nP; i++ {
 		if a := s.Place(Job{Workload: i % 7, Deadline: 1e9}); !a.Placed() {
 			t.Fatalf("setup placement %d unplaced", i)

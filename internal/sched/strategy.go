@@ -5,10 +5,10 @@ import "fmt"
 // Candidate is one feasible placement option under consideration: the
 // platform, the policy's scores for it, and the platform's load (resident
 // count) before this job joins. Score is the feasibility value (compared
-// against the deadline; the assignment's Budget); Rank is what strategies
-// order candidates by. Single-head policies collapse the two (Rank ==
-// Score); dual policies (DualPolicy) gate on the conformal bound while
-// ranking by the mean estimate.
+// against the deadline; the assignment's Budget) and Rank what strategies
+// order candidates by, each read from the predictor head the Policy names
+// for it: equal for the single-head policies (up to the degraded padding
+// on Score), the bound and the (padded) mean for the mixed-head ones.
 type Candidate struct {
 	Platform int
 	Score    float64
@@ -20,10 +20,12 @@ type Candidate struct {
 	Degraded bool
 }
 
-// Strategy selects among feasible candidates. Better reports whether a
-// strictly beats b for the job; the scheduler scans platforms in ascending
-// index order and keeps the first best, so any complete non-strict order
-// yields deterministic placements.
+// Strategy selects among feasible candidates by their Rank, Load and
+// Degraded flag. Better reports whether a strictly beats b for the job;
+// the engine scans platforms in ascending index order and keeps the first
+// best, so any complete non-strict order yields deterministic placements.
+// The three built-in strategies are compared inline; any other goes
+// through this interface.
 type Strategy interface {
 	Name() string
 	Better(job Job, a, b Candidate) bool
@@ -56,9 +58,9 @@ func leastLoadedBetter(a, b pick) bool {
 // BestFit picks the feasible platform whose ranking score sits closest to
 // the deadline (minimal headroom): jobs pack onto just-fast-enough
 // platforms, preserving the fastest ones for jobs that genuinely need
-// them. Under a dual policy this is "best-fit on the mean, feasible on the
-// bound": packing density comes from the cheap estimate while the deadline
-// guarantee stays conformal.
+// them. Under a mixed-head policy this is "best-fit on the mean, feasible
+// on the bound": packing density comes from the cheap estimate while the
+// deadline guarantee stays conformal.
 type BestFit struct{}
 
 // Name implements Strategy.

@@ -10,29 +10,20 @@ import (
 )
 
 // engine is the placement configuration every Replica of a ReplicaSet
-// shares: the policy and strategy, the resolved scoring arm, the chunking
-// and degraded-padding knobs, and the observability hooks. The wave path
-// below (placeChunk) is the one scoring and selection path.
+// shares: the policy, strategy and predictor, the chunking and
+// degraded-padding knobs, and the observability hooks. The wave path
+// below (placeChunk) is the one scoring and selection path, and
+// waveTable.score its one predictor call.
 type engine struct {
 	cfg      Config
 	policy   Policy
 	strategy Strategy
 	pred     Predictor
 
-	// bpred/bpolicy are non-nil when batched scoring is active: a chunk's
-	// missing scores are computed in one predictor call, and the score
-	// table keeps them for later chunks. dpolicy is non-nil when the policy
-	// scores feasibility and ranking separately (mixed mean/bound
-	// policies); with a FusedPredictor both facets come out of one fused
-	// two-head pass.
-	bpred   BatchPredictor
-	bpolicy BatchPolicy
-	dpolicy DualPolicy
-
 	// chunk is the resolved Config.WaveChunk: max jobs placed per view
 	// snapshot in PlaceAll. degradedPenalty multiplies the feasibility score of
 	// candidates on Degraded platforms (resolved Config.DegradedPenalty,
-	// ≥ 1).
+	// finite and ≥ 1).
 	chunk           int
 	degradedPenalty float64
 
@@ -43,13 +34,11 @@ type engine struct {
 
 	// met/rec are the optional observability hooks (Config.Metrics /
 	// Config.Recorder); both nil-safe, both off the decision path. ver
-	// reads the predictor's snapshot version for event stamping, epochFn
-	// its scoring epoch for the score table; either is nil when the
-	// predictor does not expose it.
-	met     *obs.SchedMetrics
-	rec     *obs.Recorder
-	ver     func() uint64
-	epochFn func() uint64
+	// reads the predictor's snapshot version for event stamping; nil when
+	// the predictor does not expose one.
+	met *obs.SchedMetrics
+	rec *obs.Recorder
+	ver func() uint64
 }
 
 // defaultWaveChunk bounds a PlaceAll chunk when Config.WaveChunk is 0:
@@ -62,12 +51,13 @@ const defaultWaveChunk = 64
 // clear the deadline with 25% headroom to win a placement.
 const defaultDegradedPenalty = 1.25
 
-// newEngine validates cfg and resolves its defaults. The batch scoring
-// path engages when pred implements BatchPredictor and policy implements
-// BatchPolicy (all built-in policies do), unless cfg.DisableBatch is set.
+// newEngine validates cfg and policy and resolves their defaults.
 func newEngine(cfg Config, policy Policy, pred Predictor) (engine, error) {
 	if cfg.NumPlatforms <= 0 {
 		return engine{}, fmt.Errorf("sched: no platforms")
+	}
+	if policy.name == "" {
+		return engine{}, fmt.Errorf("sched: zero Policy (build one with ParsePolicy)")
 	}
 	if cfg.MaxColocation <= 0 {
 		cfg.MaxColocation = 4
@@ -86,8 +76,8 @@ func newEngine(cfg Config, policy Policy, pred Predictor) (engine, error) {
 	if penalty == 0 {
 		penalty = defaultDegradedPenalty
 	}
-	if penalty < 1 {
-		return engine{}, fmt.Errorf("sched: DegradedPenalty %v < 1", penalty)
+	if !(penalty >= 1) || math.IsInf(penalty, 1) {
+		return engine{}, fmt.Errorf("sched: DegradedPenalty %v is not a finite number ≥ 1", penalty)
 	}
 	e := engine{
 		cfg:             cfg,
@@ -98,7 +88,6 @@ func newEngine(cfg Config, policy Policy, pred Predictor) (engine, error) {
 		degradedPenalty: penalty,
 		met:             cfg.Metrics,
 		rec:             cfg.Recorder,
-		epochFn:         resolveEpochFn(pred),
 	}
 	switch cfg.Strategy.(type) {
 	case LeastLoaded:
@@ -110,16 +99,6 @@ func newEngine(cfg Config, policy Policy, pred Predictor) (engine, error) {
 	}
 	if v, ok := pred.(snapshotVersioner); ok {
 		e.ver = v.Version
-	}
-	if dp, ok := policy.(DualPolicy); ok {
-		e.dpolicy = dp
-	}
-	if !cfg.DisableBatch {
-		bp, okP := pred.(BatchPredictor)
-		bpol, okPol := policy.(BatchPolicy)
-		if okP && okPol {
-			e.bpred, e.bpolicy = bp, bpol
-		}
 	}
 	return e, nil
 }
@@ -139,25 +118,6 @@ const (
 // decision to the model state that made it.
 type snapshotVersioner interface{ Version() uint64 }
 
-// scoreEpocher is the optional predictor facet exposing a scoring epoch:
-// an opaque value that changes whenever the predictor would score the same
-// query differently (new snapshot version, fast-scoring toggle). The Pitot
-// facade implements it; predictors exposing only snapshotVersioner fall
-// back to the snapshot version, and epoch-less predictors pin epoch 0 —
-// safe only when the predictor is immutable for the engine's lifetime.
-type scoreEpocher interface{ ScoreEpoch() uint64 }
-
-// resolveEpochFn picks the scoring-epoch source for the score table.
-func resolveEpochFn(pred Predictor) func() uint64 {
-	switch pv := pred.(type) {
-	case scoreEpocher:
-		return pv.ScoreEpoch
-	case snapshotVersioner:
-		return pv.Version
-	}
-	return nil
-}
-
 // snapVersion returns the predictor's current snapshot version, or 0 when
 // the predictor does not expose one. Only called on recording paths.
 func (e *engine) snapVersion() uint64 {
@@ -165,29 +125,6 @@ func (e *engine) snapVersion() uint64 {
 		return 0
 	}
 	return e.ver()
-}
-
-// epoch returns the predictor's current scoring epoch, or 0 for
-// epoch-less predictors.
-func (e *engine) epoch() uint64 {
-	if e.epochFn == nil {
-		return 0
-	}
-	return e.epochFn()
-}
-
-// Batched reports whether placements score candidates through the batched
-// predictor path.
-func (e *engine) Batched() bool { return e.bpred != nil }
-
-// Fused reports whether placements score both policy facets through one
-// fused two-head predictor pass.
-func (e *engine) Fused() bool {
-	if e.bpred == nil || e.dpolicy == nil {
-		return false
-	}
-	_, ok := e.bpred.(FusedPredictor)
-	return ok
 }
 
 // platformView is what placement needs to know about one platform: the
@@ -247,8 +184,8 @@ type waveTable struct {
 	distinct []int
 	last     []int
 	qs       []Query
-	feas     []float64
-	rank     []float64
+	mean     []float64
+	bound    []float64
 }
 
 // grow extends the table to hold workload index w.
@@ -317,21 +254,41 @@ func (t *waveTable) lookupColumn(qs []Query, p int, v *platformView, from int) (
 	return qs, hits
 }
 
-// score runs the queued queries through the policy in one batched call and
-// stores every result, stamped with its platform's view version.
-// Single-head policies fill the rank facet with the feasibility score.
+// score runs the queued queries through the predictor — the engine's one
+// predictor call, asking only for the heads the policy reads, and timed in
+// Metrics.ScoreBatch — and stores every result, stamped with its
+// platform's view version.
 func (t *waveTable) score(e *engine, views []platformView) {
 	n := len(t.qs)
-	if cap(t.feas) < n {
-		t.feas = make([]float64, n)
-		t.rank = make([]float64, n)
+	if cap(t.mean) < n {
+		t.mean = make([]float64, n)
+		t.bound = make([]float64, n)
 	}
-	feas, rank := t.feas[:n], t.rank[:n]
-	if e.dpolicy != nil {
-		e.dpolicy.ScoreDualBatch(e.bpred, t.qs, feas, rank)
-	} else {
-		e.bpolicy.ScoreBatch(e.bpred, t.qs, feas)
-		rank = feas
+	pol := &e.policy
+	var mean, bound []float64
+	if pol.reads(headMean) {
+		mean = t.mean[:n]
+	}
+	if pol.reads(headBound) {
+		bound = t.bound[:n]
+	}
+	var start time.Time
+	if e.met != nil {
+		start = time.Now()
+	}
+	e.pred.ScoreSecondsBatch(t.qs, pol.eps, mean, bound)
+	if e.met != nil {
+		e.met.ScoreBatch.ObserveSince(start)
+	}
+	for i := range mean {
+		mean[i] *= pol.factor
+	}
+	feas, rank := mean, mean
+	if pol.feas == headBound {
+		feas = bound
+	}
+	if pol.rank == headBound {
+		rank = bound
 	}
 	for i := range t.qs {
 		q := &t.qs[i]
@@ -359,14 +316,7 @@ func (e *engine) prescore(t *waveTable, plats []int, views []platformView) (hits
 	}
 	t.qs = qs
 	if len(qs) > 0 {
-		var start time.Time
-		if e.met != nil {
-			start = time.Now()
-		}
 		t.score(e, views)
-		if e.met != nil {
-			e.met.ScoreBatch.ObserveSince(start)
-		}
 	}
 	if e.rec != nil {
 		e.rec.Record(obs.Event{Kind: obs.EvScore, Platform: -1, N: int32(len(qs)),
@@ -385,27 +335,6 @@ func (e *engine) rescore(t *waveTable, p, from int, views []platformView) (hits,
 		t.score(e, views)
 	}
 	return hits, len(qs)
-}
-
-// scoreScalar is the reference arm (no BatchPredictor, or DisableBatch):
-// every open platform is scored for this one job with the scalar policy
-// call, straight into the job's row. The cells stay unstamped, so nothing
-// is ever served from them.
-func (e *engine) scoreScalar(t *waveTable, job Job, plats []int, views []platformView) {
-	row := t.val[job.Workload*t.nP : (job.Workload+1)*t.nP]
-	for _, p := range plats {
-		v := &views[p]
-		if !v.open() {
-			continue
-		}
-		c := &row[p]
-		if e.dpolicy != nil {
-			c.feas, c.rank = e.dpolicy.ScoreDual(e.pred, job, p, v.ks)
-		} else {
-			c.feas = e.policy.Score(e.pred, job, p, v.ks)
-			c.rank = c.feas
-		}
-	}
 }
 
 // selectBest is the one-pass selection over the open platforms, in plats
@@ -483,11 +412,10 @@ func unplacedReason(placeable, open int) string {
 
 // placeChunk places one chunk of jobs in arrival order, filling out[i]
 // for jobs[i], over the platforms in plats (ascending) as r's views
-// describe them. On the batched arm the chunk prescores its distinct
-// workloads through r's table, then each job is one selection pass over
-// the table; a commit (or a conflict refresh) changes one platform's view,
-// and only that platform's cells are rescored for the jobs still to place.
-// The scalar arm scores every open platform per job instead. A job no
+// describe them. The chunk prescores its distinct workloads through r's
+// table, then each job is one selection pass over the table; a commit (or
+// a conflict refresh) changes one platform's view, and only that
+// platform's cells are rescored for the jobs still to place. A job no
 // platform can take is recorded as shed, with its reason.
 //
 // Scores are per-query deterministic, so a chunk decides exactly as if it
@@ -496,22 +424,15 @@ func unplacedReason(placeable, open int) string {
 // selection.
 func (e *engine) placeChunk(r *Replica, jobs []Job, out []Assignment, plats []int) {
 	t, views, st := &r.table, r.views, r.set.SlotStore
-	batched := e.bpred != nil
 	t.grow(t.dedupJobs(jobs))
-	var hits, misses int
-	if batched {
-		t.setEpoch(e.epoch())
-		hits, misses = e.prescore(t, plats, views)
-	}
+	t.setEpoch(e.pred.ScoreEpoch())
+	hits, misses := e.prescore(t, plats, views)
 	for j, job := range jobs {
 		if !st.admits() {
 			out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
 			continue
 		}
 		for attempt := 1; ; attempt++ {
-			if !batched {
-				e.scoreScalar(t, job, plats, views)
-			}
 			best, placeable, open := e.selectBest(t, job, plats, views)
 			if best.Platform < 0 {
 				reason := unplacedReason(placeable, open)
@@ -529,7 +450,7 @@ func (e *engine) placeChunk(r *Replica, jobs []Job, out []Assignment, plats []in
 					out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: ReasonConflict}
 					break
 				}
-				if batched && views[p].open() {
+				if views[p].open() {
 					h, m := e.rescore(t, p, j, views)
 					hits, misses = hits+h, misses+m
 				}
@@ -540,15 +461,12 @@ func (e *engine) placeChunk(r *Replica, jobs []Job, out []Assignment, plats []in
 				break
 			}
 			out[j] = Assignment{ID: id, Job: job, Platform: p, Budget: best.Score, Interferers: inter}
-			if batched && j+1 < len(jobs) && views[p].open() {
+			if j+1 < len(jobs) && views[p].open() {
 				h, m := e.rescore(t, p, j+1, views)
 				hits, misses = hits+h, misses+m
 			}
 			break
 		}
-	}
-	if !batched {
-		return
 	}
 	t.hits.Add(uint64(hits))
 	t.misses.Add(uint64(misses))
@@ -557,14 +475,13 @@ func (e *engine) placeChunk(r *Replica, jobs []Job, out []Assignment, plats []in
 	// and would unstamp them anyway, so do it now rather than risk the
 	// epoch coming back (a fast-scoring toggle off and on again).
 	if misses > 0 {
-		t.setEpoch(e.epoch())
+		t.setEpoch(e.pred.ScoreEpoch())
 	}
 }
 
 // ScoreTableStats counts score-table traffic in (platform, workload)
 // cells: Hits were served from the table, Misses scored through the
-// predictor (post-commit rescores included). Both stay zero on the scalar
-// arm, which keeps no table.
+// predictor (post-commit rescores included).
 type ScoreTableStats struct {
 	Hits   uint64
 	Misses uint64

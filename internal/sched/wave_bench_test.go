@@ -41,28 +41,11 @@ func (c *costPred) BoundSeconds(w, p int, ks []int, eps float64) float64 {
 	return c.score(w, p, ks) * 1.5
 }
 
-func (c *costPred) EstimateSecondsBatch(qs []Query) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = c.EstimateSeconds(q.Workload, q.Platform, q.Interferers)
-	}
-	return out
-}
-
-func (c *costPred) BoundSecondsBatch(qs []Query, eps float64) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = c.BoundSeconds(q.Workload, q.Platform, q.Interferers, eps)
-	}
-	return out
-}
-
 func (c *costPred) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut []float64) {
-	for i, q := range qs {
-		meanOut[i] = c.EstimateSeconds(q.Workload, q.Platform, q.Interferers)
-		boundOut[i] = c.BoundSeconds(q.Workload, q.Platform, q.Interferers, eps)
-	}
+	loopHeads(c, qs, eps, meanOut, boundOut)
 }
+
+func (c *costPred) ScoreEpoch() uint64 { return 0 }
 
 // benchWaveLockHold measures how long PlaceAll holds the replica lock per
 // chunk while placing 256-job waves — what another PlaceAll on the same
@@ -77,7 +60,7 @@ func benchWaveLockHold(b *testing.B, chunk int) {
 		NumPlatforms:  24,
 		MaxColocation: 12,
 		WaveChunk:     chunk,
-	}, MeanBoundPolicy{Eps: 0.1}, newCostPred(24))
+	}, policy("mean-bound"), newCostPred(24))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -139,7 +122,7 @@ func BenchmarkWaveLockHold256Chunk64(b *testing.B) { benchWaveLockHold(b, 64) }
 // time per wave shows what the table's stamps and stores cost on top.
 func BenchmarkWaveNoReuse64(b *testing.B) {
 	const nP = 24
-	s, err := New(Config{NumPlatforms: nP, MaxColocation: 12}, MeanBoundPolicy{Eps: 0.1}, newCostPred(nP))
+	s, err := New(Config{NumPlatforms: nP, MaxColocation: 12}, policy("mean-bound"), newCostPred(nP))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -10,109 +9,11 @@ import (
 	"time"
 )
 
-// fusedFake extends the scalar-looping batchPred with the fused two-head
-// call, again looping the scalar predictor so fused, batch, and scalar
-// scoring are bitwise-identical — isolating the scheduler's decision logic
-// from predictor float reassociation.
-type fusedFake struct {
-	*batchPred
-	fusedCalls atomic.Int64
-}
-
-func (f *fusedFake) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut []float64) {
-	f.fusedCalls.Add(1)
-	for i, q := range qs {
-		meanOut[i] = f.EstimateSeconds(q.Workload, q.Platform, q.Interferers)
-		boundOut[i] = f.BoundSeconds(q.Workload, q.Platform, q.Interferers, eps)
-	}
-}
-
-var _ FusedPredictor = (*fusedFake)(nil)
-
-// Dual-head policies must make identical decisions on all three scoring
-// paths: scalar ScoreDual (DisableBatch), two-pass batch
-// (EstimateSecondsBatch + BoundSecondsBatch), and the fused one-pass
-// ScoreSecondsBatch — across strategies, completions, and waves.
-func TestDualPolicyDecisionIdentical(t *testing.T) {
-	policies := []Policy{MeanBoundPolicy{Eps: 0.1}, PaddedBoundPolicy{Eps: 0.2, Factor: 1.3}}
-	strategies := []Strategy{LeastLoaded{}, BestFit{}, UtilizationAware{}}
-	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(300 + seed))
-		nP := 3 + rng.Intn(6)
-		base := make([]float64, nP)
-		for i := range base {
-			base[i] = 0.5 + 2*rng.Float64()
-		}
-		pol := policies[rng.Intn(len(policies))]
-		strat := strategies[rng.Intn(len(strategies))]
-		cfg := Config{NumPlatforms: nP, MaxColocation: 1 + rng.Intn(3), MaxInFlight: 4 + rng.Intn(8), Strategy: strat}
-		scalarCfg := cfg
-		scalarCfg.DisableBatch = true
-		fused := &fusedFake{batchPred: &batchPred{Predictor: variedPred{base}}}
-		sf := mustNew(t, cfg, pol, fused)
-		sb := mustNew(t, cfg, pol, &batchPred{Predictor: variedPred{base}})
-		ss := mustNew(t, scalarCfg, pol, &batchPred{Predictor: variedPred{base}})
-		if !sf.Fused() || sb.Fused() || ss.Batched() {
-			t.Fatal("fused/batch/scalar wiring wrong")
-		}
-		var live []JobID
-		for i := 0; i < 50; i++ {
-			if len(live) > 0 && rng.Float64() < 0.3 {
-				id := live[rng.Intn(len(live))]
-				errF, errB, errS := sf.Complete(id), sb.Complete(id), ss.Complete(id)
-				if (errF == nil) != (errS == nil) || (errB == nil) != (errS == nil) {
-					t.Fatalf("seed %d: complete disagreement on id %d", seed, id)
-				}
-				if errF == nil {
-					for j, l := range live {
-						if l == id {
-							live = append(live[:j], live[j+1:]...)
-							break
-						}
-					}
-				}
-				continue
-			}
-			if rng.Float64() < 0.3 {
-				// A small wave instead of a single placement.
-				n := 2 + rng.Intn(4)
-				jobs := make([]Job, n)
-				for j := range jobs {
-					jobs[j] = Job{Workload: rng.Intn(20), Deadline: 0.3 + 6*rng.Float64()}
-				}
-				wf, wb, ws := sf.PlaceAll(jobs), sb.PlaceAll(jobs), ss.PlaceAll(jobs)
-				for j := range jobs {
-					if !sameAssignment(wf[j], ws[j]) || !sameAssignment(wb[j], ws[j]) {
-						t.Fatalf("seed %d wave job %d: fused %+v batch %+v scalar %+v (policy %s, strategy %s)",
-							seed, j, wf[j], wb[j], ws[j], pol.Name(), strat.Name())
-					}
-					if wf[j].Placed() {
-						live = append(live, wf[j].ID)
-					}
-				}
-				continue
-			}
-			job := Job{Workload: rng.Intn(20), Deadline: 0.3 + 6*rng.Float64()}
-			af, ab, as := sf.Place(job), sb.Place(job), ss.Place(job)
-			if !sameAssignment(af, as) || !sameAssignment(ab, as) {
-				t.Fatalf("seed %d job %d: fused %+v batch %+v scalar %+v (policy %s, strategy %s)",
-					seed, i, af, ab, as, pol.Name(), strat.Name())
-			}
-			if af.Placed() {
-				live = append(live, af.ID)
-			}
-		}
-		if fused.fusedCalls.Load() == 0 {
-			t.Fatalf("seed %d: fused path never engaged", seed)
-		}
-	}
-}
-
-// A dual policy's Budget must be the feasibility facet (the bound), never
-// the ranking mean, and BestFit must rank on the mean.
-func TestDualPolicyBudgetIsBound(t *testing.T) {
-	pred := &fusedFake{batchPred: &batchPred{Predictor: variedPred{base: []float64{1, 1}}}}
-	s := mustNew(t, Config{NumPlatforms: 2, Strategy: BestFit{}}, MeanBoundPolicy{Eps: 0.1}, pred)
+// A mixed-head policy's Budget must be the feasibility facet (the bound),
+// never the ranking mean, and BestFit must rank on the mean.
+func TestMixedPolicyBudgetIsBound(t *testing.T) {
+	pred := loop(variedPred{base: []float64{1, 1}})
+	s := mustNew(t, Config{NumPlatforms: 2, Strategy: BestFit{}}, policy("mean-bound"), pred)
 	job := Job{Workload: 0, Deadline: 50}
 	a := s.Place(job)
 	if !a.Placed() {
@@ -140,8 +41,8 @@ func TestChunkedPlaceAllMatchesUnchunked(t *testing.T) {
 			cfg := Config{NumPlatforms: nP, MaxColocation: 2, MaxInFlight: 2 * nP, WaveChunk: chunk}
 			uncfg := cfg
 			uncfg.WaveChunk = -1
-			sc := mustNew(t, cfg, MeanBoundPolicy{Eps: 0.1}, &fusedFake{batchPred: &batchPred{Predictor: variedPred{base}}})
-			su := mustNew(t, uncfg, MeanBoundPolicy{Eps: 0.1}, &fusedFake{batchPred: &batchPred{Predictor: variedPred{base}}})
+			sc := mustNew(t, cfg, policy("mean-bound"), loop(variedPred{base}))
+			su := mustNew(t, uncfg, policy("mean-bound"), loop(variedPred{base}))
 			for wave := 0; wave < 3; wave++ {
 				jobs := make([]Job, 5+rng.Intn(20))
 				for i := range jobs {
@@ -181,12 +82,12 @@ func TestChunkedPlaceAllMatchesUnchunked(t *testing.T) {
 // mid-wave completion freed the slot. Deterministic via the chunk-boundary
 // hook.
 func TestChunkedWaveMidWaveComplete(t *testing.T) {
-	pred := &batchPred{Predictor: variedPred{base: []float64{1}}}
+	pred := loop(variedPred{base: []float64{1}})
 	wave := []Job{{Workload: 1, Deadline: 100}, {Workload: 2, Deadline: 100}}
 
 	// Unchunked control: the resident occupies the only slot for the whole
 	// wave; both jobs are unplaced.
-	su := mustNew(t, Config{NumPlatforms: 1, MaxColocation: 1, WaveChunk: -1}, MeanPolicy{}, pred)
+	su := mustNew(t, Config{NumPlatforms: 1, MaxColocation: 1, WaveChunk: -1}, policy("mean"), pred)
 	r := su.Place(Job{Workload: 0, Deadline: 100})
 	if !r.Placed() {
 		t.Fatal("resident unplaced")
@@ -202,7 +103,7 @@ func TestChunkedWaveMidWaveComplete(t *testing.T) {
 
 	// Chunked: the hook completes the resident between chunk 1 and chunk 2;
 	// job B's chunk pre-scores against the freed platform.
-	sc := mustNew(t, Config{NumPlatforms: 1, MaxColocation: 1, WaveChunk: 1}, MeanPolicy{}, pred)
+	sc := mustNew(t, Config{NumPlatforms: 1, MaxColocation: 1, WaveChunk: 1}, policy("mean"), pred)
 	r = sc.Place(Job{Workload: 0, Deadline: 100})
 	if !r.Placed() {
 		t.Fatal("resident unplaced")
@@ -238,12 +139,12 @@ type parkPred struct {
 	release chan struct{}
 }
 
-func (p *parkPred) EstimateSecondsBatch(qs []Query) []float64 {
+func (p *parkPred) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut []float64) {
 	if p.armed.CompareAndSwap(true, false) {
 		close(p.parked)
 		<-p.release
 	}
-	return p.batchPred.EstimateSecondsBatch(qs)
+	p.batchPred.ScoreSecondsBatch(qs, eps, meanOut, boundOut)
 }
 
 // Lifecycle events never wait for a chunk: with the chunk parked inside
@@ -252,11 +153,11 @@ func (p *parkPred) EstimateSecondsBatch(qs []Query) []float64 {
 // place the wave, every job accounted for.
 func TestMidWaveLifecycleDoesNotWaitForChunk(t *testing.T) {
 	pred := &parkPred{
-		batchPred: &batchPred{Predictor: variedPred{base: []float64{1, 2, 3}}},
+		batchPred: loop(variedPred{base: []float64{1, 2, 3}}),
 		parked:    make(chan struct{}),
 		release:   make(chan struct{}),
 	}
-	s := mustNew(t, Config{NumPlatforms: 3, MaxColocation: 4}, MeanPolicy{}, pred)
+	s := mustNew(t, Config{NumPlatforms: 3, MaxColocation: 4}, policy("mean"), pred)
 	var residents []Assignment
 	for w := 0; w < 2; w++ {
 		a := s.Place(Job{Workload: w, Deadline: 1e9})
@@ -314,8 +215,8 @@ func TestMidWaveLifecycleDoesNotWaitForChunk(t *testing.T) {
 // Concurrent Complete/Place calls racing a long chunked wave must keep the
 // bookkeeping consistent and drain cleanly. Run under -race.
 func TestConcurrentCompleteDuringChunkedWave(t *testing.T) {
-	pred := &fusedFake{batchPred: &batchPred{Predictor: variedPred{base: []float64{1, 1.2, 0.8, 1.5}}}}
-	s := mustNew(t, Config{NumPlatforms: 4, MaxColocation: 8, WaveChunk: 4}, MeanBoundPolicy{Eps: 0.1}, pred)
+	pred := loop(variedPred{base: []float64{1, 1.2, 0.8, 1.5}})
+	s := mustNew(t, Config{NumPlatforms: 4, MaxColocation: 8, WaveChunk: 4}, policy("mean-bound"), pred)
 
 	wave := make([]Job, 64)
 	for i := range wave {
@@ -394,10 +295,10 @@ func TestConcurrentCompleteDuringChunkedWave(t *testing.T) {
 // success rate.
 func TestStreamRetryQueue(t *testing.T) {
 	run := func(retryLimit int) StreamResult {
-		pred := &batchPred{Predictor: variedPred{base: []float64{1}}}
+		pred := loop(variedPred{base: []float64{1}})
 		// One slot total: under rate 5 with ~1s runtimes most arrivals find
 		// the platform busy.
-		s := mustNew(t, Config{NumPlatforms: 1, MaxColocation: 1}, MeanPolicy{}, pred)
+		s := mustNew(t, Config{NumPlatforms: 1, MaxColocation: 1}, policy("mean"), pred)
 		oracle := oracleFunc(func(w, p int, ks []int) float64 { return 0.9 })
 		source := func(rng *rand.Rand, i int) Job {
 			return Job{Workload: i % 5, Deadline: 100}
@@ -447,8 +348,8 @@ func TestStreamRetryQueue(t *testing.T) {
 // the count trigger, and cooperate with it when both are armed.
 func TestStreamFeedbackInterval(t *testing.T) {
 	newSched := func() *ReplicaSet {
-		pred := &batchPred{Predictor: variedPred{base: []float64{1, 1.2, 0.8}}}
-		return mustNew(t, Config{NumPlatforms: 3, MaxColocation: 2}, MeanPolicy{}, pred)
+		pred := loop(variedPred{base: []float64{1, 1.2, 0.8}})
+		return mustNew(t, Config{NumPlatforms: 3, MaxColocation: 2}, policy("mean"), pred)
 	}
 	oracle := oracleFunc(func(w, p int, ks []int) float64 { return 0.4 + 0.1*float64(w%3) })
 	source := func(rng *rand.Rand, i int) Job { return Job{Workload: i % 9, Deadline: 100} }
@@ -488,24 +389,5 @@ func TestStreamFeedbackInterval(t *testing.T) {
 	}
 	if resBoth.Observed < resCount.Observed {
 		t.Fatalf("combined triggers flushed %d < count-only %d", resBoth.Observed, resCount.Observed)
-	}
-}
-
-// The new mixed-head policy names parse; bad eps is rejected.
-func TestParseDualPolicies(t *testing.T) {
-	for _, n := range []string{"mean-bound", "padded-bound"} {
-		pol, err := ParsePolicy(n, 0.1, 1.3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := pol.(DualPolicy); !ok {
-			t.Fatalf("%s is not a DualPolicy", n)
-		}
-		if _, err := ParsePolicy(n, 0, 1.3); err == nil {
-			t.Fatalf("%s accepted eps 0", n)
-		}
-		if _, err := ParsePolicy(n, math.NaN(), 1.3); err == nil {
-			t.Fatalf("%s accepted NaN eps", n)
-		}
 	}
 }

@@ -45,6 +45,28 @@ func testPredictor(tb testing.TB) (*pitot.Predictor, *pitot.Dataset) {
 	return trained.pred, trained.ds
 }
 
+// ownPredictor returns a private copy of the shared trained predictor,
+// made with Export and LoadPredictor and no retraining, for tests that
+// Observe: the shared one then stays at version 0 however often the
+// package's tests run in one process.
+func ownPredictor(tb testing.TB) (*pitot.Predictor, *pitot.Dataset) {
+	tb.Helper()
+	shared, _ := testPredictor(tb)
+	var data, mean, quant bytes.Buffer
+	if err := shared.Export(&data, &mean, &quant); err != nil {
+		tb.Fatal(err)
+	}
+	ds, err := pitot.ReadDataset(&data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pred, err := pitot.LoadPredictor(ds, &mean, &quant)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pred, ds
+}
+
 func postJSON(t *testing.T, client *http.Client, url string, body any, out any) (int, string) {
 	t.Helper()
 	buf, err := json.Marshal(body)
@@ -75,7 +97,7 @@ func postJSON(t *testing.T, client *http.Client, url string, body any, out any) 
 // subsequent predictions and /healthz reflect, and malformed requests are
 // rejected with client errors.
 func TestHTTPEndpoints(t *testing.T) {
-	pred, ds := testPredictor(t)
+	pred, ds := ownPredictor(t)
 	s := New(pred, Config{MaxBatch: 64, Window: 200 * time.Microsecond})
 	defer s.Close()
 	ts := httptest.NewServer(NewHandler(s))
@@ -321,7 +343,7 @@ func TestHTTPConcurrentObserveAndEstimate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains during serving")
 	}
-	pred, ds := testPredictor(t)
+	pred, ds := ownPredictor(t)
 	s := New(pred, Config{MaxBatch: 64, Window: 200 * time.Microsecond})
 	defer s.Close()
 	ts := httptest.NewServer(NewHandler(s))

@@ -23,11 +23,13 @@ type PlacementConfig struct {
 	MaxInFlight int
 	// Policy is "bound" (default), "mean", "padded", or the mixed-head
 	// "mean-bound" / "padded-bound" (rank on (padded) mean, feasibility on
-	// the conformal bound, scored in one fused pass).
+	// the conformal bound, scored in one fused pass when the backend is a
+	// ScorerBackend).
 	Policy string
 	// Eps is the bound policy's per-job miss budget (default 0.1).
 	Eps float64
-	// PadFactor is the padded policy's safety factor (default 1.3).
+	// PadFactor is the padded policies' safety factor (default 1.3); it
+	// must be a positive finite number.
 	PadFactor float64
 	// Strategy is "least-loaded" (default), "best-fit", or "utilization".
 	Strategy string
@@ -80,17 +82,18 @@ type placeReply struct {
 	err error
 }
 
-// backendPredictor adapts the serving Backend to sched.BatchPredictor:
-// placement scoring goes straight to the vectorized batch calls (already a
-// batch — micro-batching single calls would only add hand-offs), with
-// errors mapped to +Inf per the scheduler's infeasibility convention. When
-// the backend exposes the fused two-head pass (ScorerBackend; the Pitot
-// facade does), the adapter forwards it so mixed mean/bound policies score
-// whole waves in one pass.
+// backendPredictor adapts the serving Backend to sched.Predictor. Each
+// scoring call goes to the one backend call that serves exactly the heads
+// asked for: EstimateBatch for the mean alone, BoundBatch for the bound
+// alone, and the fused two-head pass for both when the backend offers it
+// (ScorerBackend; the Pitot facade does), EstimateBatch then BoundBatch
+// otherwise. Placement scoring is already a batch, so it bypasses the
+// micro-batcher. A bound error maps to +Inf for the whole batch, the
+// scheduler's infeasibility convention.
 type backendPredictor struct{ be Backend }
 
-// ScorerBackend is the optional fused two-head surface of a Backend.
-// *pitot.Predictor implements it.
+// ScorerBackend is the optional fused two-head surface of a Backend,
+// with sched.Predictor's buffer contract. *pitot.Predictor implements it.
 type ScorerBackend interface {
 	ScoreSecondsBatch(qs []pitot.Query, eps float64, meanOut, boundOut []float64)
 }
@@ -114,42 +117,25 @@ func (b backendPredictor) ScoreEpoch() uint64 {
 	return e
 }
 
-func (b backendPredictor) EstimateSeconds(w, pl int, interferers []int) float64 {
-	return b.be.Estimate(w, pl, interferers)
-}
-
-func (b backendPredictor) BoundSeconds(w, pl int, interferers []int, eps float64) float64 {
-	v, err := b.be.Bound(w, pl, interferers, eps)
-	if err != nil {
-		return math.Inf(1)
+// ScoreSecondsBatch implements sched.Predictor.
+func (b backendPredictor) ScoreSecondsBatch(qs []pitot.Query, eps float64, meanOut, boundOut []float64) {
+	if sb, ok := b.be.(ScorerBackend); ok && meanOut != nil && boundOut != nil {
+		sb.ScoreSecondsBatch(qs, eps, meanOut, boundOut)
+		return
 	}
-	return v
-}
-
-func (b backendPredictor) EstimateSecondsBatch(qs []pitot.Query) []float64 {
-	return b.be.EstimateBatch(qs)
-}
-
-func (b backendPredictor) BoundSecondsBatch(qs []pitot.Query, eps float64) []float64 {
-	out, err := b.be.BoundBatch(qs, eps)
-	if err != nil {
-		out = make([]float64, len(qs))
-		for i := range out {
-			out[i] = math.Inf(1)
+	if meanOut != nil {
+		copy(meanOut, b.be.EstimateBatch(qs))
+	}
+	if boundOut != nil {
+		out, err := b.be.BoundBatch(qs, eps)
+		if err != nil {
+			for i := range boundOut {
+				boundOut[i] = math.Inf(1)
+			}
+			return
 		}
+		copy(boundOut, out)
 	}
-	return out
-}
-
-// fusedBackendPredictor additionally satisfies sched.FusedPredictor; it is
-// used when the backend implements ScorerBackend.
-type fusedBackendPredictor struct {
-	backendPredictor
-	sb ScorerBackend
-}
-
-func (b fusedBackendPredictor) ScoreSecondsBatch(qs []pitot.Query, eps float64, meanOut, boundOut []float64) {
-	b.sb.ScoreSecondsBatch(qs, eps, meanOut, boundOut)
 }
 
 // EnablePlacement constructs the placement engine. Must be called before
@@ -164,21 +150,16 @@ func (s *Server) EnablePlacement(pc PlacementConfig) error {
 	if pc.Eps == 0 {
 		pc.Eps = 0.1
 	}
-	needsBounds := pc.Policy == "bound" || pc.Policy == "mean-bound" || pc.Policy == "padded-bound"
-	if needsBounds && !s.be.Info().Bounds {
-		return fmt.Errorf("serve: %s placement policy needs a quantile model (train with bounds)", pc.Policy)
-	}
 	pol, err := sched.ParsePolicy(pc.Policy, pc.Eps, pc.PadFactor)
 	if err != nil {
 		return err
 	}
+	if pol.NeedsBounds() && !s.be.Info().Bounds {
+		return fmt.Errorf("serve: %s placement policy needs a quantile model (train with bounds)", pc.Policy)
+	}
 	strat, err := sched.ParseStrategy(pc.Strategy)
 	if err != nil {
 		return err
-	}
-	var pred sched.Predictor = backendPredictor{s.be}
-	if sb, ok := s.be.(ScorerBackend); ok {
-		pred = fusedBackendPredictor{backendPredictor{s.be}, sb}
 	}
 	// Observability: the placement-stack histograms are always attached
 	// (atomic counters, no retention); the flight recorder is sized by
@@ -202,7 +183,7 @@ func (s *Server) EnablePlacement(pc PlacementConfig) error {
 	if shards == 0 || replicas == 1 {
 		shards = 1 // shared pool: any replica can place anywhere
 	}
-	placer, err := sched.NewReplicaSet(cfg, sched.ReplicaConfig{Replicas: replicas, Shards: shards}, pol, pred)
+	placer, err := sched.NewReplicaSet(cfg, sched.ReplicaConfig{Replicas: replicas, Shards: shards}, pol, backendPredictor{s.be})
 	if err != nil {
 		return err
 	}

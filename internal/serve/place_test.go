@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	pitot "repro"
@@ -169,12 +170,18 @@ func TestBackendPredictorErrorMapsToInfeasible(t *testing.T) {
 	be := newFakeBackend()
 	be.boundErr = errTest
 	bp := backendPredictor{be}
-	out := bp.BoundSecondsBatch([]pitot.Query{{Workload: 0, Platform: 0}}, 0.1)
-	if !math.IsInf(out[0], 1) {
-		t.Fatalf("bound error not mapped to +Inf: %v", out)
-	}
-	if v := bp.BoundSeconds(0, 0, nil, 0.1); !math.IsInf(v, 1) {
-		t.Fatalf("scalar bound error not mapped to +Inf: %v", v)
+	qs := []pitot.Query{{Workload: 0, Platform: 0}, {Workload: 1, Platform: 2}}
+	for _, mean := range [][]float64{nil, make([]float64, len(qs))} {
+		out := make([]float64, len(qs))
+		bp.ScoreSecondsBatch(qs, 0.1, mean, out)
+		for i, v := range out {
+			if !math.IsInf(v, 1) {
+				t.Fatalf("bound error not mapped to +Inf: %v", out)
+			}
+			if mean != nil && mean[i] != be.estimate(qs[i]) {
+				t.Fatalf("means lost with the bound error: %v", mean)
+			}
+		}
 	}
 	s := New(be, Config{})
 	defer s.Close()
@@ -187,5 +194,75 @@ func TestBackendPredictorErrorMapsToInfeasible(t *testing.T) {
 	}
 	if !as[0].Placed() {
 		t.Fatalf("mean placement through fake backend failed: %+v", as[0])
+	}
+}
+
+// scorerFake is fakeBackend with the fused two-head pass, counting its
+// calls.
+type scorerFake struct {
+	*fakeBackend
+	fused atomic.Int64
+}
+
+func (f *scorerFake) ScoreSecondsBatch(qs []pitot.Query, eps float64, meanOut, boundOut []float64) {
+	f.fused.Add(1)
+	for i, q := range qs {
+		meanOut[i] = f.estimate(q)
+		boundOut[i] = f.estimate(q) * (1 + eps)
+	}
+}
+
+// The adapter sends each scoring call to the one backend call that serves
+// exactly the heads asked for: EstimateBatch for the mean, BoundBatch for
+// the bound, the fused pass for both when the backend has one and the two
+// batch calls otherwise.
+func TestBackendPredictorRoutesHeads(t *testing.T) {
+	qs := []pitot.Query{{Workload: 0, Platform: 1}, {Workload: 3, Platform: 2, Interferers: []int{1}}}
+	want := func(eps float64) (mean, bound []float64) {
+		for _, q := range qs {
+			mean = append(mean, float64(q.Workload+1)+0.001*float64(q.Platform))
+			bound = append(bound, mean[len(mean)-1]*(1+eps))
+		}
+		return mean, bound
+	}
+	for _, fused := range []bool{false, true} {
+		for _, heads := range []string{"mean", "bound", "both"} {
+			be := newFakeBackend()
+			var backend Backend = be
+			sf := &scorerFake{fakeBackend: be}
+			if fused {
+				backend = sf
+			}
+			var mean, bound []float64
+			if heads != "bound" {
+				mean = make([]float64, len(qs))
+			}
+			if heads != "mean" {
+				bound = make([]float64, len(qs))
+			}
+			backendPredictor{backend}.ScoreSecondsBatch(qs, 0.2, mean, bound)
+			wm, wb := want(0.2)
+			for i := range qs {
+				if (mean != nil && mean[i] != wm[i]) || (bound != nil && bound[i] != wb[i]) {
+					t.Fatalf("fused %v %s: mean %v bound %v, want %v %v", fused, heads, mean, bound, wm, wb)
+				}
+			}
+			est, bnd := len(be.estBatches), len(be.boundCalls[0.2])
+			var wantEst, wantBnd, wantFused int
+			switch {
+			case heads == "both" && fused:
+				wantFused = 1
+			case heads == "both":
+				wantEst, wantBnd = 1, 1
+			case heads == "mean":
+				wantEst = 1
+			default:
+				wantBnd = 1
+			}
+			if est != wantEst || bnd != wantBnd || int(sf.fused.Load()) != wantFused {
+				t.Fatalf("fused %v %s: %d EstimateBatch, %d BoundBatch, %d fused calls; want %d, %d, %d",
+					fused, heads, est, bnd, sf.fused.Load(), wantEst, wantBnd, wantFused)
+			}
+		}
 	}
 }

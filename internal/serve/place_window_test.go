@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -270,21 +271,33 @@ func TestCalibrationLagGauge(t *testing.T) {
 	}
 }
 
+// fusedCounter is the real predictor counting its fused two-head passes.
+type fusedCounter struct {
+	*pitot.Predictor
+	fused atomic.Int64
+}
+
+func (c *fusedCounter) ScoreSecondsBatch(qs []pitot.Query, eps float64, meanOut, boundOut []float64) {
+	c.fused.Add(1)
+	c.Predictor.ScoreSecondsBatch(qs, eps, meanOut, boundOut)
+}
+
 // The real predictor's fused two-head surface reaches the placement engine
 // through the backend adapter: mixed policies score through one pass.
 func TestPlacementFusedThroughBackend(t *testing.T) {
 	pred, _ := testPredictor(t)
-	s := New(pred, Config{})
+	fc := &fusedCounter{Predictor: pred}
+	s := New(fc, Config{})
 	defer s.Close()
 	if err := s.EnablePlacement(PlacementConfig{Policy: "mean-bound", Eps: 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Placer().Fused() {
-		t.Fatal("mean-bound placement over the real predictor is not fused")
-	}
 	as, err := s.PlaceJobs([]sched.Job{{Workload: 0, Deadline: 1e9}})
 	if err != nil || !as[0].Placed() {
 		t.Fatalf("fused placement failed: %v %+v", err, as)
+	}
+	if fc.fused.Load() == 0 {
+		t.Fatal("mean-bound placement over the real predictor is not fused")
 	}
 	// Budget must be the conservative bound head, not the mean.
 	mean := pred.Estimate(0, as[0].Platform, as[0].Interferers)

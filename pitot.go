@@ -26,10 +26,12 @@
 // (readers never see a half-updated model).
 //
 // The predictor also backs the failure-aware orchestration stack
-// (internal/sched, internal/serve): it implements the scheduler-facing
-// batch, fused two-head, and feedback surfaces, so placement policies
-// score candidate platforms — skipping failed ones and padding degraded
-// ones — directly against the live model snapshot. See DESIGN.md for the
+// (internal/sched, internal/serve): ScoreSecondsBatch is the scheduler's
+// one scoring call — the mean head, the bound head, or both in one fused
+// pass, as the placement policy asks — and ScoreEpoch and ObserveSeconds
+// complete its predictor and feedback surfaces, so placement scores
+// candidate platforms — skipping failed ones and padding degraded ones —
+// directly against the live model snapshot. See DESIGN.md for the
 // snapshot and failure-model architecture and EXPERIMENTS.md for the
 // paper-reproduction results.
 package pitot
@@ -106,11 +108,11 @@ type snapshot struct {
 	split   dataset.Split
 	version uint64
 	// fast selects the approximate fused scoring kernel
-	// (core.PredictFusedBatchFast) for this snapshot's ScoreBatch/
-	// ScoreSecondsBatch. Carried on the snapshot — not read from mutable
-	// config — so a concurrent SetFastScoring never mixes kernels inside
-	// one batch: every reader scores its whole batch with the kernel of
-	// the snapshot it loaded.
+	// (core.PredictFusedBatchFast) for this snapshot's ScoreBatch and
+	// two-head ScoreSecondsBatch. Carried on the snapshot — not read from
+	// mutable config — so a concurrent SetFastScoring never mixes kernels
+	// inside one batch: every reader scores its whole batch with the
+	// kernel of the snapshot it loaded.
 	fast bool
 
 	// bounders holds the per-eps conformal calibrations for this snapshot.
@@ -264,20 +266,27 @@ func (p *Predictor) EstimateBatch(qs []Query) []float64 {
 // way as EstimateBatch, with the conformal calibration shared across the
 // whole batch. Requires Options.EnableBounds at training time.
 func (p *Predictor) BoundBatch(qs []Query, eps float64) ([]float64, error) {
-	s := p.snap.Load()
+	out := make([]float64, len(qs))
+	if err := p.snap.Load().boundInto(qs, eps, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// boundInto is BoundBatch into a caller-owned buffer.
+func (s *snapshot) boundInto(qs []Query, eps float64, out []float64) error {
 	if s.quant == nil {
-		return nil, fmt.Errorf("pitot: bounds not enabled; train with Options.EnableBounds")
+		return fmt.Errorf("pitot: bounds not enabled; train with Options.EnableBounds")
 	}
 	b, err := s.bounder(eps)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]float64, len(qs))
 	s.quant.PredictLogSecondsBatch(qs, b.Head, out)
 	for i := range out {
 		out[i] = math.Exp(b.Bound(out[i], len(qs[i].Interferers)))
 	}
-	return out, nil
+	return nil
 }
 
 // ScoreBatch returns, for every query, both predictor heads in one fused
@@ -461,65 +470,38 @@ func (p *Predictor) InterferenceNorm(platform int) float64 {
 	return p.snap.Load().mean.InterferenceNorm(platform)
 }
 
-// The facade is the orchestration engine's batch-scoring predictor (fused
-// two-head variant included) and its online-feedback sink.
+// The facade is the orchestration engine's predictor and its
+// online-feedback sink.
 var (
-	_ sched.BatchPredictor = (*Predictor)(nil)
-	_ sched.FusedPredictor = (*Predictor)(nil)
-	_ sched.Observer       = (*Predictor)(nil)
+	_ sched.Predictor = (*Predictor)(nil)
+	_ sched.Observer  = (*Predictor)(nil)
 )
 
-// EstimateSeconds is Estimate under the name internal/sched.Predictor
-// expects, so a trained Predictor plugs directly into the scheduler.
-func (p *Predictor) EstimateSeconds(w, pl int, interferers []int) float64 {
-	return p.Estimate(w, pl, interferers)
-}
-
-// BoundSeconds is Bound with errors mapped to +Inf (infeasible), matching
-// internal/sched.Predictor.
-func (p *Predictor) BoundSeconds(w, pl int, interferers []int, eps float64) float64 {
-	b, err := p.Bound(w, pl, interferers, eps)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return b
-}
-
-// EstimateSecondsBatch is EstimateBatch under the sched.BatchPredictor
-// name: the scheduler scores a job's whole candidate set (or a whole wave
-// of jobs) in one vectorized pass instead of one scalar call per platform.
-func (p *Predictor) EstimateSecondsBatch(qs []Query) []float64 {
-	return p.EstimateBatch(qs)
-}
-
-// BoundSecondsBatch is BoundBatch with errors mapped to +Inf, matching
-// sched.BatchPredictor's infeasibility convention. The errors BoundBatch
-// can return — bounds not enabled, or a calibration failure for eps — are
-// batch-level conditions, not per-query ones, so a failure marks the
-// entire batch infeasible: every query comes back +Inf. The whole batch
-// shares one conformal calibration fetch and one model snapshot.
-func (p *Predictor) BoundSecondsBatch(qs []Query, eps float64) []float64 {
-	out, err := p.BoundBatch(qs, eps)
-	if err != nil {
-		out = make([]float64, len(qs))
-		for i := range out {
-			out[i] = math.Inf(1)
-		}
-	}
-	return out
-}
-
-// ScoreSecondsBatch is ScoreBatch under the sched.FusedPredictor name:
-// both heads of the whole wave in one pass, with errors (bounds not
-// enabled, bad eps) mapped to +Inf bounds and plain mean estimates,
-// matching the scheduler's infeasibility convention. The fallback fills
-// the caller's buffers in place from the same snapshot that failed the
-// fused pass — no allocation, and no chance of the means coming from a
-// newer snapshot than the error did.
+// ScoreSecondsBatch is the orchestration engine's scoring call
+// (sched.Predictor): meanOut[i] gets the expected runtime and boundOut[i]
+// the (1−eps) budget of qs[i], from one snapshot; a nil buffer skips its
+// head. One head runs exactly EstimateBatch's or BoundBatch's code into
+// the caller's buffer, both run ScoreBatch's fused pass (the fast kernel
+// under fast scoring). A bound error (bounds not enabled, a calibration
+// failure for eps) sets every bound to +Inf, the scheduler's infeasibility
+// convention; the means are filled either way.
 func (p *Predictor) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut []float64) {
 	s := p.snap.Load()
-	if err := s.scoreInto(qs, eps, meanOut, boundOut); err != nil {
-		s.mean.PredictSecondsBatch(qs, 0, meanOut)
+	var err error
+	switch {
+	case boundOut == nil:
+		if meanOut != nil {
+			s.mean.PredictSecondsBatch(qs, 0, meanOut)
+		}
+		return
+	case meanOut == nil:
+		err = s.boundInto(qs, eps, boundOut)
+	default:
+		if err = s.scoreInto(qs, eps, meanOut, boundOut); err != nil {
+			s.mean.PredictSecondsBatch(qs, 0, meanOut)
+		}
+	}
+	if err != nil {
 		for i := range boundOut {
 			boundOut[i] = math.Inf(1)
 		}

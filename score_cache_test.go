@@ -47,8 +47,8 @@ func TestScoreCacheRealPredictorDecisionIdentity(t *testing.T) {
 	nP := ds.NumPlatforms()
 
 	for _, pol := range []sched.Policy{
-		sched.MeanBoundPolicy{Eps: 0.1},
-		sched.BoundPolicy{Eps: 0.1},
+		policy(t, "mean-bound"),
+		policy(t, "bound"),
 	} {
 		cfg := sched.Config{
 			NumPlatforms:    nP,
@@ -147,7 +147,7 @@ func TestScoreCacheIdentityAcrossObserveAndFastToggle(t *testing.T) {
 		t.Fatal(err)
 	}
 	nP := ds.NumPlatforms()
-	pol := sched.MeanBoundPolicy{Eps: 0.1}
+	pol := policy(t, "mean-bound")
 	cfg := sched.Config{NumPlatforms: nP, MaxColocation: 3}
 	ref, err := sched.New(cfg, pol, &coldPredictor{Predictor: pred})
 	if err != nil {
@@ -241,7 +241,7 @@ func TestScoreCacheReplicaConcurrentSmoke(t *testing.T) {
 	rs, err := sched.NewReplicaSet(
 		sched.Config{NumPlatforms: nP, MaxColocation: 3},
 		sched.ReplicaConfig{Replicas: 2, Shards: 1},
-		sched.MeanBoundPolicy{Eps: 0.1}, pred)
+		policy(t, "mean-bound"), pred)
 	if err != nil {
 		t.Fatal(err)
 	}
