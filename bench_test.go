@@ -622,3 +622,30 @@ func BenchmarkPlacementBatch24(b *testing.B) {
 	s, wave := placementBench(b, false)
 	runPlacementBench(b, s, wave)
 }
+
+// BenchmarkBoundPlace20 is one call of the shape a 16-job /place wave
+// makes about sixteen times: twenty bound-head queries into caller
+// buffers, spread over ten platforms (two workloads each) with zero to
+// three residents. Run it at -cpu 1 and -cpu 2: the call runs on the
+// caller's goroutine, so the two should read alike.
+func BenchmarkBoundPlace20(b *testing.B) {
+	pred, _ := benchScoreSetup(b)
+	ds := pred.snap.Load().ds
+	var qs []Query
+	for p := 0; p < 10; p++ {
+		resident := make([]int, p%4)
+		for i := range resident {
+			resident[i] = (3*p + 5*i) % ds.NumWorkloads()
+		}
+		for _, w := range []int{p, p + 11} {
+			qs = append(qs, Query{Workload: w % ds.NumWorkloads(), Platform: 2 * p, Interferers: resident})
+		}
+	}
+	bound := make([]float64, len(qs))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pred.ScoreSecondsBatch(qs, 0.1, nil, bound)
+	}
+	sinkFloat = bound[0]
+}

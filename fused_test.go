@@ -46,7 +46,7 @@ func fusedQueries(ds *Dataset, rng *rand.Rand) []Query {
 // ScoreBatch's mean and bound outputs are bitwise-identical to the
 // separate EstimateBatch + BoundBatch passes — fusion shares traversal and
 // folds but never reassociates arithmetic — across epsilons (distinct
-// conformal heads/offsets) and under the worker fan-out.
+// conformal heads/offsets).
 func TestScoreBatchBitwiseIdentical(t *testing.T) {
 	pred, ds := enginePredictor(t)
 	qs := fusedQueries(ds, rand.New(rand.NewSource(17)))

@@ -108,9 +108,10 @@ type Config struct {
 	LR             float64
 	EvalEvery      int // validation cadence for best-checkpoint selection
 
-	// Workers caps the goroutines used for per-(batch, head) loss graphs
-	// and batch inference; 0 means GOMAXPROCS. Results are identical for
-	// every worker count: gradient accumulation order is fixed.
+	// Workers caps the goroutines used for per-(batch, head) loss graphs;
+	// 0 means GOMAXPROCS. It governs training only: inference runs on the
+	// caller's goroutine. Results are identical for every worker count:
+	// gradient accumulation order is fixed.
 	Workers int
 
 	// FastScoring opts the fused scoring path into the approximate kernel

@@ -93,23 +93,6 @@ func TestPredictLogSecondsBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// Batch inference must be deterministic across worker counts.
-func TestPredictLogSecondsBatchWorkerInvariant(t *testing.T) {
-	m := engineModel(t, nil)
-	qs := batchQueries(m)
-	m.Cfg.Workers = 1
-	seq := make([]float64, len(qs))
-	m.PredictLogSecondsBatch(qs, 0, seq)
-	m.Cfg.Workers = 8
-	par := make([]float64, len(qs))
-	m.PredictLogSecondsBatch(qs, 0, par)
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("query %d: workers=1 %v vs workers=8 %v", i, seq[i], par[i])
-		}
-	}
-}
-
 // The tape-free validation loss must match the graph-built loss.
 func TestEvalLossMatchesGraphLoss(t *testing.T) {
 	for _, quantiles := range [][]float64{nil, {0.5, 0.9}} {

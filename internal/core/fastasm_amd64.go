@@ -47,12 +47,6 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func dotSpanAVX2(base *float64, stride int, qs *Query, n int, peff *float64, out *float64)
 
-// dot32PairAVX2 computes both models' rank-32 dots (a1·b1, a2·b2) in one
-// call. All four pointers must address ≥ 32 float64s.
-//
-//go:noescape
-func dot32PairAVX2(a1, b1, a2, b2 *float64) (s, t float64)
-
 // foldAxpyPairAVX2 applies the interference fold's rank-32 update for
 // both models: peffM += magM·vsM, peffQ += magQ·vsQ (32 float64s each).
 //

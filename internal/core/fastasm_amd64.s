@@ -156,65 +156,6 @@ dotdone:
 	VZEROUPPER
 	RET
 
-// func dot32PairAVX2(a1, b1, a2, b2 *float64) (s, t float64)
-//
-// Both models' rank-32 dots in one call — the fast interference fold's
-// inner kernel. Four FMA lanes per model, reduced like dotSpanAVX2;
-// reassociates relative to dot32Pair within the documented fast bound.
-TEXT ·dot32PairAVX2(SB), NOSPLIT, $0-48
-	MOVQ a1+0(FP), DI
-	MOVQ b1+8(FP), SI
-	MOVQ a2+16(FP), DX
-	MOVQ b2+24(FP), R8
-	VMOVUPD (DI), Y0
-	VMULPD (SI), Y0, Y0
-	VMOVUPD 32(DI), Y1
-	VMULPD 32(SI), Y1, Y1
-	VMOVUPD 64(DI), Y2
-	VMULPD 64(SI), Y2, Y2
-	VMOVUPD 96(DI), Y3
-	VMULPD 96(SI), Y3, Y3
-	VMOVUPD 128(DI), Y4
-	VFMADD231PD 128(SI), Y4, Y0
-	VMOVUPD 160(DI), Y5
-	VFMADD231PD 160(SI), Y5, Y1
-	VMOVUPD 192(DI), Y6
-	VFMADD231PD 192(SI), Y6, Y2
-	VMOVUPD 224(DI), Y7
-	VFMADD231PD 224(SI), Y7, Y3
-	VADDPD Y1, Y0, Y0
-	VADDPD Y3, Y2, Y2
-	VADDPD Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD X1, X0, X0
-	VHADDPD X0, X0, X0
-	VMOVSD X0, s+32(FP)
-	VMOVUPD (DX), Y0
-	VMULPD (R8), Y0, Y0
-	VMOVUPD 32(DX), Y1
-	VMULPD 32(R8), Y1, Y1
-	VMOVUPD 64(DX), Y2
-	VMULPD 64(R8), Y2, Y2
-	VMOVUPD 96(DX), Y3
-	VMULPD 96(R8), Y3, Y3
-	VMOVUPD 128(DX), Y4
-	VFMADD231PD 128(R8), Y4, Y0
-	VMOVUPD 160(DX), Y5
-	VFMADD231PD 160(R8), Y5, Y1
-	VMOVUPD 192(DX), Y6
-	VFMADD231PD 192(R8), Y6, Y2
-	VMOVUPD 224(DX), Y7
-	VFMADD231PD 224(R8), Y7, Y3
-	VADDPD Y1, Y0, Y0
-	VADDPD Y3, Y2, Y2
-	VADDPD Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD X1, X0, X0
-	VHADDPD X0, X0, X0
-	VMOVSD X0, t+40(FP)
-	VZEROUPPER
-	RET
-
 // func foldAxpyPairAVX2(peffM, vsM *float64, magM float64, peffQ, vsQ *float64, magQ float64)
 //
 // The interference fold's rank-32 update for both models:

@@ -10,10 +10,6 @@ func dotSpanAVX2(base *float64, stride int, qs *Query, n int, peff *float64, out
 	panic("core: dotSpanAVX2 without vector support")
 }
 
-func dot32PairAVX2(a1, b1, a2, b2 *float64) (s, t float64) {
-	panic("core: dot32PairAVX2 without vector support")
-}
-
 func foldAxpyPairAVX2(peffM, vsM *float64, magM float64, peffQ, vsQ *float64, magQ float64) {
 	panic("core: foldAxpyPairAVX2 without vector support")
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // PredictFusedBatch scores every query through two models in one
@@ -12,12 +11,11 @@ import (
 // exp(logPred + boundOffset(degree)) — the conformal bound with the
 // log-domain offset supplied by the caller per interference degree.
 //
-// Both models share one span detection over qs, one worker fan-out, and
-// per-span scratch: each span's interference term is folded exactly once
-// per model (into that model's effective platform vector) and the conformal
-// offset — constant within a span, whose queries all share one interferer
-// set — is hoisted out of the inner loop, where the separate BoundBatch
-// path pays a per-query pool lookup.
+// Both models share one span detection over qs and per-span scratch: each
+// span's interference term is folded exactly once per model (into that
+// model's effective platform vector) and the conformal offset — constant
+// within a span, whose queries all share one interferer set — is hoisted
+// out of the inner loop.
 //
 // The outputs are bitwise-identical to the separate calls
 //
@@ -35,9 +33,6 @@ func PredictFusedBatch(mean, quant *Model, qs []Query, quantHead int, boundOffse
 	if len(meanSec) != len(qs) || len(boundSec) != len(qs) {
 		panic(fmt.Sprintf("core: fused batch out lens %d/%d for %d queries", len(meanSec), len(boundSec), len(qs)))
 	}
-	if len(qs) == 0 {
-		return
-	}
 	rM, rQ := mean.Cfg.EmbeddingDim, quant.Cfg.EmbeddingDim
 	// The default configuration (log-residual objective, rank 32 on both
 	// models) takes a paired kernel: one traversal loads each query once
@@ -45,14 +40,17 @@ func PredictFusedBatch(mean, quant *Model, qs []Query, quantHead int, boundOffse
 	// of two three-pass span walks. Each dot accumulates in exactly
 	// dot32's order, so outputs stay bitwise-identical.
 	paired := mean.Cfg.Objective == ObjLogResidual && quant.Cfg.Objective == ObjLogResidual &&
-		rM == 32 && quant.Cfg.EmbeddingDim == 32
+		rM == 32 && rQ == 32
 	// The interference folds pair under the same conditions when both
 	// models carry the same interference structure: one walk over the
 	// interferer set feeds both models' magnitude accumulators.
 	pairedFold := paired && mean.Cfg.Interference == quant.Cfg.Interference &&
 		mean.Cfg.InterferenceTypes == quant.Cfg.InterferenceTypes
-	runSpan := func(sp qspan, peffM, peffQ []float64) {
-		q0 := qs[sp.lo]
+	var bufM, bufQ [stackRank]float64
+	peffM, peffQ := scratch(bufM[:], rM), scratch(bufQ[:], rQ)
+	for lo := 0; lo < len(qs); {
+		hi := spanEnd(qs, lo)
+		q0 := qs[lo]
 		if pairedFold {
 			effectivePlatformPair(mean, quant, peffM, peffQ, q0.Platform, q0.Interferers, quantHead)
 		} else {
@@ -66,78 +64,29 @@ func PredictFusedBatch(mean, quant *Model, qs []Query, quantHead int, boundOffse
 			wloQ := quantHead * 32
 			bWm, bPm := mean.Baseline.W, mean.Baseline.P[q0.Platform]
 			bWq, bPq := quant.Baseline.W, quant.Baseline.P[q0.Platform]
-			for i := sp.lo; i < sp.hi; i++ {
+			for i := lo; i < hi; i++ {
 				w := qs[i].Workload
 				dM, dQ := dot32Pair(wDataM[w*wColsM:], peffM, wDataQ[w*wColsQ+wloQ:], peffQ)
 				meanSec[i] = bWm[w] + bPm + dM
 				boundSec[i] = bWq[w] + bPq + dQ
 			}
 		} else {
-			mean.spanLogInto(qs, sp.lo, sp.hi, peffM, 0, meanSec)
-			quant.spanLogInto(qs, sp.lo, sp.hi, peffQ, quantHead, boundSec)
+			mean.spanLogInto(qs, lo, hi, peffM, 0, meanSec)
+			quant.spanLogInto(qs, lo, hi, peffQ, quantHead, boundSec)
 		}
 		// One exp sweep over both heads while the span is cache-hot; the
-		// hoisted offset replaces the per-query pool lookup.
-		for i := sp.lo; i < sp.hi; i++ {
+		// hoisted offset replaces a per-query lookup.
+		for i := lo; i < hi; i++ {
 			meanSec[i] = math.Exp(meanSec[i])
 			boundSec[i] = math.Exp(boundSec[i] + off)
 		}
-	}
-	runFusedSpans(mean, qs, rM, rQ, runSpan)
-}
-
-// runFusedSpans drives runSpan over every (platform, interferer set) span
-// of qs with the fused path's worker fan-out and per-worker effective
-// platform scratch. Shared by the exact (PredictFusedBatch) and fast
-// (PredictFusedBatchFast) kernels: both see identical span boundaries and
-// scratch discipline, so the two paths differ only in per-span arithmetic.
-func runFusedSpans(mean *Model, qs []Query, rM, rQ int, runSpan func(sp qspan, peffM, peffQ []float64)) {
-	if workers := mean.workers(); workers > 1 {
-		spans := detectSpans(qs)
-		if workers > len(spans) {
-			workers = len(spans)
-		}
-		if workers > 1 {
-			var wg sync.WaitGroup
-			next := make(chan qspan)
-			for wk := 0; wk < workers; wk++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					peffM := make([]float64, rM)
-					peffQ := make([]float64, rQ)
-					for sp := range next {
-						runSpan(sp, peffM, peffQ)
-					}
-				}()
-			}
-			for _, sp := range spans {
-				next <- sp
-			}
-			close(next)
-			wg.Wait()
-			return
-		}
-	}
-	peffM := make([]float64, rM)
-	peffQ := make([]float64, rQ)
-	for lo := 0; lo < len(qs); {
-		hi := lo + 1
-		for hi < len(qs) && sameGroup(&qs[hi], &qs[lo]) {
-			hi++
-		}
-		runSpan(qspan{lo, hi}, peffM, peffQ)
 		lo = hi
 	}
 }
 
 // effectivePlatformPair folds platform j's interference term for both
-// models in one walk over the interferer set: each (type, interferer) step
-// accumulates the mean and quantile magnitudes through the paired dot
-// kernel, so the interferer embedding rows of both models stream through
-// one loop instead of two separate folds. Accumulation order per model
-// matches effectivePlatform exactly (dotUnrolled at rank 32 is dot32's
-// chain order), keeping the fold bitwise-identical to the separate calls.
+// models in one walk over the interferer set (pairMagnitudes), so the
+// fold is bitwise-identical to the two separate effectivePlatform calls.
 // Both models must be rank 32 with the same interference structure.
 func effectivePlatformPair(mean, quant *Model, peffM, peffQ []float64, j int, ks []int, hQ int) {
 	const r = 32
@@ -149,28 +98,38 @@ func effectivePlatformPair(mean, quant *Model, peffM, peffQ []float64, j int, ks
 	if len(ks) == 0 || mean.Cfg.Interference != InterferenceAware || s == 0 {
 		return
 	}
-	loQ := hQ * r
-	wM, wQ := mean.wEmb, quant.wEmb
 	for t := 0; t < s; t++ {
+		magM, magQ := pairMagnitudes(mean, quant, j, ks, hQ, t)
 		vsM := prowM[r*(1+t) : r*(2+t)]
-		vgM := prowM[r*(1+s+t) : r*(2+s+t)]
 		vsQ := prowQ[r*(1+t) : r*(2+t)]
-		vgQ := prowQ[r*(1+s+t) : r*(2+s+t)]
-		var magM, magQ float64
-		for _, k := range ks {
-			dM, dQ := dot32Pair(wM.Row(k), vgM, wQ.Row(k)[loQ:], vgQ)
-			magM += dM
-			magQ += dQ
-		}
-		if mean.Cfg.UseActivation && magM < 0 {
-			magM *= mean.Cfg.ActivationSlope
-		}
-		if quant.Cfg.UseActivation && magQ < 0 {
-			magQ *= quant.Cfg.ActivationSlope
-		}
 		for a := 0; a < r; a++ {
 			peffM[a] += magM * vsM[a]
 			peffQ[a] += magQ * vsQ[a]
 		}
 	}
+}
+
+// pairMagnitudes returns the type-t activated magnitudes of ks on
+// platform j for the mean model (head 0) and the quantile model (head
+// hQ), each summed in dotUnrolled's order: table reads when both models
+// have tables, otherwise one walk over the interferer set through the
+// paired dot kernel, whose chains are dot32's (= dotUnrolled's at rank
+// 32). Both models must be rank 32 with the same interference structure.
+func pairMagnitudes(mean, quant *Model, j int, ks []int, hQ, t int) (magM, magQ float64) {
+	const r = 32
+	s := mean.Cfg.InterferenceTypes
+	if tM, tQ := mean.tables, quant.tables; tM != nil && tQ != nil {
+		c := colMagUnr(s, t)
+		magM, magQ = tM.sum(0, j, ks, c), tQ.sum(hQ, j, ks, c)
+	} else {
+		vgM := mean.pEmb.Row(j)[r*(1+s+t) : r*(2+s+t)]
+		vgQ := quant.pEmb.Row(j)[r*(1+s+t) : r*(2+s+t)]
+		loQ := hQ * r
+		for _, k := range ks {
+			dM, dQ := dot32Pair(mean.wEmb.Row(k), vgM, quant.wEmb.Row(k)[loQ:], vgQ)
+			magM += dM
+			magQ += dQ
+		}
+	}
+	return mean.activate(magM), quant.activate(magQ)
 }

@@ -3,12 +3,12 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/tensor"
 )
 
-// SyncEmbeddings recomputes and caches the tower outputs for inference.
+// SyncEmbeddings recomputes and caches the tower outputs for inference,
+// and from them every head's interference tables (interferenceTables).
 // Train calls this automatically; call it manually after mutating
 // parameters (e.g. after Load). The recompute runs on the tape-free
 // forward path, writing in place into the previous cache buffers — one
@@ -19,6 +19,7 @@ import (
 func (m *Model) SyncEmbeddings() {
 	m.wEmb = m.towerInferInto(m.wEmb, m.fw, m.xw, m.phiW)
 	m.pEmb = m.towerInferInto(m.pEmb, m.fp, m.xp, m.phiP)
+	m.syncTables(maxTableBytes)
 }
 
 func dot(a, b []float64) float64 {
@@ -31,10 +32,14 @@ func dot(a, b []float64) float64 {
 
 // PredictResidual returns head h's raw model output (the residual under
 // the configured objective) for workload w on platform p with interferers
-// ks. Uses the cached embeddings.
+// ks. Reads the interference tables, or computes their dot products from
+// the cached embeddings when the model has none.
 func (m *Model) PredictResidual(w, p int, ks []int, h int) float64 {
 	if m.wEmb == nil {
 		panic("core: SyncEmbeddings not called")
+	}
+	if m.tables != nil {
+		return m.residualFromTables(w, p, ks, h)
 	}
 	r, s := m.Cfg.EmbeddingDim, m.Cfg.InterferenceTypes
 	wrow := m.wEmb.Row(w)[h*r : (h+1)*r]
@@ -48,10 +53,7 @@ func (m *Model) PredictResidual(w, p int, ks []int, h int) float64 {
 			for _, k := range ks {
 				mag += dot(m.wEmb.Row(k)[h*r:(h+1)*r], vg)
 			}
-			if m.Cfg.UseActivation && mag < 0 {
-				mag *= m.Cfg.ActivationSlope
-			}
-			pred += dot(wrow, vs) * mag
+			pred += dot(wrow, vs) * m.activate(mag)
 		}
 	}
 	return pred
@@ -83,11 +85,10 @@ type Query struct {
 //	p̃ⱼ = pⱼ + Σ_t α(mag_t) · v_s⁽ᵗ⁾ ,  mag_t = Σ_k w_kᵀ v_g⁽ᵗ⁾
 //
 // so that every query in the group costs one rank-r dot product — the
-// algebraic identity wᵢᵀpⱼ + Σ_t (wᵢᵀv_s⁽ᵗ⁾)·α(mag_t) = wᵢᵀp̃ⱼ. Groups fan
-// out across Config.Workers goroutines (scheduler-style scans share a
-// platform's resident set across many candidate workloads, so groups are
-// few and wide). Results are deterministic: each output index is written
-// exactly once, independent of scheduling.
+// algebraic identity wᵢᵀpⱼ + Σ_t (wᵢᵀv_s⁽ᵗ⁾)·α(mag_t) = wᵢᵀp̃ⱼ — and the
+// magnitudes mag_t are table reads. The batch runs on the caller's
+// goroutine: a scheduler's call scores a few dozen queries, less work
+// than handing spans to other goroutines costs.
 func (m *Model) PredictLogSecondsBatch(qs []Query, h int, out []float64) {
 	m.predictBatchInto(qs, h, out, false)
 }
@@ -106,83 +107,49 @@ func (m *Model) predictBatchInto(qs []Query, h int, out []float64, inSeconds boo
 	if len(out) != len(qs) {
 		panic(fmt.Sprintf("core: batch predict out len %d for %d queries", len(out), len(qs)))
 	}
-	if len(qs) == 0 {
-		return
-	}
-	r := m.Cfg.EmbeddingDim
-	runSpan := func(sp qspan, peff []float64) {
-		q0 := qs[sp.lo]
+	var buf [stackRank]float64
+	peff := scratch(buf[:], m.Cfg.EmbeddingDim)
+	for lo := 0; lo < len(qs); {
+		hi := spanEnd(qs, lo)
+		q0 := qs[lo]
 		m.effectivePlatform(peff, q0.Platform, q0.Interferers, h)
-		m.spanLogInto(qs, sp.lo, sp.hi, peff, h, out)
+		m.spanLogInto(qs, lo, hi, peff, h, out)
 		if inSeconds {
 			// Separate exp sweep: keeping the transcendental out of the
 			// dot loop leaves its registers free and pipelines better.
-			for i := sp.lo; i < sp.hi; i++ {
+			for i := lo; i < hi; i++ {
 				out[i] = math.Exp(out[i])
 			}
 		}
-	}
-	if workers := m.workers(); workers > 1 {
-		// Detect spans up front, then fan them out.
-		spans := detectSpans(qs)
-		if workers > len(spans) {
-			workers = len(spans)
-		}
-		if workers > 1 {
-			var wg sync.WaitGroup
-			next := make(chan qspan)
-			for wk := 0; wk < workers; wk++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					peff := make([]float64, r)
-					for sp := range next {
-						runSpan(sp, peff)
-					}
-				}()
-			}
-			for _, sp := range spans {
-				next <- sp
-			}
-			close(next)
-			wg.Wait()
-			return
-		}
-	}
-	// Single worker: detect each span and process it immediately, one
-	// streaming pass over the query array.
-	peff := make([]float64, r)
-	for lo := 0; lo < len(qs); {
-		hi := lo + 1
-		for hi < len(qs) && sameGroup(&qs[hi], &qs[lo]) {
-			hi++
-		}
-		runSpan(qspan{lo, hi}, peff)
 		lo = hi
 	}
 }
 
-// qspan is one run of consecutive queries sharing a (platform, interferer
-// set); the unit the interference fold is amortized over.
-type qspan struct{ lo, hi int }
+// stackRank is the largest embedding rank whose effective platform
+// scratch lives on the caller's stack; a larger rank allocates it per
+// call.
+const stackRank = 64
 
-// detectSpans partitions qs into maximal same-group runs. Consecutive
-// queries with the same (platform, interferer set) form a group — the
-// natural shape of a scheduler scanning candidates per platform.
-// Non-consecutive repeats just open a fresh group, which costs amortization
-// but never correctness, and keeps grouping an allocation-free scan instead
-// of a keyed map.
-func detectSpans(qs []Query) []qspan {
-	spans := make([]qspan, 0, 16)
-	for lo := 0; lo < len(qs); {
-		hi := lo + 1
-		for hi < len(qs) && sameGroup(&qs[hi], &qs[lo]) {
-			hi++
-		}
-		spans = append(spans, qspan{lo, hi})
-		lo = hi
+// scratch returns buf[:r], or a fresh slice when r exceeds buf.
+func scratch(buf []float64, r int) []float64 {
+	if r <= len(buf) {
+		return buf[:r]
 	}
-	return spans
+	return make([]float64, r)
+}
+
+// spanEnd returns the end of the span starting at lo: the maximal run of
+// consecutive queries sharing qs[lo]'s (platform, interferer set), the
+// unit the interference fold is amortized over — the natural shape of a
+// scheduler scanning candidates per platform. Non-consecutive repeats
+// just open a fresh span, which costs amortization but never correctness,
+// and keeps grouping an allocation-free scan instead of a keyed map.
+func spanEnd(qs []Query, lo int) int {
+	hi := lo + 1
+	for hi < len(qs) && sameGroup(&qs[hi], &qs[lo]) {
+		hi++
+	}
+	return hi
 }
 
 // spanLogInto fills out[lo:hi] with head h's predicted log runtimes for
@@ -313,21 +280,36 @@ func (m *Model) effectivePlatform(peff []float64, j int, ks []int, h int) {
 	if len(ks) == 0 || m.Cfg.Interference != InterferenceAware || s == 0 {
 		return
 	}
-	lo, hi := h*r, (h+1)*r
 	for t := 0; t < s; t++ {
+		mag := m.foldMagnitude(j, ks, h, t)
 		vs := prow[r*(1+t) : r*(2+t)]
-		vg := prow[r*(1+s+t) : r*(2+s+t)]
-		var mag float64
-		for _, k := range ks {
-			mag += dotUnrolled(m.wEmb.Row(k)[lo:hi], vg)
-		}
-		if m.Cfg.UseActivation && mag < 0 {
-			mag *= m.Cfg.ActivationSlope
+		if r == 32 {
+			p32, v32 := (*[32]float64)(peff), (*[32]float64)(vs)
+			for a := range p32 {
+				p32[a] += mag * v32[a]
+			}
+			continue
 		}
 		for a := 0; a < r; a++ {
 			peff[a] += mag * vs[a]
 		}
 	}
+}
+
+// foldMagnitude returns head h's activated type-t magnitude of ks on
+// platform j, Σ_k w_k·v_g⁽ᵗ⁾ summed in dotUnrolled's order: table reads,
+// or the dots themselves when the model has no tables.
+func (m *Model) foldMagnitude(j int, ks []int, h, t int) float64 {
+	r, s := m.Cfg.EmbeddingDim, m.Cfg.InterferenceTypes
+	if m.tables != nil {
+		return m.activate(m.tables.sum(h, j, ks, colMagUnr(s, t)))
+	}
+	vg := m.pEmb.Row(j)[r*(1+s+t) : r*(2+s+t)]
+	var mag float64
+	for _, k := range ks {
+		mag += dotUnrolled(m.wEmb.Row(k)[h*r:(h+1)*r], vg)
+	}
+	return m.activate(mag)
 }
 
 // logSecondsFromResidual applies the objective's residual-to-log-runtime

@@ -39,6 +39,9 @@ type Model struct {
 	// Inference-time embedding caches, refreshed by SyncEmbeddings.
 	wEmb *tensor.Matrix // Nw x r*H
 	pEmb *tensor.Matrix // Np x r*(1+2s)
+	// The dot products of the residual that depend only on these caches,
+	// refreshed with them; nil above maxTableBytes.
+	tables *interferenceTables
 
 	// Cached constant tower inputs, valid when a tower has no learned
 	// features (the input then never changes across steps).
@@ -131,8 +134,7 @@ func NewModel(cfg Config, d *dataset.Dataset) (*Model, error) {
 	return m, nil
 }
 
-// workers returns the goroutine fan-out for parallel loss tasks and batch
-// inference.
+// workers returns the goroutine fan-out for parallel loss tasks.
 func (m *Model) workers() int {
 	if m.Cfg.Workers > 0 {
 		return m.Cfg.Workers

@@ -119,31 +119,67 @@ type snapshot struct {
 	// Reads are a single atomic load; a cache miss calibrates off to the
 	// side and publishes old∪{eps} with a compare-and-swap. Losing the race
 	// costs a redundant (idempotent) calibration, never correctness.
-	bounders atomic.Pointer[map[float64]*conformal.Bounder]
+	bounders atomic.Pointer[map[float64]*calibration]
 }
 
 func newSnapshot(ds *dataset.Dataset, mean, quant *core.Model, split dataset.Split, version uint64, fast bool) *snapshot {
 	s := &snapshot{ds: ds, mean: mean, quant: quant, split: split, version: version, fast: fast}
-	empty := map[float64]*conformal.Bounder{}
+	empty := map[float64]*calibration{}
 	s.bounders.Store(&empty)
 	return s
 }
 
-// bounder returns the conformal bounder for eps, calibrating it on first
-// use. Lock-free: concurrent callers with the same fresh eps may both
-// calibrate, but exactly one result is published and calibration is
+// calibration is one eps's conformal bounder with its offsets laid out by
+// interference degree, so that scoring reads a query's offset by index
+// instead of looking its pool up in the bounder's map. Immutable once
+// built, like the bounder.
+type calibration struct {
+	*conformal.Bounder
+	byDegree []float64
+}
+
+func newCalibration(b *conformal.Bounder) *calibration {
+	n := 0
+	for d := range b.Offsets {
+		n = max(n, d+1)
+	}
+	c := &calibration{Bounder: b, byDegree: make([]float64, n)}
+	for d := range c.byDegree {
+		off, ok := b.Offsets[d]
+		if !ok {
+			off = b.MaxOffset
+		}
+		c.byDegree[d] = off
+	}
+	return c
+}
+
+// offset is the conformal offset Bounder.Bound adds for a query with
+// degree interferers: its pool's, or MaxOffset for a pool never
+// calibrated.
+func (c *calibration) offset(degree int) float64 {
+	if uint(degree) < uint(len(c.byDegree)) {
+		return c.byDegree[degree]
+	}
+	return c.MaxOffset
+}
+
+// bounder returns the conformal calibration for eps, calibrating it on
+// first use. Lock-free: concurrent callers with the same fresh eps may
+// both calibrate, but exactly one result is published and calibration is
 // deterministic, so both callers return equivalent bounders.
-func (s *snapshot) bounder(eps float64) (*conformal.Bounder, error) {
+func (s *snapshot) bounder(eps float64) (*calibration, error) {
 	if b, ok := (*s.bounders.Load())[eps]; ok {
 		return b, nil
 	}
 	// Calibrate once, off to the side; the retry loop below only re-merges
 	// the result if another eps was published concurrently.
 	hp := eval.BuildHeadPredictions(s.ds, quantAdapter{s.quant}, s.split)
-	b, err := conformal.Calibrate(hp, eps, conformal.SelectOptimal)
+	cb, err := conformal.Calibrate(hp, eps, conformal.SelectOptimal)
 	if err != nil {
 		return nil, err
 	}
+	b := newCalibration(cb)
 	for {
 		cur := s.bounders.Load()
 		if published, ok := (*cur)[eps]; ok {
@@ -151,7 +187,7 @@ func (s *snapshot) bounder(eps float64) (*conformal.Bounder, error) {
 			// single published instance.
 			return published, nil
 		}
-		next := make(map[float64]*conformal.Bounder, len(*cur)+1)
+		next := make(map[float64]*calibration, len(*cur)+1)
 		for k, v := range *cur {
 			next[k] = v
 		}
@@ -251,10 +287,10 @@ type Query = core.Query
 // It vectorizes over the cached embedding tables: queries sharing a
 // (platform, interferer set) — the shape of a scheduler scanning candidate
 // workloads per platform — amortize the interference term into a single
-// effective platform vector, and independent groups fan out across
-// worker goroutines. Several times faster than looping Estimate; up to
-// ~10^-12 relative floating-point reassociation difference per prediction.
-// The whole batch is served from one snapshot.
+// effective platform vector. Several times faster than looping Estimate;
+// up to ~10^-12 relative floating-point reassociation difference per
+// prediction. The whole batch is served from one snapshot, on the
+// caller's goroutine.
 func (p *Predictor) EstimateBatch(qs []Query) []float64 {
 	out := make([]float64, len(qs))
 	p.snap.Load().mean.PredictSecondsBatch(qs, 0, out)
@@ -284,7 +320,7 @@ func (s *snapshot) boundInto(qs []Query, eps float64, out []float64) error {
 	}
 	s.quant.PredictLogSecondsBatch(qs, b.Head, out)
 	for i := range out {
-		out[i] = math.Exp(b.Bound(out[i], len(qs[i].Interferers)))
+		out[i] = math.Exp(out[i] + b.offset(len(qs[i].Interferers)))
 	}
 	return nil
 }
@@ -293,14 +329,14 @@ func (s *snapshot) boundInto(qs []Query, eps float64, out []float64) error {
 // pass: the expected runtime (as EstimateBatch) and the conformal (1−eps)
 // budget (as BoundBatch). The two models share one platform-major span
 // traversal — each platform's interference term is folded once per model
-// per span instead of once per pass, the conformal offset is hoisted per
-// span, and one worker fan-out serves both heads — so mixed mean/bound
-// scheduling policies pay roughly one pass instead of two. Outputs are
-// bitwise-identical to calling EstimateBatch and BoundBatch separately —
-// unless fast scoring is on (ModelConfig.FastScoring at training time, or
-// SetFastScoring), which trades bitwise identity for the approximate
-// kernel: every score then stays within core.FastScoreMaxRelErr relative
-// of the exact result (core.FastF32MaxRelErr for the mean head under
+// per span instead of once per pass, and the conformal offset is hoisted
+// per span — so mixed mean/bound scheduling policies pay roughly one pass
+// instead of two. Outputs are bitwise-identical to calling EstimateBatch
+// and BoundBatch separately — unless fast scoring is on
+// (ModelConfig.FastScoring at training time, or SetFastScoring), which
+// trades bitwise identity for the approximate kernel: every score then
+// stays within core.FastScoreMaxRelErr relative of the exact result
+// (core.FastF32MaxRelErr for the mean head under
 // ModelConfig.FastScoringF32). The scoring mode is part of the snapshot,
 // so one batch is never served by a mix of kernels.
 // Requires Options.EnableBounds; the whole batch is served from one
@@ -324,17 +360,13 @@ func (s *snapshot) scoreInto(qs []Query, eps float64, mean, bound []float64) err
 	if err != nil {
 		return err
 	}
-	kernel := core.PredictFusedBatch
+	// Direct calls, not a kernel variable: a call through a func value
+	// would move the offset method value to the heap on every call.
 	if s.fast {
-		kernel = core.PredictFusedBatchFast
+		core.PredictFusedBatchFast(s.mean, s.quant, qs, b.Head, b.offset, mean, bound)
+	} else {
+		core.PredictFusedBatch(s.mean, s.quant, qs, b.Head, b.offset, mean, bound)
 	}
-	kernel(s.mean, s.quant, qs, b.Head, func(degree int) float64 {
-		off, ok := b.Offsets[degree]
-		if !ok {
-			off = b.MaxOffset
-		}
-		return off
-	}, mean, bound)
 	return nil
 }
 
@@ -376,7 +408,7 @@ func (p *Predictor) Bound(w, pl int, interferers []int, eps float64) (float64, e
 		return 0, err
 	}
 	pred := s.quant.PredictLogSeconds(w, pl, interferers, b.Head)
-	return math.Exp(b.Bound(pred, len(interferers))), nil
+	return math.Exp(pred + b.offset(len(interferers))), nil
 }
 
 // quantAdapter exposes the quantile model through eval.Trained.
