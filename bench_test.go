@@ -5,8 +5,8 @@ package pitot
 // microbenchmarks for the design decisions called out in DESIGN.md §5.
 //
 // The per-figure benchmarks measure end-to-end experiment regeneration
-// time; their *output shape* (who wins, by what factor) is recorded in
-// EXPERIMENTS.md, produced by `go run ./cmd/experiments -all -scale standard`.
+// time; their *output shape* (who wins, by what factor) is what
+// `go run ./cmd/experiments -all -scale standard` prints.
 
 import (
 	"math/rand"
@@ -493,10 +493,6 @@ func runPlacementBench(b *testing.B, s *sched.ReplicaSet, wave []sched.Job) {
 // 24-platform scheduler scan both heads are consumed over: every workload
 // on every platform against the platform's resident set.
 func benchScoreSetup(b *testing.B) (*Predictor, []Query) {
-	return benchScoreSetupCfg(b, nil)
-}
-
-func benchScoreSetupCfg(b *testing.B, mutate func(*ModelConfig)) (*Predictor, []Query) {
 	b.Helper()
 	ds := GenerateDataset(DatasetConfig{
 		Seed: 1, NumWorkloads: 40, MaxDevices: 8, SetsPerDegree: 15,
@@ -508,9 +504,6 @@ func benchScoreSetupCfg(b *testing.B, mutate func(*ModelConfig)) (*Predictor, []
 	cfg := DefaultModelConfig(1)
 	cfg.Steps = 60
 	cfg.EvalEvery = 30
-	if mutate != nil {
-		mutate(&cfg)
-	}
 	pred, err := Train(ds, Options{Seed: 1, Model: &cfg, EnableBounds: true})
 	if err != nil {
 		b.Fatal(err)
@@ -554,45 +547,6 @@ func BenchmarkScoreTwoPass24(b *testing.B) {
 // hoisted per span. Outputs are bitwise-identical to the two-pass variant.
 func BenchmarkScoreFused24(b *testing.B) {
 	pred, qs := benchScoreSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mean, bound, err := pred.ScoreBatch(qs, 0.1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkFloat = mean[0] + bound[0]
-	}
-	b.ReportMetric(float64(len(qs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkScoreFast24 serves the same scan through the opt-in fast
-// kernel (SetFastScoring): query-blocked multi-chain FMA dots, an FMA
-// fold, and the bounded-error polynomial exp — every score within
-// core.FastScoreMaxRelErr of the fused exact output.
-func BenchmarkScoreFast24(b *testing.B) {
-	pred, qs := benchScoreSetup(b)
-	pred.SetFastScoring(true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mean, bound, err := pred.ScoreBatch(qs, 0.1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkFloat = mean[0] + bound[0]
-	}
-	b.ReportMetric(float64(len(qs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkScoreFastF3224 additionally accumulates the mean (ranking)
-// head in float32 (ModelConfig.FastScoringF32); the feasibility head
-// stays float64.
-func BenchmarkScoreFastF3224(b *testing.B) {
-	pred, qs := benchScoreSetupCfg(b, func(cfg *ModelConfig) {
-		cfg.FastScoring = true
-		cfg.FastScoringF32 = true
-	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

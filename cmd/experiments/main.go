@@ -1,7 +1,6 @@
 // Command experiments regenerates the paper's tables and figures from the
 // experiment registry (internal/exp). Each experiment prints plain-text
-// tables whose shape should match the corresponding paper figure; see
-// EXPERIMENTS.md for the recorded paper-vs-measured comparison.
+// tables whose shape should match the corresponding paper figure.
 //
 // Usage:
 //

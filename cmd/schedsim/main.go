@@ -272,7 +272,6 @@ func main() {
 		brProbation = flag.Int("breaker-probation", 3, "consecutive on-deadline completions to close a half-open platform")
 		brCooldown  = flag.Float64("breaker-cooldown", 30, "simulated seconds before a tripped platform re-admits half-open")
 		requireTrip = flag.Bool("require-trip", false, "exit nonzero unless >=1 breaker trip and >=1 half-open re-admission occurred (CI smoke)")
-		fastScoring = flag.Bool("fast-scoring", false, "score placements with the approximate fast kernel (reassociated dots, bounded-error exp)")
 		feedback    = flag.Bool("feedback", false, "run the bound policy with online Observe feedback and compare")
 		fbEvery     = flag.Int("feedback-every", 25, "feed measurements back every N completions")
 		fbInterval  = flag.Float64("feedback-interval", 0, "also flush after this many simulated seconds since the last flush (0 = off)")
@@ -318,7 +317,6 @@ func main() {
 	ds := cluster.Generate()
 	cfg := pitot.DefaultModelConfig(*seed)
 	cfg.Steps = *steps
-	cfg.FastScoring = *fastScoring
 	pred, err := pitot.Train(ds, pitot.Options{Seed: *seed, Model: &cfg, EnableBounds: true})
 	if err != nil {
 		log.Fatal(err)

@@ -66,7 +66,6 @@ func main() {
 		steps     = flag.Int("steps", 2500, "with -train: optimization steps")
 		saveMean  = flag.String("save-mean", "", "with -train: persist the mean stream here")
 		saveQuant = flag.String("save-quant", "", "with -train: persist the quantile model here")
-		fastScore = flag.Bool("fast-scoring", false, "score with the approximate fast kernel (reassociated dots, bounded-error exp); exact kernel otherwise")
 		window    = flag.Duration("window", 100*time.Microsecond, "micro-batch window")
 		maxBatch  = flag.Int("max-batch", 256, "flush a batch at this many pending requests")
 		maxQueue  = flag.Int("max-queue", 4096, "admission queue bound (excess requests get 503)")
@@ -122,7 +121,6 @@ func main() {
 	case *train:
 		cfg := pitot.DefaultModelConfig(*seed)
 		cfg.Steps = *steps
-		cfg.FastScoring = *fastScore
 		log.Printf("training (steps=%d quantiles=%v)...", *steps, *quantiles)
 		pred, err = pitot.Train(ds, pitot.Options{Seed: *seed, Model: &cfg, EnableBounds: *quantiles})
 		if err != nil {
@@ -156,14 +154,8 @@ func main() {
 		log.Fatal("either -mean (load) or -train is required")
 	}
 
-	// Loaded model streams predate the flag or may have been trained
-	// without it; the runtime toggle covers both paths uniformly.
-	if *fastScore {
-		pred.SetFastScoring(true)
-	}
-
 	info := pred.Info()
-	log.Printf("predictor ready: snapshot v%d, bounds=%v, fast=%v", info.Version, info.Bounds, info.FastScoring)
+	log.Printf("predictor ready: snapshot v%d, bounds=%v", info.Version, info.Bounds)
 
 	srv := serve.New(pred, serve.Config{
 		MaxBatch:     *maxBatch,

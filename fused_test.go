@@ -1,7 +1,6 @@
 package pitot
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -91,43 +90,26 @@ func TestScoreBatchBitwiseIdentical(t *testing.T) {
 
 // TestScoreSecondsBatchOneHead pins the scheduler call's single-head
 // contract: asked for one head (the other buffer nil), ScoreSecondsBatch
-// runs exactly EstimateBatch's or BoundBatch's code, bitwise, even on a
-// fast-scoring snapshot, whose approximate kernel only the two-head pass
-// uses; and asked for none it does nothing.
+// runs exactly EstimateBatch's or BoundBatch's code, bitwise; and asked
+// for none it does nothing.
 func TestScoreSecondsBatchOneHead(t *testing.T) {
-	shared, _ := enginePredictor(t)
-	// A private copy, since the test toggles fast scoring.
-	var dataB, meanB, quantB bytes.Buffer
-	if err := shared.Export(&dataB, &meanB, &quantB); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := ReadDataset(&dataB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := LoadPredictor(ds, &meanB, &quantB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pred, ds := enginePredictor(t)
 	qs := fusedQueries(ds, rand.New(rand.NewSource(41)))
-	for _, fast := range []bool{false, true} {
-		pred.SetFastScoring(fast)
-		mean := make([]float64, len(qs))
-		bound := make([]float64, len(qs))
-		pred.ScoreSecondsBatch(qs, 0.1, mean, nil)
-		pred.ScoreSecondsBatch(qs, 0.1, nil, bound)
-		pred.ScoreSecondsBatch(qs, 0.1, nil, nil)
-		wantMean := pred.EstimateBatch(qs)
-		wantBound, err := pred.BoundBatch(qs, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range qs {
-			if math.Float64bits(mean[i]) != math.Float64bits(wantMean[i]) ||
-				math.Float64bits(bound[i]) != math.Float64bits(wantBound[i]) {
-				t.Fatalf("fast %v query %d: one-head (%v, %v) != EstimateBatch/BoundBatch (%v, %v)",
-					fast, i, mean[i], bound[i], wantMean[i], wantBound[i])
-			}
+	mean := make([]float64, len(qs))
+	bound := make([]float64, len(qs))
+	pred.ScoreSecondsBatch(qs, 0.1, mean, nil)
+	pred.ScoreSecondsBatch(qs, 0.1, nil, bound)
+	pred.ScoreSecondsBatch(qs, 0.1, nil, nil)
+	wantMean := pred.EstimateBatch(qs)
+	wantBound, err := pred.BoundBatch(qs, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range qs {
+		if math.Float64bits(mean[i]) != math.Float64bits(wantMean[i]) ||
+			math.Float64bits(bound[i]) != math.Float64bits(wantBound[i]) {
+			t.Fatalf("query %d: one-head (%v, %v) != EstimateBatch/BoundBatch (%v, %v)",
+				i, mean[i], bound[i], wantMean[i], wantBound[i])
 		}
 	}
 }
@@ -196,6 +178,35 @@ func TestScoreBatchWithoutBounds(t *testing.T) {
 	predB.ScoreSecondsBatch(qs2, math.NaN(), mb, pb)
 	if !math.IsInf(pb[0], 1) {
 		t.Fatalf("NaN eps bound: %v, want +Inf", pb[0])
+	}
+}
+
+// TestScoreSecondsBatchFallbackFillsInPlace is the regression for the
+// error fallback: without bounds enabled, ScoreSecondsBatch must fill the
+// caller's mean buffer in place with plain estimates (no reallocation)
+// and mark every bound +Inf.
+func TestScoreSecondsBatchFallbackFillsInPlace(t *testing.T) {
+	ds := smallDataset()
+	pred, err := Train(ds, smallOptions(35, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := schedQueries(ds)[:8]
+	meanOut := make([]float64, len(qs))
+	boundOut := make([]float64, len(qs))
+	for i := range meanOut {
+		meanOut[i] = -1
+		boundOut[i] = -1
+	}
+	pred.ScoreSecondsBatch(qs, 0.1, meanOut, boundOut)
+	want := pred.EstimateBatch(qs)
+	for i := range qs {
+		if meanOut[i] != want[i] {
+			t.Fatalf("query %d: fallback mean %.12f, EstimateBatch %.12f", i, meanOut[i], want[i])
+		}
+		if !math.IsInf(boundOut[i], 1) {
+			t.Fatalf("query %d: fallback bound %v, want +Inf", i, boundOut[i])
+		}
 	}
 }
 

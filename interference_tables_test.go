@@ -8,7 +8,7 @@ import (
 )
 
 // ownCopy returns a private copy of pred (Export + LoadPredictor, no
-// retraining), for tests that Observe or toggle it.
+// retraining), for tests that Observe it.
 func ownCopy(t *testing.T, pred *Predictor) (*Predictor, *Dataset) {
 	t.Helper()
 	var dataB, meanB, quantB bytes.Buffer

@@ -31,11 +31,13 @@ func compatible(old, d *dataset.Dataset) error {
 // original keeps serving reads — the building block of the serving layer's
 // copy-on-write snapshot swap.
 //
-// d must have the same entity counts and feature dimensions as the model's
+// d must have the same entities and entity features as the model's
 // current dataset (appending observations to a CloneAppend'ed dataset
-// satisfies this). The embedding caches are recomputed from the copied
-// parameters, which is deterministic, so the clone predicts bitwise
-// identically to the receiver.
+// satisfies this). The inference caches — both towers' embeddings and the
+// interference tables — are copied as the receiver's last SyncEmbeddings
+// left them, not recomputed, so the clone predicts bitwise identically to
+// the receiver and a fine-tune (OnlineUpdate) that resyncs them anyway
+// pays for one sync, not two.
 func (m *Model) Clone(d *dataset.Dataset) (*Model, error) {
 	if d == nil {
 		d = m.data
@@ -56,7 +58,12 @@ func (m *Model) Clone(d *dataset.Dataset) (*Model, error) {
 		}
 	}
 	if m.wEmb != nil {
-		c.SyncEmbeddings()
+		c.wEmb, c.pEmb = m.wEmb.Clone(), m.pEmb.Clone()
+	}
+	if m.tables != nil {
+		t := *m.tables
+		t.data = append([]float64(nil), t.data...)
+		c.tables = &t
 	}
 	return c, nil
 }

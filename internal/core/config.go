@@ -113,23 +113,6 @@ type Config struct {
 	// caller's goroutine. Results are identical for every worker count:
 	// gradient accumulation order is fixed.
 	Workers int
-
-	// FastScoring opts the fused scoring path into the approximate kernel
-	// (PredictFusedBatchFast): FMA-reassociated multi-chain rank-32 dots
-	// and a polynomial exp with a documented relative-error bound
-	// (FastExpMaxRelErr), in exchange for giving up bitwise identity with
-	// the scalar path. Training, the single-model batch paths, and the
-	// scalar Estimate/Bound paths are unaffected. The flag is persisted
-	// with the model (Save/Load round-trips it; files written before the
-	// flag existed load with it off).
-	FastScoring bool
-	// FastScoringF32, with FastScoring, accumulates the *mean* (ranking)
-	// head's dot products in float32; the quantile (feasibility/bound)
-	// head always stays float64. On scalar amd64 this is an error-model
-	// option, not a speedup — it exists to pin down the accuracy cost of
-	// half-width ranking accumulation (FastF32MaxRelErr) ahead of any
-	// SIMD backend, where halving the element width doubles lane count.
-	FastScoringF32 bool
 }
 
 // DefaultConfig returns paper-faithful hyperparameters at a training scale

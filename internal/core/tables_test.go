@@ -260,8 +260,7 @@ func TestInterferenceTablesPrivateAndCurrent(t *testing.T) {
 }
 
 // TestScoringAllocationFree: a warm batch or fused call into caller
-// buffers allocates nothing at the default rank, on the exact and the
-// fast kernel.
+// buffers allocates nothing at the default rank.
 func TestScoringAllocationFree(t *testing.T) {
 	mean, quant := tableModels(t, func(c *Config) { c.EmbeddingDim = 32 })
 	qs := tableQueries(mean, rand.New(rand.NewSource(5)))
@@ -270,7 +269,6 @@ func TestScoringAllocationFree(t *testing.T) {
 	for name, call := range map[string]func(){
 		"batch": func() { mean.PredictSecondsBatch(qs, 0, a) },
 		"fused": func() { PredictFusedBatch(mean, quant, qs, 1, off, a, b) },
-		"fast":  func() { PredictFusedBatchFast(mean, quant, qs, 1, off, a, b) },
 	} {
 		call()
 		if n := testing.AllocsPerRun(20, call); n != 0 {
@@ -318,8 +316,9 @@ func TestInterferenceTablesOutOfRangePanics(t *testing.T) {
 
 // BenchmarkSyncTables times one model's sync at the default scale (48
 // workloads × 80 platforms, rank 32, s = 2): "sync" is SyncEmbeddings
-// whole (both towers and the tables), "tables" the table build alone, for
-// the mean model and the eight-head quantile model.
+// whole (both towers and the tables), "tables" the table build alone and
+// "clone" a whole Clone, for the mean model and the eight-head quantile
+// model.
 func BenchmarkSyncTables(b *testing.B) {
 	ds := wasmcluster.New(wasmcluster.Config{Seed: 1}).Generate()
 	for _, quantiles := range [][]float64{nil, PaperQuantiles()} {
@@ -341,6 +340,13 @@ func BenchmarkSyncTables(b *testing.B) {
 				m.syncTables(maxTableBytes)
 			}
 			b.ReportMetric(float64(len(m.tables.data)*8), "table_bytes")
+		})
+		b.Run(name+"/clone", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Clone(nil); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -23,8 +23,8 @@ type Scale int
 const (
 	// Quick: seconds per experiment; used by tests and benches.
 	Quick Scale = iota
-	// Standard: minutes for the full registry; used to produce
-	// EXPERIMENTS.md.
+	// Standard: minutes for the full registry
+	// (`experiments -all -scale standard`).
 	Standard
 	// FullScale: paper-scale dataset and training budget.
 	FullScale

@@ -57,7 +57,7 @@ type JobID uint64
 // until the platform's residents or health change or the scoring epoch
 // moves. So for a given epoch the answers must be a pure function of the
 // query, and a predictor whose answers can change must move its epoch when
-// they do.
+// they do, to a value it has never returned before.
 type Predictor interface {
 	// ScoreSecondsBatch fills meanOut[i] with the expected runtime of
 	// qs[i] and boundOut[i] with its runtime budget sufficient with
@@ -65,9 +65,12 @@ type Predictor interface {
 	// skips that head; a non-nil one has len(qs) elements.
 	ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut []float64)
 	// ScoreEpoch is an opaque value that changes whenever the predictor
-	// would score the same query differently (a new model snapshot, a
-	// scoring-kernel switch). A predictor that never changes returns a
-	// constant.
+	// would score the same query differently (a new model snapshot), and
+	// never returns to an earlier value: the engine reads it once per
+	// chunk, before scoring, and drops the cells a chunk scored across a
+	// publish when the next chunk reads a new epoch. The Pitot facade
+	// returns its snapshot version, which only grows. A predictor that
+	// never changes returns a constant.
 	ScoreEpoch() uint64
 }
 

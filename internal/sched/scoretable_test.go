@@ -186,17 +186,15 @@ func TestScoreTableUnwrittenCellNeverServed(t *testing.T) {
 	}
 }
 
-// TestScoreCacheEpochMovesMidChunk pins the end-of-chunk check: when the
-// scoring epoch moves while a chunk scores, nothing the chunk stored is
-// served later, even if the epoch comes back to its old value (a
-// fast-scoring toggle off and on again).
+// TestScoreCacheEpochMovesMidChunk: when the scoring epoch moves while a
+// chunk scores (a publish landing mid-chunk) and stays moved, nothing the
+// chunk stored under the epoch it read at its start is served later.
 func TestScoreCacheEpochMovesMidChunk(t *testing.T) {
 	pred := &flipPred{goldenPred: &goldenPred{base: []float64{1, 2}}}
 	s := mustNew(t, Config{NumPlatforms: 2}, policy("mean"), pred)
 	pred.flip = true // the chunk's scoring call moves the epoch 0 -> 1
 	s.PlaceAll(infeasibleWave(3))
-	pred.flip = false
-	pred.goldenPred.epoch = 0 // and it comes back
+	pred.flip = false // and it stays at 1
 	hits, misses, _ := statsDelta(s, pred.goldenPred, func() { s.PlaceAll(infeasibleWave(3)) })
 	if hits != 0 || misses != 6 {
 		t.Fatalf("cells scored across an epoch move were served: hits %d misses %d", hits, misses)

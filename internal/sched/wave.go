@@ -157,17 +157,21 @@ type scores struct {
 // platform's slot version and the scoring epoch both still match. A
 // platform's scores are a pure function of its resident set and the
 // predictor snapshot: any change to residents or health bumps the slot
-// version, and an Observe publish or fast-scoring toggle moves the epoch.
+// version, and an Observe publish moves the epoch.
 //
 // Each cell is stamped with the platform's slot version plus one (ver; 0
 // marks a cell never written, so it matches no view even at slot version
-// 0 and epoch 0). The epoch is stamped on the table as a whole: every
-// stamped cell was scored under epoch, and a chunk that reads a different
-// one unstamps them all first. Stamps and scores live in separate arrays,
-// each one row of NumPlatforms per workload: a chunk's lookups read only
-// the 8-byte stamps, a job's selection scan reads one contiguous row of
-// scores, and growth appends rows. The table grows to the largest
-// workload index seen. Each Replica owns one, guarded by its mutex.
+// 0 and epoch 0). The epoch is stamped on the table as a whole: a chunk
+// reads it once, before it scores, and one that reads a different epoch
+// unstamps every cell first. A publish that lands while a chunk scores can
+// leave cells of the new snapshot under the old epoch; since an epoch
+// never returns to an earlier value (see Predictor), the next chunk reads
+// a different one and unstamps them. Stamps and scores live in separate
+// arrays, each one row of NumPlatforms per workload: a chunk's lookups
+// read only the 8-byte stamps, a job's selection scan reads one
+// contiguous row of scores, and growth appends rows. The table grows to
+// the largest workload index seen. Each Replica owns one, guarded by its
+// mutex.
 type waveTable struct {
 	nP    int
 	nW    int
@@ -470,13 +474,6 @@ func (e *engine) placeChunk(r *Replica, jobs []Job, out []Assignment, plats []in
 	}
 	t.hits.Add(uint64(hits))
 	t.misses.Add(uint64(misses))
-	// A publish that landed while this chunk scored may have mixed
-	// snapshots under the table's epoch; the next chunk reads the new epoch
-	// and would unstamp them anyway, so do it now rather than risk the
-	// epoch coming back (a fast-scoring toggle off and on again).
-	if misses > 0 {
-		t.setEpoch(e.pred.ScoreEpoch())
-	}
 }
 
 // ScoreTableStats counts score-table traffic in (platform, workload)

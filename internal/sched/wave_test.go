@@ -344,6 +344,47 @@ func TestStreamRetryQueue(t *testing.T) {
 	}
 }
 
+// TestRetryBackoffDefaultCap is the regression for the uncapped retry
+// exponential: with RetryBackoffMax unset, attempt k used to wait
+// RetryBackoff·2^(k−1) — past any replay horizon by attempt ~30, silently
+// stranding the job. The delay must now cap at
+// defaultBackoffCapFactor·RetryBackoff (explicit RetryBackoffMax still
+// wins when set), jitter included.
+func TestRetryBackoffDefaultCap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cfg := StreamConfig{RetryBackoff: 0.1}
+	for tries := 1; tries <= 50; tries++ {
+		d := cfg.backoffDelay(tries, rng)
+		if max := cfg.RetryBackoff * defaultBackoffCapFactor * 1.5; d > max {
+			t.Fatalf("tries=%d: delay %.4g exceeds default cap %.4g", tries, d, max)
+		}
+		if d <= 0 {
+			t.Fatalf("tries=%d: nonpositive delay %.4g", tries, d)
+		}
+	}
+	// Attempt 30 under the old formula: 0.1·2^29 ≈ 5.4e7 simulated
+	// seconds. Now it must land within the capped jitter window.
+	if d := cfg.backoffDelay(30, rng); d > cfg.RetryBackoff*defaultBackoffCapFactor*1.5 {
+		t.Fatalf("attempt 30 uncapped: %.4g", d)
+	}
+
+	// An explicit cap overrides the default, even a tighter one.
+	tight := StreamConfig{RetryBackoff: 0.1, RetryBackoffMax: 0.3}
+	for tries := 1; tries <= 20; tries++ {
+		if d := tight.backoffDelay(tries, rng); d > 0.3*1.5 {
+			t.Fatalf("tries=%d: delay %.4g exceeds explicit cap", tries, d)
+		}
+	}
+	// Below every cap the exponential is untouched: attempt 1 waits
+	// base·jitter with jitter in [0.5, 1.5).
+	for i := 0; i < 50; i++ {
+		d := cfg.backoffDelay(1, rng)
+		if d < 0.1*0.5 || d >= 0.1*1.5 {
+			t.Fatalf("attempt 1 delay %.4g outside jitter window", d)
+		}
+	}
+}
+
 // The time trigger must flush buffered measurements on its own, without
 // the count trigger, and cooperate with it when both are armed.
 func TestStreamFeedbackInterval(t *testing.T) {

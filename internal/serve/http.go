@@ -153,10 +153,7 @@ type RecoverResponse struct {
 	State    string `json:"state"`
 }
 
-// HealthResponse is the JSON reply of /healthz. FastScoring reports the
-// scoring mode of the published snapshot: true when scores come from the
-// approximate fast kernel (within its documented error bound), false for
-// the exact bitwise path.
+// HealthResponse is the JSON reply of /healthz.
 type HealthResponse struct {
 	OK           bool   `json:"ok"`
 	Version      uint64 `json:"version"`
@@ -164,7 +161,6 @@ type HealthResponse struct {
 	Workloads    int    `json:"workloads"`
 	Platforms    int    `json:"platforms"`
 	Bounds       bool   `json:"bounds"`
-	FastScoring  bool   `json:"fast_scoring"`
 	// UptimeSeconds is the time since the server was constructed;
 	// BuildVersion is the binary stamp injected at link time (cmd/serve
 	// builds with -ldflags "-X main.buildVersion=...", default "dev").
@@ -532,7 +528,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Workloads:     info.Workloads,
 		Platforms:     info.Platforms,
 		Bounds:        info.Bounds,
-		FastScoring:   info.FastScoring,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		BuildVersion:  s.cfg.BuildVersion,
 		Metrics:       s.Metrics(),

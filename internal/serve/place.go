@@ -103,19 +103,10 @@ type ScorerBackend interface {
 // the model snapshot that scored each decision.
 func (b backendPredictor) Version() uint64 { return b.be.Info().Version }
 
-// ScoreEpoch is the score table's invalidation key: the snapshot version
-// folded with the fast-scoring mode bit, mirroring pitot's own ScoreEpoch
-// (SetFastScoring republishes under the same version but a different
-// kernel, so version alone is not a safe score key). Both facets come from
-// one Info() snapshot read, so the pair is consistent.
-func (b backendPredictor) ScoreEpoch() uint64 {
-	info := b.be.Info()
-	e := info.Version << 1
-	if info.FastScoring {
-		e |= 1
-	}
-	return e
-}
+// ScoreEpoch is the score table's invalidation key: the snapshot
+// version, as pitot's own ScoreEpoch. A Backend's version only grows, so
+// the epoch never returns to an earlier value (sched.Predictor).
+func (b backendPredictor) ScoreEpoch() uint64 { return b.be.Info().Version }
 
 // ScoreSecondsBatch implements sched.Predictor.
 func (b backendPredictor) ScoreSecondsBatch(qs []pitot.Query, eps float64, meanOut, boundOut []float64) {

@@ -94,11 +94,6 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	fmt.Fprintf(&b, "# HELP pitot_build_info Build metadata (constant 1; version from -ldflags).\n# TYPE pitot_build_info gauge\npitot_build_info{version=%q} 1\n",
 		s.cfg.BuildVersion)
 
-	fast := 0
-	if info.FastScoring {
-		fast = 1
-	}
-	fmt.Fprintf(&b, "# HELP pitot_fast_scoring Whether the published snapshot scores with the approximate fast kernel (1) or the exact kernel (0).\n# TYPE pitot_fast_scoring gauge\npitot_fast_scoring %d\n", fast)
 	fmt.Fprintf(&b, "# HELP pitot_snapshot_version Currently published model snapshot version.\n# TYPE pitot_snapshot_version gauge\npitot_snapshot_version %d\n", info.Version)
 	fmt.Fprintf(&b, "# HELP pitot_snapshot_observations Dataset size of the published snapshot.\n# TYPE pitot_snapshot_observations gauge\npitot_snapshot_observations %d\n", info.Observations)
 

@@ -246,12 +246,14 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 	}
 	// The score table evicts nothing and is looked up inline: the old
 	// cache's eviction, invalidation, entry and lookup-latency families
-	// are gone.
+	// are gone, and so is the deleted approximate kernel's scoring-mode
+	// gauge (the prefix matches every pitot_fast… family).
 	for _, gone := range []string{
 		"pitot_place_score_cache_evictions_total",
 		"pitot_place_score_cache_invalidations_total",
 		"pitot_place_score_cache_entries",
 		"pitot_place_score_cache_lookup_seconds",
+		"pitot_fast",
 	} {
 		if strings.Contains(b.String(), gone) {
 			t.Errorf("retired series %s still exported", gone)

@@ -47,10 +47,10 @@ type Backend interface {
 	BoundBatch(qs []pitot.Query, eps float64) ([]float64, error)
 	Observe(obs []pitot.Observation) error
 	// Info describes the published snapshot. With placement enabled, the
-	// scheduler keeps every batched score until Info().Version or
-	// Info().FastScoring changes, so for a given pair the batch calls must
-	// be a pure function of the query, and any change to what they return
-	// must move one of the two.
+	// scheduler keeps every batched score until Info().Version changes, so
+	// for a given version the batch calls must be a pure function of the
+	// query, and any change to what they return must move the version to
+	// one never reported before.
 	Info() pitot.Info
 }
 

@@ -32,8 +32,8 @@
 // complete its predictor and feedback surfaces, so placement scores
 // candidate platforms — skipping failed ones and padding degraded ones —
 // directly against the live model snapshot. See DESIGN.md for the
-// snapshot and failure-model architecture and EXPERIMENTS.md for the
-// paper-reproduction results.
+// snapshot and failure-model architecture; cmd/experiments regenerates the
+// paper's tables and figures.
 package pitot
 
 import (
@@ -107,13 +107,6 @@ type snapshot struct {
 	quant   *core.Model // nil unless Options.EnableBounds
 	split   dataset.Split
 	version uint64
-	// fast selects the approximate fused scoring kernel
-	// (core.PredictFusedBatchFast) for this snapshot's ScoreBatch and
-	// two-head ScoreSecondsBatch. Carried on the snapshot — not read from
-	// mutable config — so a concurrent SetFastScoring never mixes kernels
-	// inside one batch: every reader scores its whole batch with the
-	// kernel of the snapshot it loaded.
-	fast bool
 
 	// bounders holds the per-eps conformal calibrations for this snapshot.
 	// Reads are a single atomic load; a cache miss calibrates off to the
@@ -122,8 +115,8 @@ type snapshot struct {
 	bounders atomic.Pointer[map[float64]*calibration]
 }
 
-func newSnapshot(ds *dataset.Dataset, mean, quant *core.Model, split dataset.Split, version uint64, fast bool) *snapshot {
-	s := &snapshot{ds: ds, mean: mean, quant: quant, split: split, version: version, fast: fast}
+func newSnapshot(ds *dataset.Dataset, mean, quant *core.Model, split dataset.Split, version uint64) *snapshot {
+	s := &snapshot{ds: ds, mean: mean, quant: quant, split: split, version: version}
 	empty := map[float64]*calibration{}
 	s.bounders.Store(&empty)
 	return s
@@ -269,7 +262,7 @@ func Train(ds *Dataset, opts Options) (*Predictor, error) {
 			return nil, err
 		}
 	}
-	return newPredictor(newSnapshot(ds, mean, quant, split, 0, cfg.FastScoring)), nil
+	return newPredictor(newSnapshot(ds, mean, quant, split, 0)), nil
 }
 
 // Estimate returns the predicted runtime in seconds of workload w on
@@ -332,15 +325,9 @@ func (s *snapshot) boundInto(qs []Query, eps float64, out []float64) error {
 // per span instead of once per pass, and the conformal offset is hoisted
 // per span — so mixed mean/bound scheduling policies pay roughly one pass
 // instead of two. Outputs are bitwise-identical to calling EstimateBatch
-// and BoundBatch separately — unless fast scoring is on
-// (ModelConfig.FastScoring at training time, or SetFastScoring), which
-// trades bitwise identity for the approximate kernel: every score then
-// stays within core.FastScoreMaxRelErr relative of the exact result
-// (core.FastF32MaxRelErr for the mean head under
-// ModelConfig.FastScoringF32). The scoring mode is part of the snapshot,
-// so one batch is never served by a mix of kernels.
-// Requires Options.EnableBounds; the whole batch is served from one
-// snapshot. Lock-free and safe from any number of goroutines.
+// and BoundBatch separately. Requires Options.EnableBounds; the whole
+// batch is served from one snapshot. Lock-free and safe from any number
+// of goroutines.
 func (p *Predictor) ScoreBatch(qs []Query, eps float64) (mean, bound []float64, err error) {
 	mean = make([]float64, len(qs))
 	bound = make([]float64, len(qs))
@@ -351,7 +338,7 @@ func (p *Predictor) ScoreBatch(qs []Query, eps float64) (mean, bound []float64, 
 }
 
 // scoreInto is ScoreBatch into caller-owned buffers, pinned to one
-// snapshot (and therefore to one scoring kernel).
+// snapshot.
 func (s *snapshot) scoreInto(qs []Query, eps float64, mean, bound []float64) error {
 	if s.quant == nil {
 		return fmt.Errorf("pitot: bounds not enabled; train with Options.EnableBounds")
@@ -360,36 +347,8 @@ func (s *snapshot) scoreInto(qs []Query, eps float64, mean, bound []float64) err
 	if err != nil {
 		return err
 	}
-	// Direct calls, not a kernel variable: a call through a func value
-	// would move the offset method value to the heap on every call.
-	if s.fast {
-		core.PredictFusedBatchFast(s.mean, s.quant, qs, b.Head, b.offset, mean, bound)
-	} else {
-		core.PredictFusedBatch(s.mean, s.quant, qs, b.Head, b.offset, mean, bound)
-	}
+	core.PredictFusedBatch(s.mean, s.quant, qs, b.Head, b.offset, mean, bound)
 	return nil
-}
-
-// SetFastScoring toggles the approximate fused scoring kernel at runtime
-// by publishing a new snapshot that shares the current models, dataset,
-// and conformal calibrations but scores with the requested kernel. Safe
-// under concurrent readers and Observe: readers mid-batch finish on the
-// kernel of the snapshot they loaded — no batch mixes kernels — and the
-// mode survives subsequent Observe updates. The toggle is runtime-only:
-// SaveModel persists the trained ModelConfig.FastScoring flag, not this
-// override. See ScoreBatch for the accuracy contract.
-func (p *Predictor) SetFastScoring(enabled bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cur := p.snap.Load()
-	if cur.fast == enabled {
-		return
-	}
-	next := newSnapshot(cur.ds, cur.mean, cur.quant, cur.split, cur.version, enabled)
-	// Calibrations are immutable per (snapshot lineage, eps); carry them
-	// over instead of recalibrating.
-	next.bounders.Store(cur.bounders.Load())
-	p.snap.Store(next)
 }
 
 // Bound returns a runtime budget in seconds that is sufficient with
@@ -438,9 +397,6 @@ type Info struct {
 	Platforms    int
 	// Bounds reports whether the quantile model is present (Bound works).
 	Bounds bool
-	// FastScoring reports whether the snapshot scores with the approximate
-	// fused kernel (ModelConfig.FastScoring or SetFastScoring).
-	FastScoring bool
 }
 
 // Info returns metadata about the currently published snapshot. Lock-free.
@@ -452,7 +408,6 @@ func (p *Predictor) Info() Info {
 		Workloads:    s.ds.NumWorkloads(),
 		Platforms:    s.ds.NumPlatforms(),
 		Bounds:       s.quant != nil,
-		FastScoring:  s.fast,
 	}
 }
 
@@ -460,19 +415,10 @@ func (p *Predictor) Info() Info {
 func (p *Predictor) Version() uint64 { return p.snap.Load().version }
 
 // ScoreEpoch returns an opaque value that changes whenever the predictor
-// would score the same query differently. It folds the snapshot version
-// together with the fast-scoring mode bit: SetFastScoring republishes the
-// snapshot under the same Version but swaps the scoring kernel, so version
-// alone is not a safe cache key for scores. Lock-free; both facets are
-// read from one atomic snapshot load, so the pair is always consistent.
-func (p *Predictor) ScoreEpoch() uint64 {
-	s := p.snap.Load()
-	e := s.version << 1
-	if s.fast {
-		e |= 1
-	}
-	return e
-}
+// would score the same query differently (sched.Predictor): the snapshot
+// version, which every publish increments, so the epoch never returns to
+// an earlier value. Lock-free.
+func (p *Predictor) ScoreEpoch() uint64 { return p.snap.Load().version }
 
 // WorkloadEmbeddings returns the learned per-workload embedding vectors
 // (rows aligned with Dataset.WorkloadNames), usable for clustering or
@@ -513,10 +459,10 @@ var (
 // (sched.Predictor): meanOut[i] gets the expected runtime and boundOut[i]
 // the (1−eps) budget of qs[i], from one snapshot; a nil buffer skips its
 // head. One head runs exactly EstimateBatch's or BoundBatch's code into
-// the caller's buffer, both run ScoreBatch's fused pass (the fast kernel
-// under fast scoring). A bound error (bounds not enabled, a calibration
-// failure for eps) sets every bound to +Inf, the scheduler's infeasibility
-// convention; the means are filled either way.
+// the caller's buffer, both run ScoreBatch's fused pass. A bound error
+// (bounds not enabled, a calibration failure for eps) sets every bound to
+// +Inf, the scheduler's infeasibility convention; the means are filled
+// either way.
 func (p *Predictor) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut []float64) {
 	s := p.snap.Load()
 	var err error
@@ -623,7 +569,7 @@ func (p *Predictor) Observe(obs []Observation) error {
 	split.Cal = append(split.Cal, cur.split.Cal...)
 	split.Cal = append(split.Cal, newIdx...)
 
-	p.snap.Store(newSnapshot(ds, mean, quant, split, cur.version+1, cur.fast))
+	p.snap.Store(newSnapshot(ds, mean, quant, split, cur.version+1))
 	return nil
 }
 
@@ -726,8 +672,5 @@ func LoadPredictor(ds *Dataset, meanR, quantR io.Reader) (*Predictor, error) {
 			return nil, err
 		}
 	}
-	// The fast-scoring flag rides in the persisted model config, so a
-	// predictor trained with ModelConfig.FastScoring reloads in fast mode
-	// (streams written before the flag existed load with it off).
-	return newPredictor(newSnapshot(ds, mean, quant, pf.Split, 0, mean.Cfg.FastScoring)), nil
+	return newPredictor(newSnapshot(ds, mean, quant, pf.Split, 0)), nil
 }

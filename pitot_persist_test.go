@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -190,5 +193,49 @@ func TestLoadPredictorRejectsCorruptInput(t *testing.T) {
 	short.Obs = short.Obs[:len(short.Obs)/2]
 	if _, err := LoadPredictor(short, &meanBuf, nil); err == nil {
 		t.Fatal("accepted a dataset smaller than the persisted split")
+	}
+}
+
+// TestLoadStreamsOfRemovedApproxKernel loads streams written when the
+// model config still had a flag that served ScoreBatch from an approximate
+// kernel (deleted after commit 7fa879f, whose LoadPredictor turned it back
+// on from the stream). testdata/approx-kernel holds the mean and quantile
+// streams of a predictor trained on smallDataset() with that flag set:
+// DefaultModelConfig(5) at rank 32, Hidden 8, Steps 40, BatchPerDegree 64,
+// EvalEvery 20, EnableBounds. Gob drops the unknown field, so the loaded
+// predictor scores with the one exact kernel: ScoreBatch is bitwise equal
+// to EstimateBatch + BoundBatch.
+func TestLoadStreamsOfRemovedApproxKernel(t *testing.T) {
+	ds := smallDataset()
+	meanB, err := os.ReadFile(filepath.Join("testdata", "approx-kernel", "mean.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quantB, err := os.ReadFile(filepath.Join("testdata", "approx-kernel", "quant.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := LoadPredictor(ds, bytes.NewReader(meanB), bytes.NewReader(quantB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := fusedQueries(ds, rand.New(rand.NewSource(43)))
+	for _, eps := range []float64{0.05, 0.1, 0.3} {
+		mean, bound, err := pred.ScoreBatch(qs, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMean := pred.EstimateBatch(qs)
+		wantBound, err := pred.BoundBatch(qs, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range qs {
+			if math.Float64bits(mean[i]) != math.Float64bits(wantMean[i]) ||
+				math.Float64bits(bound[i]) != math.Float64bits(wantBound[i]) {
+				t.Fatalf("eps %v query %d: ScoreBatch (%v, %v) != EstimateBatch/BoundBatch (%v, %v)",
+					eps, i, mean[i], bound[i], wantMean[i], wantBound[i])
+			}
+		}
 	}
 }
