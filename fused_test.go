@@ -147,51 +147,19 @@ func TestScoreBatchBitwiseIdenticalRank32(t *testing.T) {
 
 // Without bounds, ScoreBatch errors while ScoreSecondsBatch degrades to
 // +Inf bounds with valid means — the scheduler's infeasibility convention.
+// The fallback fills the caller's buffers in place: both start at −1, the
+// means must come back equal to EstimateBatch and every bound +Inf.
 func TestScoreBatchWithoutBounds(t *testing.T) {
 	ds := smallDataset()
 	pred, err := Train(ds, smallOptions(31, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := []Query{{Workload: 0, Platform: 0}, {Workload: 1, Platform: 1, Interferers: []int{2}}}
+	qs := append([]Query{{Workload: 0, Platform: 0}, {Workload: 1, Platform: 1, Interferers: []int{2}}},
+		schedQueries(ds)[:8]...)
 	if _, _, err := pred.ScoreBatch(qs, 0.1); err == nil {
 		t.Fatal("ScoreBatch without bounds did not error")
 	}
-	meanOut := make([]float64, len(qs))
-	boundOut := make([]float64, len(qs))
-	pred.ScoreSecondsBatch(qs, 0.1, meanOut, boundOut)
-	want := pred.EstimateBatch(qs)
-	for i := range qs {
-		if meanOut[i] != want[i] {
-			t.Fatalf("mean fallback %v != EstimateBatch %v", meanOut[i], want[i])
-		}
-		if !math.IsInf(boundOut[i], 1) {
-			t.Fatalf("bound without quantile model: %v, want +Inf", boundOut[i])
-		}
-	}
-	// A bad eps degrades the same way even with bounds enabled.
-	predB, ds2 := enginePredictor(t)
-	qs2 := []Query{{Workload: 0, Platform: 0}}
-	_ = ds2
-	pb := make([]float64, 1)
-	mb := make([]float64, 1)
-	predB.ScoreSecondsBatch(qs2, math.NaN(), mb, pb)
-	if !math.IsInf(pb[0], 1) {
-		t.Fatalf("NaN eps bound: %v, want +Inf", pb[0])
-	}
-}
-
-// TestScoreSecondsBatchFallbackFillsInPlace is the regression for the
-// error fallback: without bounds enabled, ScoreSecondsBatch must fill the
-// caller's mean buffer in place with plain estimates (no reallocation)
-// and mark every bound +Inf.
-func TestScoreSecondsBatchFallbackFillsInPlace(t *testing.T) {
-	ds := smallDataset()
-	pred, err := Train(ds, smallOptions(35, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	qs := schedQueries(ds)[:8]
 	meanOut := make([]float64, len(qs))
 	boundOut := make([]float64, len(qs))
 	for i := range meanOut {
@@ -207,6 +175,15 @@ func TestScoreSecondsBatchFallbackFillsInPlace(t *testing.T) {
 		if !math.IsInf(boundOut[i], 1) {
 			t.Fatalf("query %d: fallback bound %v, want +Inf", i, boundOut[i])
 		}
+	}
+	// A bad eps degrades the same way even with bounds enabled.
+	predB, _ := enginePredictor(t)
+	qs2 := []Query{{Workload: 0, Platform: 0}}
+	pb := make([]float64, 1)
+	mb := make([]float64, 1)
+	predB.ScoreSecondsBatch(qs2, math.NaN(), mb, pb)
+	if !math.IsInf(pb[0], 1) {
+		t.Fatalf("NaN eps bound: %v, want +Inf", pb[0])
 	}
 }
 

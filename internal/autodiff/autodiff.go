@@ -17,7 +17,9 @@
 // every op output and interior gradient is drawn from the size-classed pool
 // in internal/tensor, and ReleaseGraph hands a finished graph's buffers
 // back. Callers that skip ReleaseGraph (tests, one-shot evaluations) simply
-// fall back to GC collection.
+// fall back to GC collection. Gradients come from the pool zeroed; op
+// outputs come uncleared, because every op writes each element of its
+// output before anything reads it.
 //
 // Disjoint graphs may run Backward concurrently: topological sorting marks
 // nodes with a per-traversal generation stamp drawn from an atomic counter
@@ -48,8 +50,13 @@ type Value struct {
 	visit        uint64 // generation stamp of the last graph traversal
 }
 
-// newMat allocates graph-lifetime storage from the shared matrix pool.
+// newMat allocates zeroed graph-lifetime storage from the shared matrix
+// pool, for gradients, which ops accumulate into.
 func newMat(rows, cols int) *tensor.Matrix { return tensor.GetPooled(rows, cols) }
+
+// newOut allocates graph-lifetime storage for an op's output, which the
+// op overwrites in full: it skips the pool's clear.
+func newOut(rows, cols int) *tensor.Matrix { return tensor.GetPooledUncleared(rows, cols) }
 
 // NewConst wraps a matrix as a constant (no gradient tracked).
 func NewConst(m *tensor.Matrix) *Value {
@@ -72,6 +79,21 @@ func Stub(v *Value) *Value {
 	return &Value{Data: v.Data, Grad: newMat(v.Data.Rows, v.Data.Cols), requiresGrad: true, op: "stub"}
 }
 
+// StubCols is Stub for the column block [lo,hi) of v: a detached leaf
+// holding a copy of those columns, with a gradient of their width. A
+// subgraph that reads only that block (one head's GatherCols, say) then
+// clears and folds only that block: the caller adds the stub's Grad into
+// columns [lo,hi) of v.Grad (tensor.AddColsInPlace). The full width is
+// Stub itself, sharing v's data.
+func StubCols(v *Value, lo, hi int) *Value {
+	if lo == 0 && hi == v.Data.Cols {
+		return Stub(v)
+	}
+	data := newOut(v.Data.Rows, hi-lo)
+	tensor.SliceColsInto(data, v.Data, lo, hi)
+	return &Value{Data: data, Grad: newMat(v.Data.Rows, hi-lo), requiresGrad: true, op: "stubcols"}
+}
+
 // IsParam reports whether v is a leaf parameter node.
 func (v *Value) IsParam() bool { return v.op == "param" }
 
@@ -89,9 +111,10 @@ func (v *Value) ZeroGrad() {
 }
 
 // newResult allocates the output node for an op over parents. The output
-// matrix is pool-backed and zeroed; the caller computes it afterwards.
+// matrix is pool-backed and uncleared: the caller must write every element
+// of it. The gradient, when one is tracked, is zeroed.
 func newResult(rows, cols int, op string, parents ...*Value) *Value {
-	out := &Value{Data: newMat(rows, cols), op: op, parents: parents}
+	out := &Value{Data: newOut(rows, cols), op: op, parents: parents}
 	for _, p := range parents {
 		if p.requiresGrad {
 			out.requiresGrad = true
@@ -182,7 +205,8 @@ func topoSort(root *Value) []*Value {
 
 // ReleaseGraph returns the pool-backed buffers of every node reachable from
 // roots. Parameters and constants are untouched (their storage is owned by
-// the caller); stubs release only their gradient accumulator. None of the
+// the caller); stubs release only their gradient accumulator, and column
+// stubs their column copy as well. None of the
 // graph's Values — including the data of non-parameter results — may be
 // used afterwards.
 func ReleaseGraph(roots ...*Value) {
@@ -471,28 +495,33 @@ func RowDot(a, b *Value) *Value {
 	out := newResult(a.Data.Rows, 1, "rowdot", a, b)
 	tensor.RowDotInto(out.Data, a.Data, b.Data)
 	out.backward = func() {
+		if !a.requiresGrad && !b.requiresGrad {
+			return
+		}
+		// One pass per row updates both operands. Every gradient element
+		// still receives its a-side product before its b-side one, so
+		// a == b (one shared buffer) accumulates exactly as two passes do.
+		var ga, gb *tensor.Matrix
 		if a.requiresGrad {
-			g := a.ensureGrad()
-			for i := 0; i < a.Data.Rows; i++ {
-				gi := out.Grad.Data[i]
-				if gi == 0 {
-					continue
-				}
-				grow := g.Row(i)
-				for j, v := range b.Data.Row(i) {
+			ga = a.ensureGrad()
+		}
+		if b.requiresGrad {
+			gb = b.ensureGrad()
+		}
+		for i, gi := range out.Grad.Data {
+			if gi == 0 {
+				continue
+			}
+			arow, brow := a.Data.Row(i), b.Data.Row(i)
+			if ga != nil {
+				grow := ga.Row(i)
+				for j, v := range brow {
 					grow[j] += gi * v
 				}
 			}
-		}
-		if b.requiresGrad {
-			g := b.ensureGrad()
-			for i := 0; i < b.Data.Rows; i++ {
-				gi := out.Grad.Data[i]
-				if gi == 0 {
-					continue
-				}
-				grow := g.Row(i)
-				for j, v := range a.Data.Row(i) {
+			if gb != nil {
+				grow := gb.Row(i)
+				for j, v := range arow {
 					grow[j] += gi * v
 				}
 			}

@@ -465,6 +465,49 @@ func TestStubBackwardSeededMatchesMonolithic(t *testing.T) {
 	}
 }
 
+// A subgraph that reads only columns [lo,hi) of h must leave the same bits
+// in h's gradient whether it hangs off a full-width Stub folded with
+// AddInPlace or a StubCols folded into those columns, including over a
+// gradient that already holds values from an earlier fold.
+func TestStubColsFoldMatchesStub(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	xM, wM := randMat(rng, 5, 3), randMat(rng, 3, 12)
+	idx := []int{4, 0, 0, 2}
+	const lo, hi = 4, 8
+	fold := func(narrow bool) *tensor.Matrix {
+		w := NewParam(wM.Clone())
+		h := MatMul(NewConst(xM), w)
+		for pass := 0; pass < 2; pass++ {
+			var s *Value
+			if narrow {
+				s = StubCols(h, lo, hi)
+			} else {
+				s = Stub(h)
+			}
+			c := 0
+			if !narrow {
+				c = lo
+			}
+			loss := Sum(Square(GatherCols(s, idx, c, c+hi-lo)))
+			loss.Backward()
+			if narrow {
+				tensor.AddColsInPlace(h.Grad, s.Grad, lo)
+			} else {
+				tensor.AddInPlace(h.Grad, s.Grad)
+			}
+			ReleaseGraph(loss)
+		}
+		h.BackwardSeeded()
+		return w.Grad
+	}
+	want, got := fold(false), fold(true)
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("element %d: StubCols fold %v, Stub fold %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
 func TestConcurrentDisjointBackward(t *testing.T) {
 	// Disjoint graphs must be differentiable concurrently (the parallel
 	// per-degree training path); run under -race to verify.

@@ -3,7 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/tensor"
@@ -196,5 +198,51 @@ func TestPredictBatchAllocs(t *testing.T) {
 	groups := float64(m.data.NumPlatforms() * 2)
 	if allocs > 8*groups {
 		t.Fatalf("batch inference allocates %v objects for %v groups", allocs, groups)
+	}
+}
+
+// runInOrder must fold every task exactly once, in task order, only after
+// the task has run, and must never have more than 2·workers tasks started
+// and not yet folded, however long an early task takes.
+func TestRunInOrderFoldsInOrderWithinWindow(t *testing.T) {
+	const n = 60
+	for _, workers := range []int{2, 3, 5} {
+		var live, maxLive atomic.Int64
+		ran := make([]atomic.Bool, n)
+		var folded []int
+		run := func(i int) {
+			v := live.Add(1)
+			for {
+				m := maxLive.Load()
+				if v <= m || maxLive.CompareAndSwap(m, v) {
+					break
+				}
+			}
+			// Every seventh task is slow, so later ones finish first and
+			// wait for it.
+			if i%7 == 0 {
+				time.Sleep(2 * time.Millisecond)
+			}
+			ran[i].Store(true)
+		}
+		fold := func(i int) {
+			if !ran[i].Load() {
+				t.Errorf("workers %d: task %d folded before it ran", workers, i)
+			}
+			folded = append(folded, i)
+			live.Add(-1)
+		}
+		runInOrder(n, workers, run, fold)
+		for i, f := range folded {
+			if f != i {
+				t.Fatalf("workers %d: fold %d was task %d", workers, i, f)
+			}
+		}
+		if len(folded) != n {
+			t.Fatalf("workers %d: %d folds, want %d", workers, len(folded), n)
+		}
+		if got := maxLive.Load(); got > int64(2*workers) {
+			t.Fatalf("workers %d: %d tasks live at once, want at most %d", workers, got, 2*workers)
+		}
 	}
 }

@@ -212,7 +212,7 @@ func (m *Model) towerInput2(feats *tensor.Matrix, phi *nn.Embedding) (cat, x *te
 		if feats == nil {
 			x = t
 		} else {
-			cat = tensor.GetPooled(feats.Rows, feats.Cols+t.Cols)
+			cat = tensor.GetPooledUncleared(feats.Rows, feats.Cols+t.Cols)
 			tensor.ConcatColsInto(cat, feats, t)
 			x = cat
 		}
@@ -262,22 +262,25 @@ func (m *Model) makeBatch(obsIdx []int, stripInterference bool) batch {
 	return bt
 }
 
-// predictBatch builds the prediction graph for one batch and head h
+// predictBatch builds the prediction graph for one batch and one head
 // (paper Eq. 9):
 //
 //	ŷ = wᵢᵀpⱼ + Σ_t (wᵢᵀ v_s⁽ᵗ⁾) · α( Σ_k w_kᵀ v_g⁽ᵗ⁾ )
 //
-// returning a B x 1 Value of residual predictions. Embedding lookups use
-// the fused GatherCols (no full-width row copies for multi-head tables)
-// and the inner products use the fused RowDot (no B x r intermediates).
-func (m *Model) predictBatch(w, p *autodiff.Value, bt batch, h int) *autodiff.Value {
+// returning a B x 1 Value of residual predictions. The head's rank-r block
+// starts at column lo of w: h·r in a full workload-tower output, 0 in a
+// stub of the head's columns. p needs only its first r columns unless
+// usesInterference(bt). Embedding lookups use the fused GatherCols (no
+// full-width row copies for multi-head tables) and the inner products use
+// the fused RowDot (no B x r intermediates).
+func (m *Model) predictBatch(w, p *autodiff.Value, bt batch, lo int) *autodiff.Value {
 	r, s := m.Cfg.EmbeddingDim, m.Cfg.InterferenceTypes
-	lo, hi := h*r, (h+1)*r
+	hi := lo + r
 	wi := autodiff.GatherCols(w, bt.wi, lo, hi)
 	pj := autodiff.GatherCols(p, bt.pj, 0, r)
 	pred := autodiff.RowDot(wi, pj)
 
-	if bt.degree > 0 && m.Cfg.Interference == InterferenceAware && s > 0 {
+	if m.usesInterference(bt) {
 		// Gather interferer embeddings once per slot.
 		wks := make([]*autodiff.Value, bt.degree)
 		for mi := 0; mi < bt.degree; mi++ {
@@ -305,12 +308,18 @@ func (m *Model) predictBatch(w, p *autodiff.Value, bt batch, h int) *autodiff.Va
 	return pred
 }
 
-// headLoss builds the loss graph of one batch for a single head: pinball
-// at the head's quantile, or the configured squared loss for the mean
-// model (head 0).
-func (m *Model) headLoss(w, p *autodiff.Value, bt batch, h int) *autodiff.Value {
+// usesInterference reports whether a batch's predictions read the
+// interference terms, and so the platform embeddings past column r.
+func (m *Model) usesInterference(bt batch) bool {
+	return bt.degree > 0 && m.Cfg.Interference == InterferenceAware && m.Cfg.InterferenceTypes > 0
+}
+
+// headLoss builds the loss graph of one batch for a single head h, whose
+// block starts at column lo of w (see predictBatch): pinball at the head's
+// quantile, or the configured squared loss for the mean model (head 0).
+func (m *Model) headLoss(w, p *autodiff.Value, bt batch, h, lo int) *autodiff.Value {
 	target := tensor.FromSlice(len(bt.target), 1, bt.target)
-	pred := m.predictBatch(w, p, bt, h)
+	pred := m.predictBatch(w, p, bt, lo)
 	if len(m.Cfg.Quantiles) == 0 {
 		if m.Cfg.Objective == ObjProportional {
 			// Relative squared error: weight each sample by 1/C*².
@@ -329,11 +338,11 @@ func (m *Model) headLoss(w, p *autodiff.Value, bt batch, h int) *autodiff.Value 
 // Quantile heads get equal weight (App. B.3).
 func (m *Model) batchLoss(w, p *autodiff.Value, bt batch) *autodiff.Value {
 	if len(m.Cfg.Quantiles) == 0 {
-		return m.headLoss(w, p, bt, 0)
+		return m.headLoss(w, p, bt, 0, 0)
 	}
 	var total *autodiff.Value
 	for h := range m.Cfg.Quantiles {
-		l := m.headLoss(w, p, bt, h)
+		l := m.headLoss(w, p, bt, h, h*m.Cfg.EmbeddingDim)
 		if total == nil {
 			total = l
 		} else {
@@ -349,7 +358,7 @@ func (m *Model) batchLoss(w, p *autodiff.Value, bt batch) *autodiff.Value {
 func (m *Model) predictResidualsInto(dst []float64, wE, pE *tensor.Matrix, bt batch, h int) {
 	r, s := m.Cfg.EmbeddingDim, m.Cfg.InterferenceTypes
 	lo, hi := h*r, (h+1)*r
-	interference := bt.degree > 0 && m.Cfg.Interference == InterferenceAware && s > 0
+	interference := m.usesInterference(bt)
 	for b := range dst {
 		wrow := wE.Row(bt.wi[b])[lo:hi]
 		prow := pE.Row(bt.pj[b])

@@ -114,17 +114,24 @@ func (m *Model) expandTasks(batches []batch, weights []float64) []lossTask {
 
 // runStep executes one optimization step over pre-normalized batch weights:
 // shared tower forward, per-(batch, head) loss graphs fanned out across
-// workers, deterministic gradient accumulation, tower backward, and graph
-// release back to the matrix pool. It returns the weighted training loss.
+// workers, each folded into the tower gradients and released back to the
+// matrix pool as soon as it and every earlier task have finished, then
+// the tower backward. It returns the weighted training loss.
 //
 // Parallelism never changes the result: each task differentiates a fully
 // disjoint subgraph rooted at stubs of the tower outputs, and stub
 // gradients are folded into the tower gradients sequentially in task order,
 // so floating-point accumulation order is fixed regardless of worker count
-// or goroutine scheduling.
+// or goroutine scheduling. Each stub covers only the columns its task
+// gathers: head h's block of the workload tower, and the platform tower's
+// first r columns unless the batch reads interference terms. Folding only
+// those columns adds exactly what a full-width fold adds, because a
+// full-width stub holds +0 elsewhere and a tower gradient, which starts at
+// +0, never holds −0.
 func (m *Model) runStep(batches []batch, weights []float64) float64 {
 	w, p := m.embeddings()
 	tasks := m.expandTasks(batches, weights)
+	r := m.Cfg.EmbeddingDim
 
 	type taskGraph struct {
 		root, wStub, pStub *autodiff.Value
@@ -132,11 +139,25 @@ func (m *Model) runStep(batches []batch, weights []float64) float64 {
 	graphs := make([]taskGraph, len(tasks))
 	run := func(i int) {
 		t := tasks[i]
-		wS, pS := autodiff.Stub(w), autodiff.Stub(p)
-		loss := m.headLoss(wS, pS, t.bt, t.head)
+		pCols := r
+		if m.usesInterference(t.bt) {
+			pCols = p.Cols()
+		}
+		wS := autodiff.StubCols(w, t.head*r, (t.head+1)*r)
+		pS := autodiff.StubCols(p, 0, pCols)
+		loss := m.headLoss(wS, pS, t.bt, t.head, 0)
 		loss.Grad.Data[0] = t.weight
 		loss.BackwardSeeded()
 		graphs[i] = taskGraph{root: loss, wStub: wS, pStub: pS}
+	}
+	var total float64
+	fold := func(i int) {
+		g := &graphs[i]
+		total += tasks[i].weight * g.root.Scalar()
+		tensor.AddColsInPlace(w.Grad, g.wStub.Grad, tasks[i].head*r)
+		tensor.AddColsInPlace(p.Grad, g.pStub.Grad, 0)
+		autodiff.ReleaseGraph(g.root)
+		*g = taskGraph{}
 	}
 	workers := m.workers()
 	if workers > len(tasks) {
@@ -145,38 +166,60 @@ func (m *Model) runStep(batches []batch, weights []float64) float64 {
 	if workers <= 1 {
 		for i := range tasks {
 			run(i)
+			fold(i)
 		}
 	} else {
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					run(i)
-				}
-			}()
-		}
-		for i := range tasks {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
+		runInOrder(len(tasks), workers, run, fold)
 	}
 
-	var total float64
-	for i := range graphs {
-		g := &graphs[i]
-		total += tasks[i].weight * g.root.Scalar()
-		tensor.AddInPlace(w.Grad, g.wStub.Grad)
-		tensor.AddInPlace(p.Grad, g.pStub.Grad)
-		autodiff.ReleaseGraph(g.root)
-	}
 	w.BackwardSeeded()
 	p.BackwardSeeded()
 	autodiff.ReleaseGraph(w, p)
 	return total
+}
+
+// runInOrder calls run(i) for every i in [0,n) on workers goroutines and
+// fold(i) on the calling goroutine in ascending i, each as soon as run(i)
+// and every earlier run have returned. No more than 2·workers tasks are
+// ever started and not yet folded, so a slow early task holds back at most
+// that many finished ones.
+func runInOrder(n, workers int, run, fold func(int)) {
+	window := 2 * workers
+	next := make(chan int)
+	// At most window tasks are unfolded, so a finished worker never waits
+	// to report and can take the next task while the caller folds.
+	done := make(chan int, window)
+	var wg sync.WaitGroup
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				run(i)
+				done <- i
+			}
+		}()
+	}
+	finished := make([]bool, n)
+	started, folded := 0, 0
+	for folded < n {
+		send := next
+		if started == n || started-folded >= window {
+			send = nil
+		}
+		select {
+		case send <- started:
+			started++
+		case i := <-done:
+			finished[i] = true
+			for folded < n && finished[folded] {
+				fold(folded)
+				folded++
+			}
+		}
+	}
+	close(next)
+	wg.Wait()
 }
 
 // filterIndices applies the interference-mode filter: InterferenceDiscard

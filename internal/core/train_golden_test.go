@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/dataset"
@@ -103,6 +104,46 @@ func TestGoldenTrainDigests(t *testing.T) {
 			if want := goldenTrainDigests[key]; got != want {
 				t.Errorf("%s: digest %#x, want %#x", key, got, want)
 			}
+		}
+	}
+}
+
+// poisonPool fills pooled buffers of every size class up to 1<<16 floats
+// with NaN, so an op that reads an element of an uncleared output before
+// writing it turns the trained model NaN.
+func poisonPool() {
+	for class := 0; class <= 16; class++ {
+		n := 32
+		if class > 12 {
+			n = 4
+		}
+		bufs := make([]*tensor.Matrix, n)
+		for i := range bufs {
+			bufs[i] = tensor.GetPooledUncleared(1, 1<<class)
+			bufs[i].Fill(math.NaN())
+		}
+		for _, b := range bufs {
+			tensor.PutPooled(b)
+		}
+	}
+}
+
+// TestPoisonedPoolTrainsIdentically trains with every pool size class
+// full of NaN and compares the result bitwise with an unpoisoned Train.
+// Op outputs come from the pool uncleared; only an op that reads an
+// output element it never wrote can tell the difference. The garbage
+// collector is held off so that it cannot empty the pool mid-test.
+func TestPoisonedPoolTrainsIdentically(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range []struct {
+		quantiles []float64
+		workers   int
+	}{{nil, 1}, {[]float64{0.5, 0.9, 0.99}, 2}} {
+		clean := trainDigest(goldenTrainModel(t, c.quantiles, c.workers))
+		poisonPool()
+		if got := trainDigest(goldenTrainModel(t, c.quantiles, c.workers)); got != clean {
+			t.Errorf("quantiles %v workers %d: poisoned pool digest %#x, clean %#x",
+				c.quantiles, c.workers, got, clean)
 		}
 	}
 }

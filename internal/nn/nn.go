@@ -142,15 +142,16 @@ func (m *MLP) Forward(x *autodiff.Value) *autodiff.Value {
 // it with tensor.PutPooled when done).
 func (m *MLP) Infer(x *tensor.Matrix) *tensor.Matrix {
 	out := m.Layers[len(m.Layers)-1].W.Data.Cols
-	return m.InferInto(tensor.GetPooled(x.Rows, out), x)
+	return m.InferInto(tensor.GetPooledUncleared(x.Rows, out), x)
 }
 
 // InferInto is Infer with the output written into dst, which is returned.
 // A dst of the right shape is reused in place — the steady state of an
 // embedding-cache refresh, which would otherwise clone a pooled result
 // every sync; nil or a mismatched dst is replaced by a fresh heap matrix.
-// Hidden-layer intermediates still come from the tensor pool. dst must not
-// be read concurrently during the call.
+// Hidden-layer intermediates still come from the tensor pool, uncleared:
+// each layer's matrix product overwrites them. dst must not be read
+// concurrently during the call.
 func (m *MLP) InferInto(dst *tensor.Matrix, x *tensor.Matrix) *tensor.Matrix {
 	last := len(m.Layers) - 1
 	cur := x
@@ -163,7 +164,7 @@ func (m *MLP) InferInto(dst *tensor.Matrix, x *tensor.Matrix) *tensor.Matrix {
 			}
 			next = dst
 		} else {
-			next = tensor.GetPooled(cur.Rows, w.Cols)
+			next = tensor.GetPooledUncleared(cur.Rows, w.Cols)
 		}
 		tensor.MatMulInto(next, cur, w, false)
 		for i := 0; i < next.Rows; i++ {

@@ -11,8 +11,9 @@ import (
 // served by any previously released slice of the same class.
 //
 // GetPooled always returns zeroed storage, so callers may rely on the same
-// invariant New provides. PutPooled is optional: storage that is never
-// returned is simply collected by the GC.
+// invariant New provides; GetPooledUncleared skips the clear, for outputs
+// the caller overwrites in full before reading. PutPooled is optional:
+// storage that is never returned is simply collected by the GC.
 
 // maxPoolClass bounds pooled slices at 1<<maxPoolClass floats (512 MiB);
 // anything larger is allocated and freed normally.
@@ -29,21 +30,37 @@ func sizeClass(n int) int {
 // GetPooled returns a zeroed rows x cols matrix, reusing pooled storage when
 // available. Release it with PutPooled once no longer referenced.
 func GetPooled(rows, cols int) *Matrix {
+	m, reused := getPooled(rows, cols)
+	if reused {
+		clear(m.Data)
+	}
+	return m
+}
+
+// GetPooledUncleared is GetPooled without the clear: reused storage keeps
+// whatever an earlier user left in it, so every element must be written
+// before it is read.
+func GetPooledUncleared(rows, cols int) *Matrix {
+	m, _ := getPooled(rows, cols)
+	return m
+}
+
+// getPooled returns a rows x cols matrix and whether its storage came from
+// the pool (and so may hold stale values) rather than a fresh allocation.
+func getPooled(rows, cols int) (*Matrix, bool) {
 	n := rows * cols
 	if n <= 0 {
-		return New(rows, cols)
+		return New(rows, cols), false
 	}
 	class := sizeClass(n)
 	if class > maxPoolClass {
-		return New(rows, cols)
+		return New(rows, cols), false
 	}
 	if v := pools[class].Get(); v != nil {
 		buf := *(v.(*[]float64))
-		data := buf[:n]
-		clear(data)
-		return &Matrix{Rows: rows, Cols: cols, Data: data}
+		return &Matrix{Rows: rows, Cols: cols, Data: buf[:n]}, true
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, n, 1<<class)}
+	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, n, 1<<class)}, false
 }
 
 // PutPooled returns m's backing storage to the pool. m (and any matrix

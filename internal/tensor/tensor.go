@@ -157,16 +157,14 @@ func MatMul(a, b *Matrix) *Matrix {
 }
 
 // MatMulInto computes dst = a*b, or dst += a*b when accumulate is true.
-// dst must be a.Rows x b.Cols and must not alias a or b.
+// dst must be a.Rows x b.Cols and must not alias a or b. Without
+// accumulate, dst is never read, so it may hold anything on entry.
 func MatMulInto(dst, a, b *Matrix, accumulate bool) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul dst %dx%d for %dx%d result", dst.Rows, dst.Cols, a.Rows, b.Cols))
-	}
-	if !accumulate {
-		dst.Zero()
 	}
 	work := a.Rows * a.Cols * b.Cols
 	workers := 1
@@ -177,7 +175,7 @@ func MatMulInto(dst, a, b *Matrix, accumulate bool) {
 		}
 	}
 	if workers <= 1 {
-		matMulRange(dst, a, b, 0, a.Rows)
+		matMulRange(dst, a, b, 0, a.Rows, accumulate)
 		return
 	}
 	var wg sync.WaitGroup
@@ -190,32 +188,95 @@ func MatMulInto(dst, a, b *Matrix, accumulate bool) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			matMulRange(dst, a, b, lo, hi)
+			matMulRange(dst, a, b, lo, hi, accumulate)
 		}(lo, hi)
 	}
 	wg.Wait()
 }
 
-// matMulRange computes rows [lo,hi) of dst += a*b using the cache-friendly
-// i-k-j ordering.
-func matMulRange(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		drow := dst.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
+// matMulRange computes rows [lo,hi) of dst = a*b (dst += a*b when
+// accumulate is true), two rows by four columns at a time held in
+// registers. Each output element still sums its products in ascending k,
+// starting from +0 (or its old value), and skips every k whose a entry is
+// exactly zero, so the result is bitwise that of the i-k-j loop
+//
+//	for k, av := range a.Row(i) { if av != 0 { dst[i][j] += av * b[k][j] } }
+//
+// including where a skipped zero meets an infinite or NaN b entry.
+func matMulRange(dst, a, b *Matrix, lo, hi int, accumulate bool) {
+	n, bd := b.Cols, b.Data
+	i := lo
+	for ; i+2 <= hi; i += 2 {
+		a0, a1 := a.Row(i), a.Row(i+1)
+		a1 = a1[:len(a0)]
+		d0, d1 := dst.Row(i), dst.Row(i+1)
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			var c00, c01, c02, c03, c10, c11, c12, c13 float64
+			if accumulate {
+				c00, c01, c02, c03 = d0[j], d0[j+1], d0[j+2], d0[j+3]
+				c10, c11, c12, c13 = d1[j], d1[j+1], d1[j+2], d1[j+3]
 			}
-			brow := b.Data[k*n : (k+1)*n]
-			for j, bv := range brow {
-				drow[j] += av * bv
+			off := j
+			for k, x0 := range a0 {
+				x1 := a1[k]
+				if x0 == 0 && x1 == 0 {
+					off += n
+					continue
+				}
+				bk := bd[off : off+4 : off+4]
+				b0, b1, b2, b3 := bk[0], bk[1], bk[2], bk[3]
+				if x0 != 0 {
+					c00 += x0 * b0
+					c01 += x0 * b1
+					c02 += x0 * b2
+					c03 += x0 * b3
+				}
+				if x1 != 0 {
+					c10 += x1 * b0
+					c11 += x1 * b1
+					c12 += x1 * b2
+					c13 += x1 * b3
+				}
+				off += n
 			}
+			d0[j], d0[j+1], d0[j+2], d0[j+3] = c00, c01, c02, c03
+			d1[j], d1[j+1], d1[j+2], d1[j+3] = c10, c11, c12, c13
+		}
+		for ; j < n; j++ {
+			var c0, c1 float64
+			if accumulate {
+				c0, c1 = d0[j], d1[j]
+			}
+			for k, x0 := range a0 {
+				if x0 != 0 {
+					c0 += x0 * bd[k*n+j]
+				}
+				if x1 := a1[k]; x1 != 0 {
+					c1 += x1 * bd[k*n+j]
+				}
+			}
+			d0[j], d1[j] = c0, c1
+		}
+	}
+	if i < hi {
+		a0, d0 := a.Row(i), dst.Row(i)
+		for j := 0; j < n; j++ {
+			var c float64
+			if accumulate {
+				c = d0[j]
+			}
+			for k, x := range a0 {
+				if x != 0 {
+					c += x * bd[k*n+j]
+				}
+			}
+			d0[j] = c
 		}
 	}
 }
 
-// MatMulATB returns aᵀ*b without materializing the transpose.
+// MatMulATB returns aᵀ*b.
 func MatMulATB(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulATB dims %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -236,7 +297,9 @@ func MatMulABT(a, b *Matrix) *Matrix {
 }
 
 // MatMulATBInto computes dst = aᵀ*b (or dst += aᵀ*b when accumulate is
-// true) without materializing the transpose.
+// true). aᵀ is materialized in pooled scratch and fed to MatMul's blocked
+// kernel: element (i, j) sums a[k][i]·b[k][j] in ascending k, skipping
+// exact-zero a[k][i], exactly as a k-i-j loop over a's rows does.
 func MatMulATBInto(dst, a, b *Matrix, accumulate bool) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulATB dims %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -244,26 +307,26 @@ func MatMulATBInto(dst, a, b *Matrix, accumulate bool) {
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulATB dst %dx%d for %dx%d result", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
-	if !accumulate {
-		dst.Zero()
-	}
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			drow := dst.Row(i)
-			for j, bv := range brow {
-				drow[j] += av * bv
-			}
+	at := GetPooledUncleared(a.Cols, a.Rows)
+	transposeInto(at, a)
+	matMulRange(dst, at, b, 0, at.Rows, accumulate)
+	PutPooled(at)
+}
+
+// transposeInto writes mᵀ into t (m.Cols x m.Rows).
+func transposeInto(t, m *Matrix) {
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			t.Data[j*t.Cols+i] = v
 		}
 	}
 }
 
 // MatMulABTInto computes dst = a*bᵀ (or dst += a*bᵀ when accumulate is
-// true) without materializing the transpose.
+// true) without materializing the transpose. Each element is one dot
+// product summed in ascending k from +0, then stored (or added); four of
+// them run as independent chains so the adds overlap instead of waiting
+// on one another.
 func MatMulABTInto(dst, a, b *Matrix, accumulate bool) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulABT dims %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -274,12 +337,20 @@ func MatMulABTInto(dst, a, b *Matrix, accumulate bool) {
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			var s float64
-			for k, av := range arow {
-				s += av * brow[k]
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
+			s0, s1, s2, s3 := dot4(arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
+			if accumulate {
+				drow[j] += s0
+				drow[j+1] += s1
+				drow[j+2] += s2
+				drow[j+3] += s3
+			} else {
+				drow[j], drow[j+1], drow[j+2], drow[j+3] = s0, s1, s2, s3
 			}
+		}
+		for ; j < b.Rows; j++ {
+			s := dot(arow, b.Row(j))
 			if accumulate {
 				drow[j] += s
 			} else {
@@ -287,6 +358,29 @@ func MatMulABTInto(dst, a, b *Matrix, accumulate bool) {
 			}
 		}
 	}
+}
+
+// dot returns Σ_k x[k]·y[k], summed in ascending k from +0.
+func dot(x, y []float64) float64 {
+	y = y[:len(x)]
+	var s float64
+	for k, v := range x {
+		s += v * y[k]
+	}
+	return s
+}
+
+// dot4 returns the dot products of x with y0..y3 as four independent
+// chains, each summed in ascending k from +0 like dot.
+func dot4(x, y0, y1, y2, y3 []float64) (s0, s1, s2, s3 float64) {
+	y0, y1, y2, y3 = y0[:len(x)], y1[:len(x)], y2[:len(x)], y3[:len(x)]
+	for k, v := range x {
+		s0 += v * y0[k]
+		s1 += v * y1[k]
+		s2 += v * y2[k]
+		s3 += v * y3[k]
+	}
+	return
 }
 
 // Add returns a+b elementwise.
@@ -313,6 +407,21 @@ func AddInPlace(a, b *Matrix) {
 	a.assertSameShape(b, "AddInPlace")
 	for i, v := range b.Data {
 		a.Data[i] += v
+	}
+}
+
+// AddColsInPlace computes dst[:, lo:lo+src.Cols] += src, the columns of
+// dst outside that block untouched.
+func AddColsInPlace(dst, src *Matrix, lo int) {
+	if src.Rows != dst.Rows || lo < 0 || lo+src.Cols > dst.Cols {
+		panic(fmt.Sprintf("tensor: AddColsInPlace %dx%d at column %d of %dx%d",
+			src.Rows, src.Cols, lo, dst.Rows, dst.Cols))
+	}
+	for i := 0; i < src.Rows; i++ {
+		drow := dst.Row(i)[lo : lo+src.Cols]
+		for j, v := range src.Row(i) {
+			drow[j] += v
+		}
 	}
 }
 
@@ -510,21 +619,37 @@ func RowDot(a, b *Matrix) *Matrix {
 	return out
 }
 
-// RowDotInto computes dst = per-row inner products of a and b (dst Rows x 1).
+// RowDotInto computes dst = per-row inner products of a and b (dst Rows x
+// 1). Four rows run as independent chains; each sums in ascending column
+// order from +0.
 func RowDotInto(dst, a, b *Matrix) {
 	a.assertSameShape(b, "RowDotInto")
 	if dst.Rows != a.Rows || dst.Cols != 1 {
 		panic(fmt.Sprintf("tensor: RowDotInto dst %dx%d for %d rows", dst.Rows, dst.Cols, a.Rows))
 	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		brow := b.Row(i)
-		var s float64
-		for k, av := range arow {
-			s += av * brow[k]
-		}
-		dst.Data[i] = s
+	i := 0
+	for ; i+4 <= a.Rows; i += 4 {
+		dst.Data[i], dst.Data[i+1], dst.Data[i+2], dst.Data[i+3] = rowDot4(a, b, i)
 	}
+	for ; i < a.Rows; i++ {
+		dst.Data[i] = dot(a.Row(i), b.Row(i))
+	}
+}
+
+// rowDot4 returns the inner products of rows i..i+3 of a and b.
+func rowDot4(a, b *Matrix, i int) (s0, s1, s2, s3 float64) {
+	a0, a1, a2, a3 := a.Row(i), a.Row(i+1), a.Row(i+2), a.Row(i+3)
+	b0, b1, b2, b3 := b.Row(i), b.Row(i+1), b.Row(i+2), b.Row(i+3)
+	n := len(a0)
+	a1, a2, a3 = a1[:n], a2[:n], a3[:n]
+	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
+	for k, v := range a0 {
+		s0 += v * b0[k]
+		s1 += a1[k] * b1[k]
+		s2 += a2[k] * b2[k]
+		s3 += a3[k] * b3[k]
+	}
+	return
 }
 
 // MaxAbs returns the largest absolute value in m (0 for empty matrices).
@@ -550,11 +675,7 @@ func (m *Matrix) FrobeniusNorm() float64 {
 // Dot returns the inner product of two equal-shape matrices viewed as vectors.
 func Dot(a, b *Matrix) float64 {
 	a.assertSameShape(b, "Dot")
-	var s float64
-	for i, v := range a.Data {
-		s += v * b.Data[i]
-	}
-	return s
+	return dot(a.Data, b.Data)
 }
 
 // GatherRows returns the matrix whose i-th row is m.Row(idx[i]).

@@ -118,7 +118,7 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	b := randMatrix(rng, 120, 90)
 	par := MatMul(a, b)
 	ser := New(a.Rows, b.Cols)
-	matMulRange(ser, a, b, 0, a.Rows)
+	matMulRange(ser, a, b, 0, a.Rows, false)
 	if !Equal(par, ser, 0) {
 		t.Fatal("parallel MatMul differs from serial")
 	}
