@@ -103,7 +103,12 @@ func BenchmarkTrainStep(b *testing.B) {
 }
 
 // BenchmarkTrainStepQuantile measures one step of the 8-head quantile
-// model (the paper reports only ~5% overhead thanks to shared embeddings).
+// model. Its heads share both towers' hidden layers, but each head has its
+// own loss tasks and workload-tower outputs, so a step does 11.8M
+// multiply-adds to the mean step's 6.0M. Measured against
+// BenchmarkTrainStep at -cpu 1 (medians of five rounds, 100 steps each),
+// it cost 2.7× the mean step before the blocked kernels and the in-order
+// fold, and 2.1× after (DESIGN.md "Training step").
 func BenchmarkTrainStepQuantile(b *testing.B) {
 	ds := wasmcluster.New(wasmcluster.Config{
 		Seed: 1, NumWorkloads: 48, MaxDevices: 8, SetsPerDegree: 15,

@@ -174,9 +174,10 @@ func requireBitwise(t *testing.T, what string, got, want *Matrix) {
 	}
 }
 
-// skipUnlessDefaultAMD64 limits bitwise kernel comparisons to the build
-// whose compiler never fuses a multiply and an add: other architectures
-// may contract a*b+c into one FMA in one loop and not in the other.
+// skipUnlessDefaultAMD64 limits bitwise kernel comparisons to amd64, whose
+// default build (GOAMD64=v1) never fuses a multiply and an add: other
+// architectures may contract a*b+c into one FMA in one loop and not in
+// the other.
 func skipUnlessDefaultAMD64(t *testing.T) {
 	t.Helper()
 	if runtime.GOARCH != "amd64" {
