@@ -3,6 +3,7 @@ package pitot
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/sched"
@@ -145,21 +146,55 @@ func TestScoreBatchBitwiseIdenticalRank32(t *testing.T) {
 	}
 }
 
-// Without bounds, ScoreBatch errors while ScoreSecondsBatch degrades to
-// +Inf bounds with valid means — the scheduler's infeasibility convention.
-// The fallback fills the caller's buffers in place: both start at −1, the
-// means must come back equal to EstimateBatch and every bound +Inf.
-func TestScoreBatchWithoutBounds(t *testing.T) {
-	ds := smallDataset()
-	pred, err := Train(ds, smallOptions(31, false))
-	if err != nil {
-		t.Fatal(err)
+// boundsFreeShared lazily trains the one bounds-free predictor that the
+// two fallback tests below read, so the fallback costs one Train.
+var boundsFreeShared struct {
+	once sync.Once
+	ds   *Dataset
+	pred *Predictor
+	err  error
+}
+
+func boundsFreePredictor(t *testing.T) (*Predictor, *Dataset) {
+	t.Helper()
+	boundsFreeShared.once.Do(func() {
+		boundsFreeShared.ds = smallDataset()
+		boundsFreeShared.pred, boundsFreeShared.err = Train(boundsFreeShared.ds, smallOptions(31, false))
+	})
+	if boundsFreeShared.err != nil {
+		t.Fatal(boundsFreeShared.err)
 	}
-	qs := append([]Query{{Workload: 0, Platform: 0}, {Workload: 1, Platform: 1, Interferers: []int{2}}},
-		schedQueries(ds)[:8]...)
+	return boundsFreeShared.pred, boundsFreeShared.ds
+}
+
+// Without bounds, ScoreBatch errors while ScoreSecondsBatch degrades to
+// +Inf bounds with valid means — the scheduler's infeasibility convention
+// (the in-place fill is TestScoreSecondsBatchFallbackFillsInPlace's).
+func TestScoreBatchWithoutBounds(t *testing.T) {
+	pred, _ := boundsFreePredictor(t)
+	qs := []Query{{Workload: 0, Platform: 0}, {Workload: 1, Platform: 1, Interferers: []int{2}}}
 	if _, _, err := pred.ScoreBatch(qs, 0.1); err == nil {
 		t.Fatal("ScoreBatch without bounds did not error")
 	}
+	// A bad eps degrades the same way even with bounds enabled.
+	predB, _ := enginePredictor(t)
+	qs2 := []Query{{Workload: 0, Platform: 0}}
+	pb := make([]float64, 1)
+	mb := make([]float64, 1)
+	predB.ScoreSecondsBatch(qs2, math.NaN(), mb, pb)
+	if !math.IsInf(pb[0], 1) {
+		t.Fatalf("NaN eps bound: %v, want +Inf", pb[0])
+	}
+}
+
+// TestScoreSecondsBatchFallbackFillsInPlace is the regression for the
+// error fallback: without bounds enabled, ScoreSecondsBatch must fill the
+// caller's buffers in place (both start at −1) with means equal to
+// EstimateBatch and every bound +Inf.
+func TestScoreSecondsBatchFallbackFillsInPlace(t *testing.T) {
+	pred, ds := boundsFreePredictor(t)
+	qs := append([]Query{{Workload: 0, Platform: 0}, {Workload: 1, Platform: 1, Interferers: []int{2}}},
+		schedQueries(ds)[:8]...)
 	meanOut := make([]float64, len(qs))
 	boundOut := make([]float64, len(qs))
 	for i := range meanOut {
@@ -175,15 +210,6 @@ func TestScoreBatchWithoutBounds(t *testing.T) {
 		if !math.IsInf(boundOut[i], 1) {
 			t.Fatalf("query %d: fallback bound %v, want +Inf", i, boundOut[i])
 		}
-	}
-	// A bad eps degrades the same way even with bounds enabled.
-	predB, _ := enginePredictor(t)
-	qs2 := []Query{{Workload: 0, Platform: 0}}
-	pb := make([]float64, 1)
-	mb := make([]float64, 1)
-	predB.ScoreSecondsBatch(qs2, math.NaN(), mb, pb)
-	if !math.IsInf(pb[0], 1) {
-		t.Fatalf("NaN eps bound: %v, want +Inf", pb[0])
 	}
 }
 
