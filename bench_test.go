@@ -428,7 +428,7 @@ func buildHP(d *dataset.Dataset, tr quantAdapter, split dataset.Split) any {
 // steady-state 24-platform cluster: every platform pre-loaded with two
 // long-running residents, so candidate scoring pays the full interference
 // fold the orchestrator sees under load.
-func placementBench(b *testing.B, scalar bool) (*sched.ReplicaSet, []sched.Job) {
+func placementBench(b *testing.B, scalar bool) (*sched.Scheduler, []sched.Job) {
 	b.Helper()
 	ds := GenerateDataset(DatasetConfig{
 		Seed: 1, NumWorkloads: 40, MaxDevices: 8, SetsPerDegree: 15,
@@ -470,7 +470,7 @@ func placementBench(b *testing.B, scalar bool) (*sched.ReplicaSet, []sched.Job) 
 
 // runPlacementBench steadily places and retires one wave per iteration —
 // the event-driven steady state — and reports placement throughput.
-func runPlacementBench(b *testing.B, s *sched.ReplicaSet, wave []sched.Job) {
+func runPlacementBench(b *testing.B, s *sched.Scheduler, wave []sched.Job) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -19,15 +19,7 @@
 // conservation (arrived == completed + shed, nothing lost or duplicated)
 // is checked per trial and fatal on violation.
 //
-// With -replicas N, the streaming simulation is replaced by the replica
-// scaling bench: for each point on the doubling curve 1,2,...,N, that many
-// scheduler replicas place jobs concurrently against one shared
-// slot store, in both sharded (platforms partitioned
-// across replicas) and shared-pool (every replica sees every platform,
-// conflicts resolved by optimistic commit/retry) modes. The curve —
-// aggregate throughput, speedup, conflict-retry rate, sheds — is printed
-// and optionally written as JSON with -bench-json; -require-conflict-max
-// turns the shared-pool conflict rate into a CI gate.
+// With -bench-json, the policy sweep's table is also written as JSON.
 //
 // Usage:
 //
@@ -41,8 +33,7 @@
 //	         [-breaker-threshold 0] [-breaker-window 20]
 //	         [-breaker-probation 3] [-breaker-cooldown 30] [-require-trip]
 //	         [-feedback] [-feedback-every 25] [-feedback-interval 0]
-//	         [-replicas 0] [-shards 0] [-replica-wave 8] [-replica-reps 3]
-//	         [-bench-json curve.json] [-require-conflict-max 0]
+//	         [-cluster-devices 8] [-bench-json sweep.json]
 //	         [-trace-out trace.json] [-scorecard-json scorecard.json]
 //	         [-cpuprofile prof.out]
 //
@@ -82,20 +73,9 @@
 //	-feedback-interval also flush whenever this many simulated seconds
 //	                   passed since the last flush (0 = count trigger only),
 //	                   amortizing Observe cost on sparse completion streams
-//	-replicas          switch to the replica scaling bench with this many
-//	                   max replicas (0 = normal streaming simulation)
-//	-shards            platform shards: 0 = auto (one per replica, plus a
-//	                   shared-pool curve), 1 = shared pool only
-//	-replica-wave      jobs each replica places per wave (completing the
-//	                   wave before the next bounds in-flight)
-//	-replica-reps      timed repetitions per scaling point; best reported
 //	-cluster-devices   device types in the synthetic cluster (scan cost per
 //	                   placement grows with the ~10 platforms per device)
-//	-bench-json        write the machine-readable curve to this file as JSON
-//	                   (replica scaling or the streaming policy sweep,
-//	                   depending on mode)
-//	-require-conflict-max  exit nonzero when the shared-pool conflict-retry
-//	                   rate exceeds this fraction (CI gate; 0 = off)
+//	-bench-json        write the streaming policy sweep to this file as JSON
 //	-trace-out         attach a flight recorder to the first policy's first
 //	                   trial and dump it as Chrome trace-event JSON (open in
 //	                   chrome://tracing or Perfetto); the artifact is
@@ -122,81 +102,95 @@ import (
 	"repro/internal/wasmcluster"
 )
 
+// The flags, registered on flag.CommandLine; validateFlags checks them
+// after flag.Parse.
+var (
+	seed        = flag.Int64("seed", 1, "seed")
+	jobs        = flag.Int("jobs", 200, "number of arriving jobs per trial")
+	eps         = flag.Float64("eps", 0.1, "per-job deadline-miss budget for the bound policy")
+	steps       = flag.Int("steps", 1200, "training steps")
+	policyFlag  = flag.String("policy", "all", "comma-separated policies: mean,padded,bound (or all)")
+	stratFlag   = flag.String("strategy", "least-loaded", "placement strategy: least-loaded, best-fit, utilization")
+	arrivalRate = flag.Float64("arrival-rate", 2, "mean arrivals per simulated second")
+	trials      = flag.Int("trials", 4, "independent replay trials (parallel)")
+	coloc       = flag.Int("colocation", 4, "max workloads per platform")
+	maxInFlight = flag.Int("max-inflight", 0, "admission bound on in-flight jobs (0 = capacity only)")
+	chunk       = flag.Int("chunk", 0, "jobs placed per copy of the cluster state (0 = default, negative = whole wave)")
+	retryLimit  = flag.Int("retry-limit", 3, "retry failed placements after later completions, up to N attempts each (0 = drop)")
+	retryBO     = flag.Float64("retry-backoff", 0, "base retry backoff in simulated seconds, doubled per attempt with seeded jitter (0 = retry on next completion)")
+	retryBOMax  = flag.Float64("retry-backoff-max", 0, "cap on the exponential retry backoff (0 = uncapped)")
+	chaosOn     = flag.Bool("chaos", false, "enable the seeded platform-failure injector")
+	mttf        = flag.Float64("mttf", 60, "mean simulated seconds between a failure group's repair and next failure")
+	mttr        = flag.Float64("mttr", 8, "mean simulated seconds from failure to repair")
+	chaosGroups = flag.String("chaos-groups", "", `correlated failure domains as ";"-separated platform lists, e.g. "0,1;2,3" (empty = independent platforms)`)
+	chaosDeg    = flag.Float64("chaos-degrade", 0.25, "probability a failure degrades (flaky) instead of downing the platform")
+	chaosSeed   = flag.Int64("chaos-seed", 0, "failure injector seed (0 = derive from -seed)")
+	degPenalty  = flag.Float64("degraded-penalty", 0, "feasibility-score multiplier on degraded platforms (0 = default 1.25)")
+	brThreshold = flag.Float64("breaker-threshold", 0, "quarantine a platform when its windowed miss rate reaches this (0 = off)")
+	brWindow    = flag.Int("breaker-window", 20, "outcomes tracked per platform for the breaker")
+	brProbation = flag.Int("breaker-probation", 3, "consecutive on-deadline completions to close a half-open platform")
+	brCooldown  = flag.Float64("breaker-cooldown", 30, "simulated seconds before a tripped platform re-admits half-open")
+	requireTrip = flag.Bool("require-trip", false, "exit nonzero unless >=1 breaker trip and >=1 half-open re-admission occurred (CI smoke)")
+	feedback    = flag.Bool("feedback", false, "run the bound policy with online Observe feedback and compare")
+	fbEvery     = flag.Int("feedback-every", 25, "feed measurements back every N completions")
+	fbInterval  = flag.Float64("feedback-interval", 0, "also flush after this many simulated seconds since the last flush (0 = off)")
+
+	benchJSON     = flag.String("bench-json", "", "write the streaming policy sweep to this JSON file")
+	clusterDevs   = flag.Int("cluster-devices", 8, "device types in the synthetic cluster, 10 platforms each (max 24)")
+	traceOut      = flag.String("trace-out", "", "dump the first policy's first trial as Chrome trace-event JSON to this file (self-validated)")
+	scorecardJSON = flag.String("scorecard-json", "", "write the per-trial failure/retry/miss scorecard to this JSON file")
+	cpuProfile    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+)
+
 // validateFlags rejects nonsensical flag combinations up front with a
 // usage error (exit 2) instead of a mid-run panic or a silently absurd
 // simulation.
-func validateFlags(
-	jobs int, eps float64, steps int, arrivalRate float64, trials, coloc, maxInFlight int,
-	retryLimit int, retryBO, retryBOMax float64,
-	chaosOn bool, mttf, mttr, chaosDeg float64, requireTrip bool,
-	brThreshold float64, brWindow, brProbation int, brCooldown float64,
-	feedback bool, fbEvery int, fbInterval float64,
-	replicas, shards, replicaWave, replicaReps int, reqConflictMax float64,
-	clusterDevices int, traceOut, scorecardJSON string,
-) error {
+func validateFlags() error {
 	switch {
-	case jobs < 1:
-		return fmt.Errorf("-jobs must be >= 1 (got %d)", jobs)
-	case eps <= 0 || eps >= 1:
-		return fmt.Errorf("-eps must be in (0,1) (got %g)", eps)
-	case steps < 1:
-		return fmt.Errorf("-steps must be >= 1 (got %d)", steps)
-	case arrivalRate <= 0:
-		return fmt.Errorf("-arrival-rate must be > 0 (got %g)", arrivalRate)
-	case trials < 1:
-		return fmt.Errorf("-trials must be >= 1 (got %d)", trials)
-	case coloc < 1:
-		return fmt.Errorf("-colocation must be >= 1 (got %d)", coloc)
-	case maxInFlight < 0:
-		return fmt.Errorf("-max-inflight must be >= 0 (got %d)", maxInFlight)
-	case retryLimit < 0:
-		return fmt.Errorf("-retry-limit must be >= 0 (got %d)", retryLimit)
-	case retryBO < 0:
-		return fmt.Errorf("-retry-backoff must be >= 0 (got %g)", retryBO)
-	case retryBOMax < 0:
-		return fmt.Errorf("-retry-backoff-max must be >= 0 (got %g)", retryBOMax)
-	case retryBOMax > 0 && retryBOMax < retryBO:
-		return fmt.Errorf("-retry-backoff-max (%g) must be >= -retry-backoff (%g)", retryBOMax, retryBO)
-	case chaosOn && mttf <= 0:
-		return fmt.Errorf("-chaos needs -mttf > 0 (got %g)", mttf)
-	case chaosOn && mttr <= 0:
-		return fmt.Errorf("-chaos needs -mttr > 0 (got %g)", mttr)
-	case chaosDeg < 0 || chaosDeg > 1:
-		return fmt.Errorf("-chaos-degrade must be in [0,1] (got %g)", chaosDeg)
-	case requireTrip && !chaosOn:
+	case *jobs < 1:
+		return fmt.Errorf("-jobs must be >= 1 (got %d)", *jobs)
+	case *eps <= 0 || *eps >= 1:
+		return fmt.Errorf("-eps must be in (0,1) (got %g)", *eps)
+	case *steps < 1:
+		return fmt.Errorf("-steps must be >= 1 (got %d)", *steps)
+	case *arrivalRate <= 0:
+		return fmt.Errorf("-arrival-rate must be > 0 (got %g)", *arrivalRate)
+	case *trials < 1:
+		return fmt.Errorf("-trials must be >= 1 (got %d)", *trials)
+	case *coloc < 1:
+		return fmt.Errorf("-colocation must be >= 1 (got %d)", *coloc)
+	case *maxInFlight < 0:
+		return fmt.Errorf("-max-inflight must be >= 0 (got %d)", *maxInFlight)
+	case *retryLimit < 0:
+		return fmt.Errorf("-retry-limit must be >= 0 (got %d)", *retryLimit)
+	case *retryBO < 0:
+		return fmt.Errorf("-retry-backoff must be >= 0 (got %g)", *retryBO)
+	case *retryBOMax < 0:
+		return fmt.Errorf("-retry-backoff-max must be >= 0 (got %g)", *retryBOMax)
+	case *retryBOMax > 0 && *retryBOMax < *retryBO:
+		return fmt.Errorf("-retry-backoff-max (%g) must be >= -retry-backoff (%g)", *retryBOMax, *retryBO)
+	case *chaosOn && *mttf <= 0:
+		return fmt.Errorf("-chaos needs -mttf > 0 (got %g)", *mttf)
+	case *chaosOn && *mttr <= 0:
+		return fmt.Errorf("-chaos needs -mttr > 0 (got %g)", *mttr)
+	case *chaosDeg < 0 || *chaosDeg > 1:
+		return fmt.Errorf("-chaos-degrade must be in [0,1] (got %g)", *chaosDeg)
+	case *requireTrip && !*chaosOn:
 		return fmt.Errorf("-require-trip needs -chaos (no failures means no breaker trips)")
-	case brThreshold < 0 || brThreshold >= 1:
-		return fmt.Errorf("-breaker-threshold must be in [0,1) (got %g)", brThreshold)
-	case brWindow < 1:
-		return fmt.Errorf("-breaker-window must be >= 1 (got %d)", brWindow)
-	case brProbation < 0:
-		return fmt.Errorf("-breaker-probation must be >= 0 (got %d)", brProbation)
-	case brCooldown < 0:
-		return fmt.Errorf("-breaker-cooldown must be >= 0 (got %g)", brCooldown)
-	case feedback && fbEvery < 1:
-		return fmt.Errorf("-feedback needs -feedback-every >= 1 (got %d)", fbEvery)
-	case fbInterval < 0:
-		return fmt.Errorf("-feedback-interval must be >= 0 (got %g)", fbInterval)
-	case replicas < 0:
-		return fmt.Errorf("-replicas must be >= 0 (got %d)", replicas)
-	case shards < 0:
-		return fmt.Errorf("-shards must be >= 0 (got %d)", shards)
-	case shards > 0 && replicas == 0:
-		return fmt.Errorf("-shards needs -replicas > 0")
-	case replicaWave < 1:
-		return fmt.Errorf("-replica-wave must be >= 1 (got %d)", replicaWave)
-	case replicaReps < 1:
-		return fmt.Errorf("-replica-reps must be >= 1 (got %d)", replicaReps)
-	case reqConflictMax < 0 || reqConflictMax > 1:
-		return fmt.Errorf("-require-conflict-max must be in [0,1] (got %g)", reqConflictMax)
-	case reqConflictMax > 0 && replicas == 0:
-		return fmt.Errorf("-require-conflict-max needs -replicas > 0")
-	case clusterDevices < 1 || clusterDevices > 24:
-		return fmt.Errorf("-cluster-devices must be in [1,24] (got %d)", clusterDevices)
-	case traceOut != "" && replicas > 0:
-		return fmt.Errorf("-trace-out records the streaming simulation; it cannot combine with the -replicas bench")
-	case scorecardJSON != "" && replicas > 0:
-		return fmt.Errorf("-scorecard-json reports streaming trials; use -bench-json for the -replicas bench")
+	case *brThreshold < 0 || *brThreshold >= 1:
+		return fmt.Errorf("-breaker-threshold must be in [0,1) (got %g)", *brThreshold)
+	case *brWindow < 1:
+		return fmt.Errorf("-breaker-window must be >= 1 (got %d)", *brWindow)
+	case *brProbation < 0:
+		return fmt.Errorf("-breaker-probation must be >= 0 (got %d)", *brProbation)
+	case *brCooldown < 0:
+		return fmt.Errorf("-breaker-cooldown must be >= 0 (got %g)", *brCooldown)
+	case *feedback && *fbEvery < 1:
+		return fmt.Errorf("-feedback needs -feedback-every >= 1 (got %d)", *fbEvery)
+	case *fbInterval < 0:
+		return fmt.Errorf("-feedback-interval must be >= 0 (got %g)", *fbInterval)
+	case *clusterDevs < 1 || *clusterDevs > 24:
+		return fmt.Errorf("-cluster-devices must be in [1,24] (got %d)", *clusterDevs)
 	}
 	return nil
 }
@@ -245,58 +239,8 @@ func parseGroups(s string, platforms int) ([][]int, error) {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("schedsim: ")
-	var (
-		seed        = flag.Int64("seed", 1, "seed")
-		jobs        = flag.Int("jobs", 200, "number of arriving jobs per trial")
-		eps         = flag.Float64("eps", 0.1, "per-job deadline-miss budget for the bound policy")
-		steps       = flag.Int("steps", 1200, "training steps")
-		policyFlag  = flag.String("policy", "all", "comma-separated policies: mean,padded,bound (or all)")
-		stratFlag   = flag.String("strategy", "least-loaded", "placement strategy: least-loaded, best-fit, utilization")
-		arrivalRate = flag.Float64("arrival-rate", 2, "mean arrivals per simulated second")
-		trials      = flag.Int("trials", 4, "independent replay trials (parallel)")
-		coloc       = flag.Int("colocation", 4, "max workloads per platform")
-		maxInFlight = flag.Int("max-inflight", 0, "admission bound on in-flight jobs (0 = capacity only)")
-		chunk       = flag.Int("chunk", 0, "jobs placed per copy of the cluster state (0 = default, negative = whole wave)")
-		retryLimit  = flag.Int("retry-limit", 3, "retry failed placements after later completions, up to N attempts each (0 = drop)")
-		retryBO     = flag.Float64("retry-backoff", 0, "base retry backoff in simulated seconds, doubled per attempt with seeded jitter (0 = retry on next completion)")
-		retryBOMax  = flag.Float64("retry-backoff-max", 0, "cap on the exponential retry backoff (0 = uncapped)")
-		chaosOn     = flag.Bool("chaos", false, "enable the seeded platform-failure injector")
-		mttf        = flag.Float64("mttf", 60, "mean simulated seconds between a failure group's repair and next failure")
-		mttr        = flag.Float64("mttr", 8, "mean simulated seconds from failure to repair")
-		chaosGroups = flag.String("chaos-groups", "", `correlated failure domains as ";"-separated platform lists, e.g. "0,1;2,3" (empty = independent platforms)`)
-		chaosDeg    = flag.Float64("chaos-degrade", 0.25, "probability a failure degrades (flaky) instead of downing the platform")
-		chaosSeed   = flag.Int64("chaos-seed", 0, "failure injector seed (0 = derive from -seed)")
-		degPenalty  = flag.Float64("degraded-penalty", 0, "feasibility-score multiplier on degraded platforms (0 = default 1.25)")
-		brThreshold = flag.Float64("breaker-threshold", 0, "quarantine a platform when its windowed miss rate reaches this (0 = off)")
-		brWindow    = flag.Int("breaker-window", 20, "outcomes tracked per platform for the breaker")
-		brProbation = flag.Int("breaker-probation", 3, "consecutive on-deadline completions to close a half-open platform")
-		brCooldown  = flag.Float64("breaker-cooldown", 30, "simulated seconds before a tripped platform re-admits half-open")
-		requireTrip = flag.Bool("require-trip", false, "exit nonzero unless >=1 breaker trip and >=1 half-open re-admission occurred (CI smoke)")
-		feedback    = flag.Bool("feedback", false, "run the bound policy with online Observe feedback and compare")
-		fbEvery     = flag.Int("feedback-every", 25, "feed measurements back every N completions")
-		fbInterval  = flag.Float64("feedback-interval", 0, "also flush after this many simulated seconds since the last flush (0 = off)")
-
-		replicas       = flag.Int("replicas", 0, "replica scaling bench: max scheduler replicas over one shared slot store (0 = normal streaming mode)")
-		shards         = flag.Int("shards", 0, "platform shards across replicas (0 = auto, one shard per replica; 1 = shared pool)")
-		replicaWave    = flag.Int("replica-wave", 8, "jobs per wave in the replica bench (each replica completes its wave before the next)")
-		replicaReps    = flag.Int("replica-reps", 3, "timed repetitions per scaling point; the best is reported")
-		benchJSON      = flag.String("bench-json", "", "write the replica scaling curve to this JSON file")
-		reqConflictMax = flag.Float64("require-conflict-max", 0, "exit nonzero when the shared-pool conflict-retry rate exceeds this fraction (0 = no gate)")
-		clusterDevs    = flag.Int("cluster-devices", 8, "device types in the synthetic cluster, 10 platforms each (max 24)")
-		traceOut       = flag.String("trace-out", "", "dump the first policy's first trial as Chrome trace-event JSON to this file (self-validated)")
-		scorecardJSON  = flag.String("scorecard-json", "", "write the per-trial failure/retry/miss scorecard to this JSON file")
-		cpuProfile     = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	)
 	flag.Parse()
-	if err := validateFlags(
-		*jobs, *eps, *steps, *arrivalRate, *trials, *coloc, *maxInFlight,
-		*retryLimit, *retryBO, *retryBOMax,
-		*chaosOn, *mttf, *mttr, *chaosDeg, *requireTrip,
-		*brThreshold, *brWindow, *brProbation, *brCooldown,
-		*feedback, *fbEvery, *fbInterval,
-		*replicas, *shards, *replicaWave, *replicaReps, *reqConflictMax,
-		*clusterDevs, *traceOut, *scorecardJSON,
-	); err != nil {
+	if err := validateFlags(); err != nil {
 		fmt.Fprintf(flag.CommandLine.Output(), "schedsim: %v\n(run with -h for usage)\n", err)
 		os.Exit(2)
 	}
@@ -325,20 +269,6 @@ func main() {
 	strategy, err := sched.ParseStrategy(*stratFlag)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	if *replicas > 0 {
-		err := runReplicaBench(replicaBenchConfig{
-			Cluster: ds, Pred: pred, Strategy: strategy,
-			Seed: *seed, Jobs: *jobs, Eps: *eps,
-			Coloc: *coloc, Chunk: *chunk,
-			MaxReplicas: *replicas, Shards: *shards, Wave: *replicaWave, Reps: *replicaReps,
-			JSONPath: *benchJSON, ConflictMax: *reqConflictMax,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	var policies []sched.Policy
@@ -494,8 +424,8 @@ func main() {
 	fmt.Println("retried:   jobs that entered the deferral queue after a failed placement;")
 	fmt.Println("retry-ok:  share of them eventually placed by a retry (the retry success rate)")
 
-	// -bench-json in streaming mode: the policy sweep as a machine-readable
-	// row set, mirroring the table above.
+	// -bench-json: the policy sweep as a machine-readable row set,
+	// mirroring the table above.
 	if *benchJSON != "" {
 		type policyRow struct {
 			Policy      string  `json:"policy"`

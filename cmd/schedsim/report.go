@@ -83,7 +83,7 @@ type scorecardPolicy struct {
 }
 
 // scorecard is the top-level -scorecard-json document (same shape family
-// as the -bench-json replica curve: a "bench" name plus run parameters).
+// as the -bench-json policy sweep: a "bench" name plus run parameters).
 type scorecard struct {
 	Bench      string            `json:"bench"`
 	GOMAXPROCS int               `json:"gomaxprocs"`

@@ -82,8 +82,6 @@ func main() {
 		placeWindow   = flag.Duration("place-window", 200*time.Microsecond, "fuse concurrent single-job /place calls arriving within this window into one wave (0 disables)")
 		placeMaxWave  = flag.Int("place-max-wave", 64, "cap on a fused /place wave")
 		placeChunk    = flag.Int("place-chunk", 0, "jobs placed per copy of the cluster state (0 = default, negative = whole wave)")
-		placeReplicas = flag.Int("place-replicas", 1, "scheduler replicas over the one slot store; /place waves round-robin across them, each commit version-checked")
-		placeShards   = flag.Int("place-shards", 0, "platform shards across replicas (0 = one shared pool; requires -place-replicas > 1)")
 
 		placePenalty     = flag.Float64("place-degraded-penalty", 0, "score multiplier applied to degraded platforms (0 = default 1.25)")
 		breakerThreshold = flag.Float64("place-breaker-threshold", 0, "quarantine a platform when its windowed deadline-miss rate crosses this fraction (0 disables the breaker)")
@@ -93,15 +91,6 @@ func main() {
 	flag.Parse()
 	if *dataPath == "" {
 		log.Fatal("-data is required")
-	}
-	if *placeReplicas < 1 {
-		log.Fatal("-place-replicas must be >= 1")
-	}
-	if *placeShards != 0 && *placeReplicas <= 1 {
-		log.Fatal("-place-shards requires -place-replicas > 1")
-	}
-	if *placeShards < 0 {
-		log.Fatal("-place-shards must be >= 0")
 	}
 
 	df, err := os.Open(*dataPath)
@@ -174,8 +163,6 @@ func main() {
 			Window:        *placeWindow,
 			MaxWave:       *placeMaxWave,
 			WaveChunk:     *placeChunk,
-			Replicas:      *placeReplicas,
-			Shards:        *placeShards,
 			TraceDepth:    *traceDep,
 
 			DegradedPenalty: *placePenalty,

@@ -30,7 +30,7 @@ var goldenRealDigests = map[string]uint64{
 // halfway that publishes a fine-tuned snapshot — and digests every
 // assignment (ID, platform, budget bits, reason, interferers) and
 // lifecycle answer.
-func realGoldenDigest(t *testing.T, arm *sched.ReplicaSet, pred *Predictor, nP, nW int, seed int64) uint64 {
+func realGoldenDigest(t *testing.T, arm *sched.Scheduler, pred *Predictor, nP, nW int, seed int64) uint64 {
 	t.Helper()
 	h := fnv.New64a()
 	u64 := func(v uint64) {

@@ -11,8 +11,9 @@ type SchedMetrics struct {
 	ScoreBatch *Histogram
 	// WavePlace is the end-to-end latency of one PlaceAll wave (seconds).
 	WavePlace *Histogram
-	// ChunkHold is the time one replica holds its mutex to place a wave
-	// chunk (seconds): view copy, scoring, selection and commits.
+	// ChunkHold is the time the placement engine holds its placement mutex
+	// to place a wave chunk (seconds): view copy, scoring, selection and
+	// commits.
 	ChunkHold *Histogram
 	// WaveSize is the distribution of PlaceAll wave sizes (jobs).
 	WaveSize *Histogram
@@ -27,7 +28,7 @@ func NewSchedMetrics(prefix string) *SchedMetrics {
 		WavePlace: NewHistogram(prefix+"wave_seconds",
 			"End-to-end latency of one placement wave.", LatencyBuckets()),
 		ChunkHold: NewHistogram(prefix+"chunk_hold_seconds",
-			"Time one replica spends placing a wave chunk (scoring, selection and commits; lifecycle events do not wait for it).", LatencyBuckets()),
+			"Time the placement engine spends placing a wave chunk (scoring, selection and commits; lifecycle events do not wait for it).", LatencyBuckets()),
 		WaveSize: NewHistogram(prefix+"wave_jobs",
 			"Distribution of placement wave sizes.", SizeBuckets()),
 	}

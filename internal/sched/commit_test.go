@@ -7,17 +7,9 @@ import (
 	"testing"
 )
 
-func mustNewReplicaSet(t *testing.T, cfg Config, rc ReplicaConfig, pol Policy, pred Predictor) *ReplicaSet {
-	t.Helper()
-	rs, err := NewReplicaSet(cfg, rc, pol, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rs
-}
-
 // seat commits job onto platform p straight through the store, against a
-// view copied in the same lock hold, as a competing replica would.
+// view copied in the same lock hold: a reservation the scheduler's chunk
+// did not make.
 func seat(t *testing.T, st *SlotStore, p int, job Job) JobID {
 	t.Helper()
 	st.mu.Lock()
@@ -31,27 +23,27 @@ func seat(t *testing.T, st *SlotStore, p int, job Job) JobID {
 	return id
 }
 
-// Conflict-retry conservation under the race detector: concurrent replicas
-// placing into overlapping shards (a single shared pool maximizes
-// contention), racing completers, and a platform failer must never
-// double-commit a slot and never lose a job — every arrival ends exactly
-// once as completed, unplaced (including conflict-shed), or rejected, and
-// every placement completes or is orphaned.
+// Conflict-retry conservation under the race detector: concurrent callers
+// of the one engine, each completing its own placements between waves,
+// and a platform failer must never double-commit a slot and never lose a
+// job — every arrival ends exactly once as completed, unplaced (including
+// conflict-shed), or rejected, and every placement completes or is
+// orphaned. Completions and the Fail/Recover churn, which runs until the
+// callers finish, land mid-chunk, so commits can conflict and retry.
 func TestReplicaConservationConcurrent(t *testing.T) {
 	const (
-		nP       = 6
-		coloc    = 2
-		replicas = 4
-		perRep   = 120
-		wave     = 5
+		nP        = 6
+		coloc     = 2
+		callers   = 4
+		perCaller = 120
+		wave      = 5
 	)
 	base := make([]float64, nP)
 	for i := range base {
 		base[i] = 0.5 + 0.3*float64(i)
 	}
-	rs := mustNewReplicaSet(t,
+	rs := mustNew(t,
 		Config{NumPlatforms: nP, MaxColocation: coloc, WaveChunk: 2},
-		ReplicaConfig{Replicas: replicas, Shards: 1, MaxCommitRetries: 4},
 		policy("bound"),
 		loop(variedPred{base}))
 
@@ -81,19 +73,18 @@ func TestReplicaConservationConcurrent(t *testing.T) {
 			}
 		}
 	}()
-	for ri := 0; ri < replicas; ri++ {
+	for ci := 0; ci < callers; ci++ {
 		wg.Add(1)
-		go func(ri int) {
+		go func(ci int) {
 			defer wg.Done()
-			rep := rs.Replica(ri)
-			rng := rand.New(rand.NewSource(int64(1000 + ri)))
+			rng := rand.New(rand.NewSource(int64(1000 + ci)))
 			var mine []JobID
-			for i := 0; i < perRep; i += wave {
+			for i := 0; i < perCaller; i += wave {
 				jobs := make([]Job, wave)
 				for j := range jobs {
 					jobs[j] = Job{Workload: rng.Intn(20), Deadline: 1e9}
 				}
-				for _, a := range rep.PlaceAll(jobs) {
+				for _, a := range rs.PlaceAll(jobs) {
 					switch {
 					case a.Rejected:
 						rejected.Add(1)
@@ -111,7 +102,7 @@ func TestReplicaConservationConcurrent(t *testing.T) {
 					}
 				}
 				// Complete our own backlog so slots churn under the other
-				// replicas' snapshots.
+				// callers' chunks.
 				for len(mine) > wave {
 					id := mine[0]
 					mine = mine[1:]
@@ -125,14 +116,19 @@ func TestReplicaConservationConcurrent(t *testing.T) {
 					completed.Add(1)
 				}
 			}
-		}(ri)
+		}(ci)
 	}
 	// Failure churn: one platform cycles Down and back half-open/healthy
-	// while the replicas place into it.
-	wg.Add(1)
+	// for as long as the callers place into it.
+	churnDone := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for i := 0; i < 40; i++ {
+		defer close(churnDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
 			orphans, err := rs.Fail(2)
 			if err != nil {
 				t.Errorf("Fail: %v", err)
@@ -152,8 +148,9 @@ func TestReplicaConservationConcurrent(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	<-samplerDone
+	<-churnDone
 
-	arrived := int64(replicas * perRep)
+	arrived := int64(callers * perCaller)
 	if got := placed.Load() + unplaced.Load() + rejected.Load(); got != arrived {
 		t.Fatalf("arrival conservation violated: placed %d + unplaced %d + rejected %d = %d, want %d",
 			placed.Load(), unplaced.Load(), rejected.Load(), got, arrived)
@@ -180,17 +177,16 @@ func TestReplicaConservationConcurrent(t *testing.T) {
 
 // A deterministic conflict for each event that can land between a
 // chunk's view copy and its commit: the reserveGap hook fires one
-// competing event on the chosen platform — another replica's placement,
-// a completion, a failure or a degradation — so the first reservation
-// must lose, count one conflict, refresh, and place the job on retry,
-// with every job accounted for.
+// competing event on the chosen platform — a reservation made straight
+// through the store, a completion, a failure or a degradation — so the
+// first reservation must lose, count one conflict, refresh, and place the
+// job on retry, with every job accounted for.
 func TestReplicaConflictRetryDeterministic(t *testing.T) {
 	for _, event := range []string{"place", "complete", "fail", "degrade"} {
 		t.Run(event, func(t *testing.T) {
 			const nP = 3
-			rs := mustNewReplicaSet(t,
+			rs := mustNew(t,
 				Config{NumPlatforms: nP, MaxColocation: 4},
-				ReplicaConfig{Replicas: 1, Shards: 1},
 				policy("mean"),
 				loop(variedPred{[]float64{1, 2, 3}}))
 			// One resident per platform (least-loaded spreads them), so
@@ -251,13 +247,12 @@ func TestReplicaConflictRetryDeterministic(t *testing.T) {
 	}
 }
 
-// Exhausting MaxCommitRetries sheds the job with ReasonConflict, keeping
-// arrival accounting intact.
+// Exhausting the retry budget sheds the job with ReasonConflict after
+// exactly maxCommitRetries+1 conflicts, keeping arrival accounting intact.
 func TestReplicaConflictShed(t *testing.T) {
 	base := []float64{1, 2}
-	rs := mustNewReplicaSet(t,
+	rs := mustNew(t,
 		Config{NumPlatforms: 2, MaxColocation: 2},
-		ReplicaConfig{Replicas: 1, Shards: 1, MaxCommitRetries: 3},
 		policy("mean"),
 		loop(variedPred{base}))
 	rs.reserveGap = func(p int) {
@@ -275,58 +270,11 @@ func TestReplicaConflictShed(t *testing.T) {
 		t.Fatalf("want conflict shed, got %+v", a)
 	}
 	cs := rs.ConflictStats()
-	if cs.Shed != 1 || cs.Conflicts < 3 {
-		t.Fatalf("conflict accounting: %+v", cs)
+	if cs.Shed != 1 || cs.Conflicts != maxCommitRetries+1 || cs.Attempts != cs.Conflicts {
+		t.Fatalf("conflict accounting: %+v, want %d conflicts and one shed", cs, maxCommitRetries+1)
 	}
 	if rs.InFlight() != 0 {
 		t.Fatalf("shed job leaked in-flight: %d", rs.InFlight())
-	}
-}
-
-// Rebalance must keep the shard map a partition of the platforms and move
-// load off the hot shard: with all residents piled on shard 0's platforms,
-// a rebalance spreads them across shards.
-func TestReplicaRebalance(t *testing.T) {
-	base := make([]float64, 8)
-	for i := range base {
-		base[i] = 1 + float64(i)
-	}
-	rs := mustNewReplicaSet(t,
-		Config{NumPlatforms: 8, MaxColocation: 4},
-		ReplicaConfig{Replicas: 2, Shards: 2},
-		policy("mean"),
-		loop(variedPred{base}))
-	// Load platforms 0 and 2 (both shard 0 under the initial p%2 split).
-	for i := 0; i < 4; i++ {
-		for _, p := range []int{0, 2} {
-			seat(t, rs.SlotStore, p, Job{Workload: i, Deadline: 1e9})
-		}
-	}
-	if skew := rs.shardSkew(); skew < 1.9 {
-		t.Fatalf("setup: expected hot shard, skew %.2f", skew)
-	}
-	rs.Rebalance()
-	m := rs.shards.Load()
-	seen := make(map[int]bool)
-	for _, shard := range m.shards {
-		for i, p := range shard {
-			if seen[p] {
-				t.Fatalf("platform %d in two shards after rebalance", p)
-			}
-			seen[p] = true
-			if i > 0 && shard[i-1] >= p {
-				t.Fatalf("shard not sorted: %v", shard)
-			}
-		}
-	}
-	if len(seen) != 8 {
-		t.Fatalf("rebalance dropped platforms: %d of 8 assigned", len(seen))
-	}
-	if skew := rs.shardSkew(); skew > 1.01 {
-		t.Fatalf("rebalance left skew %.2f", skew)
-	}
-	if cs := rs.ConflictStats(); cs.Rebalances != 1 {
-		t.Fatalf("rebalance count: %+v", cs)
 	}
 }
 
@@ -368,35 +316,6 @@ func TestSlotStoreFailCompleteRaces(t *testing.T) {
 		}
 		if st.InFlight() != 0 {
 			t.Fatalf("round %d: in-flight %d after drain", round, st.InFlight())
-		}
-	}
-}
-
-// Sharded replicas with disjoint shards place only into their own
-// platforms, and the round-robin router spreads waves across replicas.
-func TestReplicaSharding(t *testing.T) {
-	base := make([]float64, 6)
-	for i := range base {
-		base[i] = 1 + float64(i)
-	}
-	rs := mustNewReplicaSet(t,
-		Config{NumPlatforms: 6, MaxColocation: 4},
-		ReplicaConfig{Replicas: 2}, // Shards 0 = one shard per replica
-		policy("mean"),
-		loop(variedPred{base}))
-	if rs.NumShards() != 2 {
-		t.Fatalf("want 2 shards, got %d", rs.NumShards())
-	}
-	for i := 0; i < 2; i++ {
-		rep := rs.Replica(i)
-		for j := 0; j < 6; j++ {
-			a := rep.Place(Job{Workload: j, Deadline: 1e9})
-			if !a.Placed() {
-				t.Fatalf("replica %d job %d unplaced: %+v", i, j, a)
-			}
-			if a.Platform%2 != i {
-				t.Fatalf("replica %d placed onto platform %d outside its shard", i, a.Platform)
-			}
 		}
 	}
 }

@@ -93,7 +93,7 @@ func (f variedPred) BoundSeconds(w, p int, ks []int, eps float64) float64 {
 	return f.EstimateSeconds(w, p, ks) * (1 + 0.5*(1-eps))
 }
 
-func mustNew(t *testing.T, cfg Config, pol Policy, pred Predictor) *ReplicaSet {
+func mustNew(t *testing.T, cfg Config, pol Policy, pred Predictor) *Scheduler {
 	t.Helper()
 	s, err := New(cfg, pol, pred)
 	if err != nil {

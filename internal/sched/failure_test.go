@@ -485,7 +485,7 @@ func TestFailRacesPlaceAllAndComplete(t *testing.T) {
 		completed = make(map[JobID]int)
 	)
 	gap := make(chan struct{}, 64)
-	s.Replica(0).chunkGap = func() {
+	s.chunkGap = func() {
 		select {
 		case gap <- struct{}{}:
 		default:

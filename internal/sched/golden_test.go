@@ -195,7 +195,7 @@ func goldenStream(t *testing.T, pol Policy, strat Strategy, chaos bool, seed int
 // the breaker) and scoring-epoch bumps, plus with churn on Fail, Degrade
 // and Recover events that re-place their orphans — and digests every
 // assignment and lifecycle answer.
-func goldenWaves(t *testing.T, arm *ReplicaSet, pred *goldenPred, nP int, churn bool, seed int64) uint64 {
+func goldenWaves(t *testing.T, arm *Scheduler, pred *goldenPred, nP int, churn bool, seed int64) uint64 {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	zipf := rand.NewZipf(rng, 1.3, 1, 19)
@@ -281,10 +281,10 @@ var goldenArmNames = []string{"batched", "scalar", "opaque"}
 
 // goldenWaveArms builds goldenArmNames' engines. Each arm gets a private
 // predictor from the same seed, since the driver bumps epochs.
-func goldenWaveArms(t *testing.T, pol Policy, strat Strategy, chunk int, seed int64) (map[string]*ReplicaSet, map[string]*goldenPred, int) {
+func goldenWaveArms(t *testing.T, pol Policy, strat Strategy, chunk int, seed int64) (map[string]*Scheduler, map[string]*goldenPred, int) {
 	t.Helper()
 	const nP = 9
-	arms := map[string]*ReplicaSet{}
+	arms := map[string]*Scheduler{}
 	preds := map[string]*goldenPred{}
 	for _, name := range goldenArmNames {
 		pred := newGoldenPred(rand.New(rand.NewSource(seed)), nP)

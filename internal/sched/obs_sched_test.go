@@ -9,7 +9,7 @@ import (
 
 // obsTestScheduler builds a small chunked-wave scheduler with observability
 // attached (or not), over the deterministic fakePred.
-func obsTestScheduler(t *testing.T, attach bool) (*ReplicaSet, *obs.Recorder, *obs.SchedMetrics) {
+func obsTestScheduler(t *testing.T, attach bool) (*Scheduler, *obs.Recorder, *obs.SchedMetrics) {
 	t.Helper()
 	cfg := Config{NumPlatforms: 4, MaxColocation: 4, WaveChunk: 2}
 	var rec *obs.Recorder

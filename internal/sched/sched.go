@@ -5,15 +5,15 @@
 // The engine is event-driven: jobs arrive (Place) and complete (Complete),
 // so a platform's resident set — and therefore the interference every
 // candidate placement must account for — changes over time. There is one
-// engine, ReplicaSet: New builds it with one replica, NewReplicaSet with
-// several over the same SlotStore. It scores the candidate platforms of a
-// wave's jobs through one predictor call (Predictor.ScoreSecondsBatch,
-// asking only for the heads the Policy reads), keeps every score in a
-// table until the platform or the predictor's scoring epoch changes,
-// selects among feasible platforms with a pluggable Strategy, commits each
-// placement with a version-checked slot reservation, and bounds admission
-// so a saturated cluster fails fast instead of queueing placements it
-// cannot serve.
+// engine, Scheduler, built by New over a mutex-guarded SlotStore. It
+// scores the candidate platforms of a wave's jobs through one predictor
+// call (Predictor.ScoreSecondsBatch, asking only for the heads the Policy
+// reads), keeps every score in a table until the platform or the
+// predictor's scoring epoch changes, selects among feasible platforms with
+// a pluggable Strategy, commits each placement with a version-checked slot
+// reservation, so that lifecycle calls never wait for scoring, and bounds
+// admission so a saturated cluster fails fast instead of queueing
+// placements it cannot serve.
 //
 // Measured runtimes flow back through Observer: a simulator or live
 // orchestrator reports each completed job's (workload, platform,
@@ -53,7 +53,7 @@ type JobID uint64
 // Predictor scores placement queries: the Pitot facade, or any model that
 // offers the same two heads.
 //
-// The engine keeps every score in a per-replica table and serves it again
+// The engine keeps every score in its table and serves it again
 // until the platform's residents or health change or the scoring epoch
 // moves. So for a given epoch the answers must be a pure function of the
 // query, and a predictor whose answers can change must move its epoch when
@@ -113,9 +113,8 @@ const (
 	// ReasonInfeasible: candidates were scored but none met the deadline.
 	ReasonInfeasible = "infeasible"
 	// ReasonConflict: the job's slot reservations kept hitting versions
-	// newer than the scored views (other replicas' placements, or
-	// lifecycle events landing mid-chunk) more than
-	// ReplicaConfig.MaxCommitRetries times, and it was shed.
+	// newer than the scored views (lifecycle events landing mid-chunk)
+	// more than the commit retry budget (8) allows, and it was shed.
 	ReasonConflict = "commit-conflict"
 )
 
@@ -162,8 +161,8 @@ type Config struct {
 	// its start and scores against them, so completions and health events
 	// that land mid-wave are seen by the following chunks (lifecycle calls
 	// never wait for a chunk: they take only the slot store's mutex, which
-	// scoring does not hold). Another PlaceAll on the same replica waits at
-	// most one chunk. With no concurrent events chunked placement is
+	// scoring does not hold). A concurrent PlaceAll waits at most one
+	// chunk. With no concurrent events chunked placement is
 	// decision-identical to an unchunked wave. 0 means the default (64);
 	// negative places the whole wave as one chunk.
 	WaveChunk int

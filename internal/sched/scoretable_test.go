@@ -31,7 +31,7 @@ func TestScoreCacheDecisionIdentityUnderChurn(t *testing.T) {
 				Breaker:       BreakerConfig{Threshold: 0.5, Window: 4, Probation: 2},
 			}
 			digests := map[string]uint64{}
-			var warm *ReplicaSet
+			var warm *Scheduler
 			for _, name := range []string{"cold", "warm"} {
 				pred := newGoldenPred(rand.New(rand.NewSource(seed)), nP)
 				var p Predictor = pred
@@ -70,7 +70,7 @@ func infeasibleWave(n int) []Job {
 
 // statsDelta runs f and returns the score-table and predictor traffic it
 // caused.
-func statsDelta(s interface{ ScoreTableStats() ScoreTableStats }, pred *goldenPred, f func()) (hits, misses, queries int64) {
+func statsDelta(s *Scheduler, pred *goldenPred, f func()) (hits, misses, queries int64) {
 	st0, q0 := s.ScoreTableStats(), pred.queries
 	f()
 	st1 := s.ScoreTableStats()
@@ -223,7 +223,7 @@ func TestScoreTableMemoryBound(t *testing.T) {
 	}
 	pred := &goldenPred{base: []float64{1, 2, 3}}
 	s := mustNew(t, Config{NumPlatforms: 3}, policy("mean"), pred)
-	table := &s.Replica(0).table
+	table := &s.table
 	cells := func() (int, int) { return len(table.ver), len(table.val) }
 	s.PlaceAll(infeasibleWave(12))
 	if nv, ns := cells(); nv != 12*3 || ns != 12*3 {
@@ -266,28 +266,6 @@ func TestScoreTableScalarReferenceNeverHits(t *testing.T) {
 	s.PlaceAll(infeasibleWave(3))
 	if st := s.ScoreTableStats(); st.Hits != 0 || st.Misses != 12 {
 		t.Fatalf("scalar reference served from the table: %+v", st)
-	}
-}
-
-// TestScoreTablePerReplica pins the ownership rule: each replica has its
-// own table, so a wave one replica scored is cold for another, and warm
-// for the first on an unchanged store.
-func TestScoreTablePerReplica(t *testing.T) {
-	pred := &goldenPred{base: []float64{1, 2, 3, 4}}
-	rs, err := NewReplicaSet(Config{NumPlatforms: 4}, ReplicaConfig{Replicas: 2, Shards: 1}, policy("mean"), pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wave := infeasibleWave(6)
-	for _, step := range []struct {
-		replica            int
-		wantHits, wantMiss int64
-	}{{0, 0, 24}, {1, 0, 24}, {0, 24, 0}, {1, 24, 0}} {
-		hits, misses, _ := statsDelta(rs, pred, func() { rs.Replica(step.replica).PlaceAll(wave) })
-		if hits != step.wantHits || misses != step.wantMiss {
-			t.Fatalf("replica %d: hits %d misses %d, want %d/%d",
-				step.replica, hits, misses, step.wantHits, step.wantMiss)
-		}
 	}
 }
 

@@ -18,9 +18,9 @@ type placedJob struct {
 // platformSlots is one platform's cluster state, guarded by the store
 // mutex: its residents, their workload indices, its failure-lifecycle core
 // and a version. Every resident-set or health change bumps the version, so
-// a replica that scored against version v detects any intervening
-// placement, completion or health event at reserve time, and a score cell
-// stamped with v is provably current for the interference state.
+// a chunk that scored against version v detects any intervening
+// completion or health event at reserve time, and a score cell stamped
+// with v is provably current for the interference state.
 type platformSlots struct {
 	version   uint64
 	residents []placedJob
@@ -53,23 +53,23 @@ const (
 	reserveAdmission
 )
 
-// SlotStore is the cluster state every replica of a ReplicaSet places
-// into: per-platform residents, health and versions, the job index and
-// the failure counters, all under one mutex and mutated in place. A
-// replica copies views of its shard under the mutex at chunk start,
-// scores and selects outside it, and commits each placement with a
-// version-checked reserve under it. The lifecycle methods (Complete,
-// CompleteOutcome, Fail, Degrade, Recover) take only this mutex, so they
-// never wait for a chunk's scoring; a reservation scored before them
-// conflicts and retries.
+// SlotStore is the cluster state the Scheduler places into: per-platform
+// residents, health and versions, the job index and the failure counters,
+// all under one mutex and mutated in place. The Scheduler copies every
+// platform's view under the mutex at chunk start, scores and selects
+// outside it, and commits each placement with a version-checked reserve
+// under it. The lifecycle methods (Complete, CompleteOutcome, Fail,
+// Degrade, Recover) take only this mutex, so they never wait for a
+// chunk's scoring; a reservation scored before them conflicts and
+// retries.
 type SlotStore struct {
 	maxColocation int
 	maxInFlight   int
 	breaker       BreakerConfig
 
 	// events is the optional flight recorder (Config.Recorder): complete,
-	// orphan and readmit events are emitted here, once, whichever replica
-	// or caller drove them.
+	// orphan and readmit events are emitted here, once, whichever caller
+	// drove them.
 	events *obs.Recorder
 
 	// reserveGap, when non-nil, runs at the start of a reservation, before
@@ -87,7 +87,7 @@ type SlotStore struct {
 }
 
 // newSlotStore builds the state for cfg's cluster; cfg has been validated
-// and defaulted by newEngine.
+// and defaulted by New.
 func newSlotStore(cfg Config) *SlotStore {
 	nP, mc := cfg.NumPlatforms, cfg.MaxColocation
 	st := &SlotStore{
@@ -374,14 +374,4 @@ func (st *SlotStore) Residents(p int) []int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return append([]int(nil), st.plats[p].ks...)
-}
-
-// Load returns the resident count of platform p (shard-rebalancing input).
-func (st *SlotStore) Load(p int) int {
-	if p < 0 || p >= len(st.plats) {
-		return 0
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.plats[p].residents)
 }

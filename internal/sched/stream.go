@@ -298,7 +298,7 @@ type retryEntry struct {
 // half-open after BreakerCooldown. Job conservation holds throughout —
 // Arrived == Completed + Unplaced + Rejected and Placed == Completed +
 // Orphaned. Deterministic given rng and ChaosConfig.Seed.
-func Stream(cfg StreamConfig, s *ReplicaSet, oracle Oracle, source JobSource, observer Observer, rng *rand.Rand) (StreamResult, error) {
+func Stream(cfg StreamConfig, s *Scheduler, oracle Oracle, source JobSource, observer Observer, rng *rand.Rand) (StreamResult, error) {
 	res := StreamResult{Policy: s.policy.Name(), Strategy: s.strategy.Name()}
 	if cfg.Jobs <= 0 {
 		return res, nil

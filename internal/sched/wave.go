@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
@@ -9,130 +8,12 @@ import (
 	"repro/internal/obs"
 )
 
-// engine is the placement configuration every Replica of a ReplicaSet
-// shares: the policy, strategy and predictor, the chunking and
-// degraded-padding knobs, and the observability hooks. The wave path
-// below (placeChunk) is the one scoring and selection path, and
-// waveTable.score its one predictor call.
-type engine struct {
-	cfg      Config
-	policy   Policy
-	strategy Strategy
-	pred     Predictor
-
-	// chunk is the resolved Config.WaveChunk: max jobs placed per view
-	// snapshot in PlaceAll. degradedPenalty multiplies the feasibility score of
-	// candidates on Degraded platforms (resolved Config.DegradedPenalty,
-	// finite and ≥ 1).
-	chunk           int
-	degradedPenalty float64
-
-	// builtin identifies the strategy when it is one of the built-in
-	// three, so selection calls its Better directly (inlined) instead of
-	// through the interface.
-	builtin builtinStrategy
-
-	// met/rec are the optional observability hooks (Config.Metrics /
-	// Config.Recorder); both nil-safe, both off the decision path. ver
-	// reads the predictor's snapshot version for event stamping; nil when
-	// the predictor does not expose one.
-	met *obs.SchedMetrics
-	rec *obs.Recorder
-	ver func() uint64
-}
-
-// defaultWaveChunk bounds a PlaceAll chunk when Config.WaveChunk is 0:
-// large enough to amortize the chunk's scoring call, small enough that a
-// lifecycle event is seen by the rest of a 256-job wave within one chunk.
-const defaultWaveChunk = 64
-
-// defaultDegradedPenalty inflates the feasibility score on Degraded
-// platforms when Config.DegradedPenalty is 0: a degraded platform must
-// clear the deadline with 25% headroom to win a placement.
-const defaultDegradedPenalty = 1.25
-
-// newEngine validates cfg and policy and resolves their defaults.
-func newEngine(cfg Config, policy Policy, pred Predictor) (engine, error) {
-	if cfg.NumPlatforms <= 0 {
-		return engine{}, fmt.Errorf("sched: no platforms")
-	}
-	if policy.name == "" {
-		return engine{}, fmt.Errorf("sched: zero Policy (build one with ParsePolicy)")
-	}
-	if cfg.MaxColocation <= 0 {
-		cfg.MaxColocation = 4
-	}
-	if cfg.Strategy == nil {
-		cfg.Strategy = LeastLoaded{}
-	}
-	if cfg.MaxInFlight < 0 {
-		return engine{}, fmt.Errorf("sched: negative MaxInFlight")
-	}
-	chunk := cfg.WaveChunk
-	if chunk == 0 {
-		chunk = defaultWaveChunk
-	}
-	penalty := cfg.DegradedPenalty
-	if penalty == 0 {
-		penalty = defaultDegradedPenalty
-	}
-	if !(penalty >= 1) || math.IsInf(penalty, 1) {
-		return engine{}, fmt.Errorf("sched: DegradedPenalty %v is not a finite number ≥ 1", penalty)
-	}
-	e := engine{
-		cfg:             cfg,
-		policy:          policy,
-		strategy:        cfg.Strategy,
-		pred:            pred,
-		chunk:           chunk,
-		degradedPenalty: penalty,
-		met:             cfg.Metrics,
-		rec:             cfg.Recorder,
-	}
-	switch cfg.Strategy.(type) {
-	case LeastLoaded:
-		e.builtin = builtinLeastLoaded
-	case BestFit:
-		e.builtin = builtinBestFit
-	case UtilizationAware:
-		e.builtin = builtinUtilization
-	}
-	if v, ok := pred.(snapshotVersioner); ok {
-		e.ver = v.Version
-	}
-	return e, nil
-}
-
-// builtinStrategy names the built-in strategies; builtinNone is any other.
-type builtinStrategy uint8
-
-const (
-	builtinNone builtinStrategy = iota
-	builtinLeastLoaded
-	builtinBestFit
-	builtinUtilization
-)
-
-// snapshotVersioner is the optional predictor facet exposing a snapshot
-// version; flight-recorder events are stamped with it so a trace ties each
-// decision to the model state that made it.
-type snapshotVersioner interface{ Version() uint64 }
-
-// snapVersion returns the predictor's current snapshot version, or 0 when
-// the predictor does not expose one. Only called on recording paths.
-func (e *engine) snapVersion() uint64 {
-	if e.ver == nil {
-		return 0
-	}
-	return e.ver()
-}
-
 // platformView is what placement needs to know about one platform: the
 // slot version its scores are stamped with, the resident workloads (the
-// interference set, in a row the replica owns), load, effective cap and
-// health. A replica copies the views at chunk start and after each of its
-// commits and conflicts, so a chunk's decisions are a pure function of its
-// views.
+// interference set, in a row the Scheduler owns), load, effective cap
+// and health. The Scheduler copies the views at chunk start and after each
+// of its commits and conflicts, so a chunk's decisions are a pure function
+// of its views.
 type platformView struct {
 	ver       uint64
 	ks        []int
@@ -151,7 +32,7 @@ type scores struct {
 	feas, rank float64
 }
 
-// waveTable is one engine instance's dense score table plus its chunk
+// waveTable is the Scheduler's dense score table plus its chunk
 // scratch. Every score it computes is stored in a cell; a later chunk
 // serves the cell instead of asking the predictor again as long as the
 // platform's slot version and the scoring epoch both still match. A
@@ -170,8 +51,7 @@ type scores struct {
 // arrays, each one row of NumPlatforms per workload: a chunk's lookups
 // read only the 8-byte stamps, a job's selection scan reads one
 // contiguous row of scores, and growth appends rows. The table grows to
-// the largest workload index seen. Each Replica owns one, guarded by its
-// mutex.
+// the largest workload index seen. The placement mutex guards it.
 type waveTable struct {
 	nP    int
 	nW    int
@@ -181,7 +61,7 @@ type waveTable struct {
 
 	// hits counts cells served from the table, misses cells scored through
 	// the predictor — both in (platform, workload) cells, post-commit
-	// rescores included. Atomics so stats readers need no engine lock.
+	// rescores included. Atomics so stats readers need no placement lock.
 	hits   atomic.Uint64
 	misses atomic.Uint64
 
@@ -262,13 +142,13 @@ func (t *waveTable) lookupColumn(qs []Query, p int, v *platformView, from int) (
 // predictor call, asking only for the heads the policy reads, and timed in
 // Metrics.ScoreBatch — and stores every result, stamped with its
 // platform's view version.
-func (t *waveTable) score(e *engine, views []platformView) {
+func (t *waveTable) score(s *Scheduler) {
 	n := len(t.qs)
 	if cap(t.mean) < n {
 		t.mean = make([]float64, n)
 		t.bound = make([]float64, n)
 	}
-	pol := &e.policy
+	pol := &s.policy
 	var mean, bound []float64
 	if pol.reads(headMean) {
 		mean = t.mean[:n]
@@ -277,12 +157,12 @@ func (t *waveTable) score(e *engine, views []platformView) {
 		bound = t.bound[:n]
 	}
 	var start time.Time
-	if e.met != nil {
+	if s.met != nil {
 		start = time.Now()
 	}
-	e.pred.ScoreSecondsBatch(t.qs, pol.eps, mean, bound)
-	if e.met != nil {
-		e.met.ScoreBatch.ObserveSince(start)
+	s.pred.ScoreSecondsBatch(t.qs, pol.eps, mean, bound)
+	if s.met != nil {
+		s.met.ScoreBatch.ObserveSince(start)
 	}
 	for i := range mean {
 		mean[i] *= pol.factor
@@ -294,6 +174,7 @@ func (t *waveTable) score(e *engine, views []platformView) {
 	if pol.rank == headBound {
 		rank = bound
 	}
+	views := s.views
 	for i := range t.qs {
 		q := &t.qs[i]
 		at := q.Workload*t.nP + q.Platform
@@ -307,9 +188,10 @@ func (t *waveTable) score(e *engine, views []platformView) {
 // table where the stamps match and scored in one batched call otherwise,
 // queries platform-major so each platform's interference term is folded
 // once. Returns the cells served and scored.
-func (e *engine) prescore(t *waveTable, plats []int, views []platformView) (hits, misses int) {
+func (s *Scheduler) prescore() (hits, misses int) {
+	t, views := &s.table, s.views
 	qs := t.qs[:0]
-	for _, p := range plats {
+	for p := range views {
 		v := &views[p]
 		if !v.open() {
 			continue
@@ -320,11 +202,11 @@ func (e *engine) prescore(t *waveTable, plats []int, views []platformView) (hits
 	}
 	t.qs = qs
 	if len(qs) > 0 {
-		t.score(e, views)
+		t.score(s)
 	}
-	if e.rec != nil {
-		e.rec.Record(obs.Event{Kind: obs.EvScore, Platform: -1, N: int32(len(qs)),
-			Cached: int32(hits), Version: e.snapVersion()})
+	if s.rec != nil {
+		s.rec.Record(obs.Event{Kind: obs.EvScore, Platform: -1, N: int32(len(qs)),
+			Cached: int32(hits), Version: s.snapVersion()})
 	}
 	return hits, len(qs)
 }
@@ -332,17 +214,18 @@ func (e *engine) prescore(t *waveTable, plats []int, views []platformView) (hits
 // rescore makes platform p's cells current for the chunk's jobs from index
 // from on after a commit or a conflict refresh changed its view: one small
 // batch over the distinct workloads still to place.
-func (e *engine) rescore(t *waveTable, p, from int, views []platformView) (hits, misses int) {
-	qs, hits := t.lookupColumn(t.qs[:0], p, &views[p], from)
+func (s *Scheduler) rescore(p, from int) (hits, misses int) {
+	t := &s.table
+	qs, hits := t.lookupColumn(t.qs[:0], p, &s.views[p], from)
 	t.qs = qs
 	if len(qs) > 0 {
-		t.score(e, views)
+		t.score(s)
 	}
 	return hits, len(qs)
 }
 
-// selectBest is the one-pass selection over the open platforms, in plats
-// order: the feasibility score is padded on Degraded platforms (Rank keeps
+// selectBest is the one-pass selection over the open platforms, in
+// ascending order: the feasibility score is padded on Degraded platforms (Rank keeps
 // the raw prediction, because strategies read it as runtime and a padded
 // rank would make degraded platforms look slower — and therefore more
 // attractive — to LeastLoaded and BestFit alike; the preference for
@@ -351,11 +234,12 @@ func (e *engine) rescore(t *waveTable, p, from int, views []platformView) (hits,
 // infeasible, and the strategy keeps the first best of the rest. best
 // .Platform is -1 when nothing is feasible; placeable counts platforms
 // healthy enough to consider and open those with a free slot.
-func (e *engine) selectBest(t *waveTable, job Job, plats []int, views []platformView) (best Candidate, placeable, open int) {
+func (s *Scheduler) selectBest(job Job) (best Candidate, placeable, open int) {
+	t, views := &s.table, s.views
 	bestP, bestScore := -1, 0.0
 	var bestPick pick
 	row := t.val[job.Workload*t.nP : (job.Workload+1)*t.nP]
-	for _, p := range plats {
+	for p := range views {
 		v := &views[p]
 		if !v.placeable {
 			continue
@@ -368,7 +252,7 @@ func (e *engine) selectBest(t *waveTable, job Job, plats []int, views []platform
 		cell := &row[p]
 		score := cell.feas
 		if v.degraded {
-			score *= e.degradedPenalty
+			score *= s.degradedPenalty
 		}
 		if math.IsNaN(score) || math.IsInf(score, 1) || score > job.Deadline {
 			continue
@@ -376,7 +260,7 @@ func (e *engine) selectBest(t *waveTable, job Job, plats []int, views []platform
 		c := pick{rank: cell.rank, load: v.load, degraded: v.degraded}
 		if bestP >= 0 {
 			var better bool
-			switch e.builtin {
+			switch s.builtin {
 			case builtinLeastLoaded:
 				better = leastLoadedBetter(c, bestPick)
 			case builtinBestFit:
@@ -384,7 +268,7 @@ func (e *engine) selectBest(t *waveTable, job Job, plats []int, views []platform
 			case builtinUtilization:
 				better = utilizationBetter(c, bestPick)
 			default:
-				better = e.strategy.Better(job, candidate(p, score, c), candidate(bestP, bestScore, bestPick))
+				better = s.strategy.Better(job, candidate(p, score, c), candidate(bestP, bestScore, bestPick))
 			}
 			if !better {
 				continue
@@ -414,48 +298,53 @@ func unplacedReason(placeable, open int) string {
 	return ReasonInfeasible
 }
 
-// placeChunk places one chunk of jobs in arrival order, filling out[i]
-// for jobs[i], over the platforms in plats (ascending) as r's views
-// describe them. The chunk prescores its distinct workloads through r's
-// table, then each job is one selection pass over the table; a commit (or
-// a conflict refresh) changes one platform's view, and only that
-// platform's cells are rescored for the jobs still to place. A job no
-// platform can take is recorded as shed, with its reason.
+// placeChunk places one chunk of jobs in arrival order under the
+// placement mutex, filling out[i] for jobs[i]. It copies every platform's
+// view under the store mutex, then prescores the chunk's distinct
+// workloads through the table, and each job is one selection pass over
+// the table; a commit (or a conflict refresh) changes one platform's view,
+// and only that platform's cells are rescored for the jobs still to place.
+// A job no platform can take is recorded as shed, with its reason.
 //
 // Scores are per-query deterministic, so a chunk decides exactly as if it
 // had scored every (job, platform) pair against the current views: chunk
 // boundaries and cells served from earlier chunks never change a
 // selection.
-func (e *engine) placeChunk(r *Replica, jobs []Job, out []Assignment, plats []int) {
-	t, views, st := &r.table, r.views, r.set.SlotStore
+func (s *Scheduler) placeChunk(jobs []Job, out []Assignment) {
+	t, views, st := &s.table, s.views, s.SlotStore
+	st.mu.Lock()
+	for p := range views {
+		st.viewLocked(p, &views[p])
+	}
+	st.mu.Unlock()
 	t.grow(t.dedupJobs(jobs))
-	t.setEpoch(e.pred.ScoreEpoch())
-	hits, misses := e.prescore(t, plats, views)
+	t.setEpoch(s.pred.ScoreEpoch())
+	hits, misses := s.prescore()
 	for j, job := range jobs {
 		if !st.admits() {
 			out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Rejected: true, Reason: ReasonAdmission}
 			continue
 		}
 		for attempt := 1; ; attempt++ {
-			best, placeable, open := e.selectBest(t, job, plats, views)
+			best, placeable, open := s.selectBest(job)
 			if best.Platform < 0 {
 				reason := unplacedReason(placeable, open)
-				if e.rec != nil {
-					e.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ParseReason(reason),
-						Platform: -1, Version: e.snapVersion()})
+				if s.rec != nil {
+					s.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ParseReason(reason),
+						Platform: -1, Version: s.snapVersion()})
 				}
 				out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: reason}
 				break
 			}
 			p := best.Platform
-			id, inter, status := r.commit(p, job)
+			id, inter, status := s.commit(p, job)
 			if status == reserveConflict {
-				if !r.retry(p, attempt) {
+				if !s.retry(p, attempt) {
 					out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: ReasonConflict}
 					break
 				}
 				if views[p].open() {
-					h, m := e.rescore(t, p, j, views)
+					h, m := s.rescore(p, j)
 					hits, misses = hits+h, misses+m
 				}
 				continue
@@ -466,7 +355,7 @@ func (e *engine) placeChunk(r *Replica, jobs []Job, out []Assignment, plats []in
 			}
 			out[j] = Assignment{ID: id, Job: job, Platform: p, Budget: best.Score, Interferers: inter}
 			if j+1 < len(jobs) && views[p].open() {
-				h, m := e.rescore(t, p, j+1, views)
+				h, m := s.rescore(p, j+1)
 				hits, misses = hits+h, misses+m
 			}
 			break

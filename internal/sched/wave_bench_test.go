@@ -47,10 +47,10 @@ func (c *costPred) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut 
 
 func (c *costPred) ScoreEpoch() uint64 { return 0 }
 
-// benchWaveLockHold measures how long PlaceAll holds the replica lock per
-// chunk while placing 256-job waves — what another PlaceAll on the same
-// replica waits, and how stale a chunk's views can grow before the next
-// copy (lifecycle calls wait for neither: they take only the store mutex).
+// benchWaveLockHold measures how long PlaceAll holds the placement mutex
+// per chunk while placing 256-job waves — what a concurrent PlaceAll
+// waits, and how stale a chunk's views can grow before the next copy
+// (lifecycle calls wait for neither: they take only the store mutex).
 // Chunk-boundary timestamps come from the chunkGap hook, so the
 // measurement needs no cross-goroutine scheduling (which a 1-vCPU runner
 // would quantize to the Go preemption interval and drown the signal).
@@ -73,7 +73,7 @@ func benchWaveLockHold(b *testing.B, chunk int) {
 	var lockStart time.Time
 	// chunkGap runs between lock holds: close the previous hold, open the
 	// next. The final chunk's hold closes after PlaceAll returns.
-	s.Replica(0).chunkGap = func() {
+	s.chunkGap = func() {
 		now := time.Now()
 		holds = append(holds, now.Sub(lockStart))
 		lockStart = now

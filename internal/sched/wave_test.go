@@ -109,7 +109,7 @@ func TestChunkedWaveMidWaveComplete(t *testing.T) {
 		t.Fatal("resident unplaced")
 	}
 	gaps := 0
-	sc.Replica(0).chunkGap = func() {
+	sc.chunkGap = func() {
 		gaps++
 		if err := sc.Complete(r.ID); err != nil {
 			t.Errorf("mid-wave complete: %v", err)
@@ -388,7 +388,7 @@ func TestRetryBackoffDefaultCap(t *testing.T) {
 // The time trigger must flush buffered measurements on its own, without
 // the count trigger, and cooperate with it when both are armed.
 func TestStreamFeedbackInterval(t *testing.T) {
-	newSched := func() *ReplicaSet {
+	newSched := func() *Scheduler {
 		pred := loop(variedPred{base: []float64{1, 1.2, 0.8}})
 		return mustNew(t, Config{NumPlatforms: 3, MaxColocation: 2}, policy("mean"), pred)
 	}

@@ -105,11 +105,11 @@ func TestDebugTraceEndpoints(t *testing.T) {
 }
 
 // TestDebugTraceShedAtEveryReplicaCount: a job no platform can serve in
-// time leaves exactly one shed/infeasible event in /debug/trace, whatever
-// the replica count.
+// time leaves exactly one shed/infeasible event in /debug/trace, for both
+// replica counts PlacementConfig accepts (0 and 1, the one engine).
 func TestDebugTraceShedAtEveryReplicaCount(t *testing.T) {
 	pred, _ := testPredictor(t)
-	for _, replicas := range []int{1, 2} {
+	for _, replicas := range []int{0, 1} {
 		s := New(pred, Config{})
 		if err := s.EnablePlacement(PlacementConfig{Policy: "bound", Eps: 0.1, MaxColocation: 2, Replicas: replicas}); err != nil {
 			t.Fatal(err)

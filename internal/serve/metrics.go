@@ -233,16 +233,13 @@ type Metrics struct {
 	PlaceInline   int64 `json:"place_inline,omitempty"`
 	PlaceShed     int64 `json:"place_shed,omitempty"`
 
-	// Replicated-placement counters, set whenever placement is enabled (the
-	// engine is a replica set of at least one): scheduler replicas serving
-	// /place, optimistic slot reservations attempted, reservations that
-	// lost the commit race, jobs shed after exhausting their conflict-retry
-	// budget, and shard-map rebalances.
-	PlaceReplicas     int    `json:"place_replicas,omitempty"`
+	// Commit-protocol counters, set whenever placement is enabled:
+	// version-checked slot reservations attempted, reservations refused
+	// because a lifecycle event moved the platform after its view was
+	// copied, and jobs shed after exhausting their conflict-retry budget.
 	ReserveAttempts   uint64 `json:"reserve_attempts,omitempty"`
 	ReserveConflicts  uint64 `json:"reserve_conflicts,omitempty"`
 	PlaceConflictShed uint64 `json:"place_conflict_shed,omitempty"`
-	PlaceRebalances   uint64 `json:"place_rebalances,omitempty"`
 
 	// Score-table counters, in (platform, workload) cells: scores served
 	// from the placement engine's wave score table vs scored through the
@@ -299,11 +296,9 @@ func (s *Server) Metrics() Metrics {
 			out.PlatformHealth[p] = h.String()
 		}
 		cs := s.placer.ConflictStats()
-		out.PlaceReplicas = s.placer.NumReplicas()
 		out.ReserveAttempts = cs.Attempts
 		out.ReserveConflicts = cs.Conflicts
 		out.PlaceConflictShed = cs.Shed
-		out.PlaceRebalances = cs.Rebalances
 		ts := s.placer.ScoreTableStats()
 		out.ScoreCacheHits = ts.Hits
 		out.ScoreCacheMisses = ts.Misses

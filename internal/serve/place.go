@@ -12,7 +12,7 @@ import (
 )
 
 // PlacementConfig enables the /place orchestration surface: the daemon
-// holds a live sched.ReplicaSet over the serving predictor and serves
+// holds a live sched.Scheduler over the serving predictor and serves
 // placement decisions against the current model snapshot.
 type PlacementConfig struct {
 	// Platforms in the cluster; 0 uses the predictor's platform count.
@@ -51,17 +51,11 @@ type PlacementConfig struct {
 	// Breaker tunes the per-platform circuit breaker fed by /complete
 	// outcome reports; the zero value disables automatic trips.
 	Breaker sched.BreakerConfig
-	// Replicas is the number of scheduler replicas over the one slot
-	// store: /place waves round-robin across them, and each commits with a
-	// version-checked reservation, retrying on conflict. 0 or 1 runs one
-	// replica.
+	// Replicas must be 0 or 1: there is one placement engine.
+	// EnablePlacement rejects any other value. The field remains only
+	// because the benchmark's set-up sets it to 1; it goes with the next
+	// change to the benchmark.
 	Replicas int
-	// Shards partitions platforms across replicas (see
-	// sched.ReplicaConfig.Shards); it applies only with Replicas > 1. The
-	// serving default (0) is one shared pool — every HTTP client's job
-	// must be placeable on any platform no matter which replica handles
-	// it; set >1 only when callers accept shard-local placement.
-	Shards int
 	// TraceDepth sizes the flight-recorder ring behind /debug/trace
 	// (retained lifecycle events, overwrite-oldest). 0 uses
 	// obs.DefaultTraceDepth; a negative depth disables the recorder
@@ -141,6 +135,9 @@ func (s *Server) EnablePlacement(pc PlacementConfig) error {
 	if pc.Eps == 0 {
 		pc.Eps = 0.1
 	}
+	if pc.Replicas != 0 && pc.Replicas != 1 {
+		return fmt.Errorf("serve: Replicas %d: there is one placement engine (0 or 1)", pc.Replicas)
+	}
 	pol, err := sched.ParsePolicy(pc.Policy, pc.Eps, pc.PadFactor)
 	if err != nil {
 		return err
@@ -170,11 +167,7 @@ func (s *Server) EnablePlacement(pc PlacementConfig) error {
 		Metrics:         s.schedMetrics,
 		Recorder:        s.recorder,
 	}
-	replicas, shards := max(pc.Replicas, 1), pc.Shards
-	if shards == 0 || replicas == 1 {
-		shards = 1 // shared pool: any replica can place anywhere
-	}
-	placer, err := sched.NewReplicaSet(cfg, sched.ReplicaConfig{Replicas: replicas, Shards: shards}, pol, backendPredictor{s.be})
+	placer, err := sched.New(cfg, pol, backendPredictor{s.be})
 	if err != nil {
 		return err
 	}
@@ -194,7 +187,7 @@ func (s *Server) EnablePlacement(pc PlacementConfig) error {
 }
 
 // Placer returns the placement engine, nil unless EnablePlacement ran.
-func (s *Server) Placer() *sched.ReplicaSet { return s.placer }
+func (s *Server) Placer() *sched.Scheduler { return s.placer }
 
 // PlaceJobs places a wave of jobs through the placement engine, updating
 // the serving metrics. Multi-job calls are already waves and place

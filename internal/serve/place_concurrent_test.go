@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -8,16 +9,17 @@ import (
 	"repro/internal/sched"
 )
 
-// TestReplicatedPlacementConcurrent drives the replicated /place engine
-// the way parallel frontends would: goroutines placing and completing
-// against one shared slot store. Placement accounting must conserve jobs,
-// in-flight must drain, and the replica metrics must surface.
+// TestReplicatedPlacementConcurrent drives the /place engine the way
+// parallel frontends would: goroutines placing and completing against the
+// one engine, their completions racing the other callers' chunks.
+// Placement accounting must conserve jobs, in-flight must drain, and the
+// commit-protocol metrics must surface.
 func TestReplicatedPlacementConcurrent(t *testing.T) {
 	pred, ds := testPredictor(t)
 	s := New(pred, Config{})
 	defer s.Close()
 	if err := s.EnablePlacement(PlacementConfig{
-		Policy: "bound", Eps: 0.1, MaxColocation: 4, Replicas: 4,
+		Policy: "bound", Eps: 0.1, MaxColocation: 4,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -69,14 +71,28 @@ func TestReplicatedPlacementConcurrent(t *testing.T) {
 		t.Fatalf("in-flight after drain: %d", got)
 	}
 	m := s.Metrics()
-	if m.PlaceReplicas != 4 {
-		t.Fatalf("PlaceReplicas = %d, want 4", m.PlaceReplicas)
-	}
 	if m.ReserveAttempts < uint64(placed.Load()) {
 		t.Fatalf("reserve attempts %d < placements %d", m.ReserveAttempts, placed.Load())
 	}
 	if m.Placed != placed.Load() || m.Completed != completed.Load() {
 		t.Fatalf("metrics placed=%d completed=%d, counted %d/%d",
 			m.Placed, m.Completed, placed.Load(), completed.Load())
+	}
+}
+
+// TestEnablePlacementRejectsReplicas: there is one placement engine, so
+// PlacementConfig.Replicas accepts only 0 and 1.
+func TestEnablePlacementRejectsReplicas(t *testing.T) {
+	pred, _ := testPredictor(t)
+	for _, replicas := range []int{2, -1} {
+		s := New(pred, Config{})
+		err := s.EnablePlacement(PlacementConfig{Policy: "bound", Replicas: replicas})
+		s.Close()
+		if err == nil || !strings.Contains(err.Error(), "one placement engine") {
+			t.Fatalf("Replicas %d: EnablePlacement error %v, want a one-engine error", replicas, err)
+		}
+		if s.Placer() != nil {
+			t.Fatalf("Replicas %d: placement enabled despite the error", replicas)
+		}
 	}
 }

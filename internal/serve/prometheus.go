@@ -49,18 +49,15 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 		c("pitot_breaker_trips_total", "Circuit-breaker quarantine trips.", int64(m.BreakerTrips))
 		c("pitot_breaker_readmits_total", "Half-open re-admissions of quarantined platforms.", int64(m.BreakerReadmits))
 		c("pitot_breaker_closes_total", "Probations closed back to healthy.", int64(m.BreakerCloses))
-		c("pitot_place_reserve_attempts_total", "Optimistic slot reservations attempted by scheduler replicas.", int64(m.ReserveAttempts))
-		c("pitot_place_conflicts_total", "Slot reservations that lost the optimistic commit race.", int64(m.ReserveConflicts))
+		c("pitot_place_reserve_attempts_total", "Version-checked slot reservations attempted by the placement engine.", int64(m.ReserveAttempts))
+		c("pitot_place_conflicts_total", "Slot reservations refused because a lifecycle event moved the platform after its view was copied.", int64(m.ReserveConflicts))
 		c("pitot_place_conflict_shed_total", "Jobs shed after exhausting their conflict-retry budget.", int64(m.PlaceConflictShed))
-		c("pitot_place_rebalances_total", "Shard-map rebalances triggered by load skew.", int64(m.PlaceRebalances))
-		fmt.Fprintf(&b, "# HELP pitot_place_replicas Scheduler replicas serving /place.\n# TYPE pitot_place_replicas gauge\npitot_place_replicas %d\n",
-			m.PlaceReplicas)
 		c("pitot_place_score_cache_hits_total", "Placement score cells (platform, workload) served from the wave score table.", int64(m.ScoreCacheHits))
 		c("pitot_place_score_cache_misses_total", "Placement score cells (platform, workload) scored through the predictor.", int64(m.ScoreCacheMisses))
 		fmt.Fprintf(&b, "# HELP pitot_place_in_flight Placed jobs not yet completed.\n# TYPE pitot_place_in_flight gauge\npitot_place_in_flight %d\n",
 			s.placer.InFlight())
 		// Placement-stack latency histograms (attached by EnablePlacement):
-		// batched scoring, whole-wave placement, per-chunk replica-lock
+		// batched scoring, whole-wave placement, per-chunk placement-lock
 		// hold, and the wave-size distribution.
 		if s.schedMetrics != nil {
 			s.schedMetrics.ScoreBatch.WritePrometheus(&b)

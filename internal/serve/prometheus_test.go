@@ -164,15 +164,15 @@ func parseExposition(t *testing.T, body string) map[string]int {
 }
 
 // TestPrometheusExpositionWellFormed audits the full /metrics surface with
-// every gated series enabled: replicated placement (conflict counters +
-// replica gauge), lifecycle counters, breaker counters, and per-platform
-// gauges must all carry # HELP and # TYPE and parse as exposition format.
+// every gated series enabled: the commit protocol's conflict counters,
+// lifecycle counters, breaker counters, and per-platform gauges must all
+// carry # HELP and # TYPE and parse as exposition format.
 func TestPrometheusExpositionWellFormed(t *testing.T) {
 	pred, ds := testPredictor(t)
 	s := New(pred, Config{})
 	defer s.Close()
 	if err := s.EnablePlacement(PlacementConfig{
-		Policy: "bound", Eps: 0.1, MaxColocation: 2, Replicas: 2,
+		Policy: "bound", Eps: 0.1, MaxColocation: 2,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +218,6 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 		"pitot_place_reserve_attempts_total",
 		"pitot_place_conflicts_total",
 		"pitot_place_conflict_shed_total",
-		"pitot_place_rebalances_total",
-		"pitot_place_replicas",
 		"pitot_place_in_flight",
 		// Score-table counters, exported whenever placement is on.
 		"pitot_place_score_cache_hits_total",
@@ -247,13 +245,17 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 	// The score table evicts nothing and is looked up inline: the old
 	// cache's eviction, invalidation, entry and lookup-latency families
 	// are gone, and so is the deleted approximate kernel's scoring-mode
-	// gauge (the prefix matches every pitot_fast… family).
+	// gauge (the prefix matches every pitot_fast… family). One engine
+	// places, so the replica gauge and the shard rebalance counter are
+	// gone too.
 	for _, gone := range []string{
 		"pitot_place_score_cache_evictions_total",
 		"pitot_place_score_cache_invalidations_total",
 		"pitot_place_score_cache_entries",
 		"pitot_place_score_cache_lookup_seconds",
 		"pitot_fast",
+		"pitot_place_replicas",
+		"pitot_place_rebalances_total",
 	} {
 		if strings.Contains(b.String(), gone) {
 			t.Errorf("retired series %s still exported", gone)

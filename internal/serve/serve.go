@@ -172,9 +172,8 @@ type Server struct {
 
 	// placer is the optional orchestration engine behind /place; nil until
 	// EnablePlacement. Its decisions read the same lock-free snapshot the
-	// prediction paths serve. One replica unless PlacementConfig.Replicas
-	// asks for more.
-	placer            *sched.ReplicaSet
+	// prediction paths serve.
+	placer            *sched.Scheduler
 	placementPolicy   string
 	placementStrategy string
 

@@ -207,16 +207,16 @@ func TestScoreCacheIdentityAcrossObserve(t *testing.T) {
 	run("post-observe-2")
 }
 
-// TestScoreCacheReplicaConcurrentSmoke drives a two-replica set from
-// concurrent goroutines against the real model — each replica's score
-// table under its own mutex, checked by the race detector — and checks job
-// conservation: everything placed completes exactly once.
+// TestScoreCacheReplicaConcurrentSmoke drives the one engine from two
+// concurrent goroutines against the real model — its score table under
+// the placement mutex while the other caller's completions land, checked
+// by the race detector — and checks job conservation: everything placed
+// completes exactly once.
 func TestScoreCacheReplicaConcurrentSmoke(t *testing.T) {
 	pred, ds := enginePredictor(t)
 	nP := ds.NumPlatforms()
-	rs, err := sched.NewReplicaSet(
+	rs, err := sched.New(
 		sched.Config{NumPlatforms: nP, MaxColocation: 3},
-		sched.ReplicaConfig{Replicas: 2, Shards: 1},
 		policy(t, "mean-bound"), pred)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +228,6 @@ func TestScoreCacheReplicaConcurrentSmoke(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + g)))
-			r := rs.Replica(g)
 			for round := 0; round < 10; round++ {
 				jobs := make([]sched.Job, 6)
 				for i := range jobs {
@@ -238,7 +237,7 @@ func TestScoreCacheReplicaConcurrentSmoke(t *testing.T) {
 						Deadline: pred.Estimate(w, rng.Intn(nP), nil) * 3,
 					}
 				}
-				for _, a := range r.PlaceAll(jobs) {
+				for _, a := range rs.PlaceAll(jobs) {
 					if a.Placed() {
 						if err := rs.Complete(a.ID); err != nil {
 							t.Errorf("goroutine %d: Complete(%d): %v", g, a.ID, err)
@@ -253,6 +252,6 @@ func TestScoreCacheReplicaConcurrentSmoke(t *testing.T) {
 		t.Fatalf("%d jobs still in flight after all completions", n)
 	}
 	if st := rs.ScoreTableStats(); st.Hits == 0 {
-		t.Fatalf("score tables unexercised: %+v", st)
+		t.Fatalf("score table unexercised: %+v", st)
 	}
 }
