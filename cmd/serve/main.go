@@ -1,6 +1,6 @@
-// Command serve runs the Pitot batch prediction daemon: an HTTP JSON
-// service with micro-batched /estimate and /bound endpoints, non-blocking
-// online learning via /observe, and /healthz for liveness and metrics.
+// Command serve runs the Pitot prediction daemon: an HTTP JSON service
+// with /estimate and /bound endpoints, non-blocking online learning via
+// /observe, and /healthz for liveness and metrics.
 //
 // Load a persisted predictor (written by Predictor.SaveModel):
 //
@@ -10,10 +10,10 @@
 //
 //	serve -data dataset.json -train -quantiles -save-mean mean.pit -save-quant quant.bin
 //
-// Prediction requests are micro-batched: single calls arriving within
-// -window of each other (up to -max-batch) are fused into one vectorized
-// EstimateBatch/BoundBatch pass over the model. Admission is bounded by
-// -max-queue; excess load fails fast with HTTP 503.
+// Every request is served on its own connection's goroutine: a prediction
+// is a few reads of the published model snapshot, which never blocks.
+// Admission is bounded by -max-queue predictions in flight; excess load
+// fails fast with HTTP 503.
 //
 // With -place, the orchestration surface also exposes a failure
 // lifecycle: POST /fail marks a platform down (orphaned residents are
@@ -52,45 +52,73 @@ import (
 //	go build -ldflags "-X main.buildVersion=$(git describe --always)" ./cmd/serve
 var buildVersion = "dev"
 
+// The flags, registered on flag.CommandLine; validateFlags checks them
+// after flag.Parse.
+var (
+	addr      = flag.String("addr", ":8080", "HTTP listen address")
+	dataPath  = flag.String("data", "", "dataset JSON (required)")
+	meanPath  = flag.String("mean", "", "predictor mean stream written by SaveModel/Export (not a cmd/train model file)")
+	quantPath = flag.String("quant", "", "quantile model stream (optional; enables /bound)")
+	train     = flag.Bool("train", false, "train at startup instead of loading -mean/-quant")
+	quantiles = flag.Bool("quantiles", false, "with -train: also fit the quantile model for /bound")
+	seed      = flag.Int64("seed", 1, "with -train: training seed")
+	steps     = flag.Int("steps", 2500, "with -train: optimization steps")
+	saveMean  = flag.String("save-mean", "", "with -train: persist the mean stream here")
+	saveQuant = flag.String("save-quant", "", "with -train: persist the quantile model here")
+	maxQueue  = flag.Int("max-queue", 4096, "bound on /estimate and /bound calls in flight (excess requests get 503; 0 = default)")
+	pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+	traceDep  = flag.Int("trace-depth", 0, "flight-recorder ring capacity behind /debug/trace (0 = default 4096, negative disables tracing)")
+
+	place         = flag.Bool("place", false, "enable the /place and /complete orchestration endpoints")
+	placePolicy   = flag.String("place-policy", "bound", "placement policy: bound, mean, padded, mean-bound, or padded-bound")
+	placeEps      = flag.Float64("place-eps", 0.1, "bound policy's per-job deadline-miss budget")
+	placeFactor   = flag.Float64("place-factor", 1.3, "padded policy's safety factor")
+	placeStrategy = flag.String("place-strategy", "least-loaded", "platform selection: least-loaded, best-fit, or utilization")
+	placeColoc    = flag.Int("place-colocation", 4, "max workloads per platform")
+	placeInFlight = flag.Int("place-max-inflight", 0, "admission bound on in-flight jobs (0 = platform capacity)")
+	placeChunk    = flag.Int("place-chunk", 0, "jobs placed per copy of the cluster state (0 = default, negative = whole wave)")
+
+	placePenalty     = flag.Float64("place-degraded-penalty", 0, "score multiplier applied to degraded platforms (0 = default 1.25)")
+	breakerThreshold = flag.Float64("place-breaker-threshold", 0, "quarantine a platform when its windowed deadline-miss rate crosses this fraction (0 disables the breaker)")
+	breakerWindow    = flag.Int("place-breaker-window", 0, "completions per platform in the breaker's miss-rate window (0 = default 20)")
+	breakerProbation = flag.Int("place-breaker-probation", 0, "consecutive on-deadline completions to close a half-open platform (0 = default)")
+)
+
+// HTTP server timeouts. A client must finish its request headers within
+// readHeaderTimeout, and an idle keep-alive connection is closed after
+// idleTimeout, so a client that never finishes cannot hold a connection
+// forever. Request bodies and replies get no deadline: an /observe
+// fine-tune takes seconds.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// validateFlags rejects missing and nonsensical flags up front with a
+// usage error (exit 2), before the dataset loads.
+func validateFlags() error {
+	switch {
+	case *dataPath == "":
+		return fmt.Errorf("-data is required")
+	case !*train && *meanPath == "":
+		return fmt.Errorf("either -mean (load) or -train is required")
+	case *maxQueue < 0:
+		return fmt.Errorf("-max-queue must be >= 0 (got %d)", *maxQueue)
+	case *train && *steps < 1:
+		return fmt.Errorf("-train needs -steps >= 1 (got %d)", *steps)
+	case *place && !(*placeEps > 0 && *placeEps < 1):
+		return fmt.Errorf("-place needs -place-eps in (0,1) (got %g)", *placeEps)
+	}
+	return nil
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("serve: ")
-	var (
-		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		dataPath  = flag.String("data", "", "dataset JSON (required)")
-		meanPath  = flag.String("mean", "", "predictor mean stream written by SaveModel/Export (not a cmd/train model file)")
-		quantPath = flag.String("quant", "", "quantile model stream (optional; enables /bound)")
-		train     = flag.Bool("train", false, "train at startup instead of loading -mean/-quant")
-		quantiles = flag.Bool("quantiles", false, "with -train: also fit the quantile model for /bound")
-		seed      = flag.Int64("seed", 1, "with -train: training seed")
-		steps     = flag.Int("steps", 2500, "with -train: optimization steps")
-		saveMean  = flag.String("save-mean", "", "with -train: persist the mean stream here")
-		saveQuant = flag.String("save-quant", "", "with -train: persist the quantile model here")
-		window    = flag.Duration("window", 100*time.Microsecond, "micro-batch window")
-		maxBatch  = flag.Int("max-batch", 256, "flush a batch at this many pending requests")
-		maxQueue  = flag.Int("max-queue", 4096, "admission queue bound (excess requests get 503)")
-		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		traceDep  = flag.Int("trace-depth", 0, "flight-recorder ring capacity behind /debug/trace (0 = default 4096, negative disables tracing)")
-
-		place         = flag.Bool("place", false, "enable the /place and /complete orchestration endpoints")
-		placePolicy   = flag.String("place-policy", "bound", "placement policy: bound, mean, padded, mean-bound, or padded-bound")
-		placeEps      = flag.Float64("place-eps", 0.1, "bound policy's per-job deadline-miss budget")
-		placeFactor   = flag.Float64("place-factor", 1.3, "padded policy's safety factor")
-		placeStrategy = flag.String("place-strategy", "least-loaded", "platform selection: least-loaded, best-fit, or utilization")
-		placeColoc    = flag.Int("place-colocation", 4, "max workloads per platform")
-		placeInFlight = flag.Int("place-max-inflight", 0, "admission bound on in-flight jobs (0 = platform capacity)")
-		placeWindow   = flag.Duration("place-window", 200*time.Microsecond, "fuse concurrent single-job /place calls arriving within this window into one wave (0 disables)")
-		placeMaxWave  = flag.Int("place-max-wave", 64, "cap on a fused /place wave")
-		placeChunk    = flag.Int("place-chunk", 0, "jobs placed per copy of the cluster state (0 = default, negative = whole wave)")
-
-		placePenalty     = flag.Float64("place-degraded-penalty", 0, "score multiplier applied to degraded platforms (0 = default 1.25)")
-		breakerThreshold = flag.Float64("place-breaker-threshold", 0, "quarantine a platform when its windowed deadline-miss rate crosses this fraction (0 disables the breaker)")
-		breakerWindow    = flag.Int("place-breaker-window", 0, "completions per platform in the breaker's miss-rate window (0 = default 20)")
-		breakerProbation = flag.Int("place-breaker-probation", 0, "consecutive on-deadline completions to close a half-open platform (0 = default)")
-	)
 	flag.Parse()
-	if *dataPath == "" {
-		log.Fatal("-data is required")
+	if err := validateFlags(); err != nil {
+		fmt.Fprintf(flag.CommandLine.Output(), "serve: %v\n(run with -h for usage)\n", err)
+		os.Exit(2)
 	}
 
 	df, err := os.Open(*dataPath)
@@ -120,7 +148,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-	case *meanPath != "":
+	default:
 		mf, err := os.Open(*meanPath)
 		if err != nil {
 			log.Fatal(err)
@@ -139,16 +167,12 @@ func main() {
 			log.Fatal(err)
 		}
 		mf.Close()
-	default:
-		log.Fatal("either -mean (load) or -train is required")
 	}
 
 	info := pred.Info()
 	log.Printf("predictor ready: snapshot v%d, bounds=%v", info.Version, info.Bounds)
 
 	srv := serve.New(pred, serve.Config{
-		MaxBatch:     *maxBatch,
-		Window:       *window,
 		MaxQueue:     *maxQueue,
 		BuildVersion: buildVersion,
 	})
@@ -160,8 +184,6 @@ func main() {
 			Strategy:      *placeStrategy,
 			MaxColocation: *placeColoc,
 			MaxInFlight:   *placeInFlight,
-			Window:        *placeWindow,
-			MaxWave:       *placeMaxWave,
 			WaveChunk:     *placeChunk,
 			TraceDepth:    *traceDep,
 
@@ -195,10 +217,15 @@ func main() {
 		log.Print("pprof enabled under /debug/pprof/")
 	}
 
-	// Graceful shutdown: stop accepting, drain in-flight HTTP requests,
-	// then drain the micro-batcher. log.Fatal skips defers, so the
-	// teardown is explicit.
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	// Graceful shutdown: stop accepting and drain in-flight HTTP requests,
+	// which run every prediction and placement to completion, then close
+	// the server. log.Fatal skips defers, so the teardown is explicit.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -213,8 +240,7 @@ func main() {
 		}
 	}()
 
-	log.Printf("listening on %s (build=%s window=%v max-batch=%d max-queue=%d)",
-		*addr, buildVersion, *window, *maxBatch, *maxQueue)
+	log.Printf("listening on %s (build=%s max-queue=%d)", *addr, buildVersion, *maxQueue)
 	err = httpSrv.ListenAndServe()
 	if err != nil && err != http.ErrServerClosed {
 		srv.Close()

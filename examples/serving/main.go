@@ -1,6 +1,7 @@
 // Serving demonstrates the snapshot-isolated serving layer: a trained
-// predictor behind the micro-batching server, hammered by concurrent
-// clients while online learning publishes new model snapshots mid-flight.
+// predictor behind the server, which serves each call on its caller's
+// goroutine, hammered by concurrent clients while online learning
+// publishes new model snapshots mid-flight.
 //
 //	go run ./examples/serving
 //
@@ -11,7 +12,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -42,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	srv := serve.New(pred, serve.Config{MaxBatch: 256, Window: 100 * time.Microsecond})
+	srv := serve.New(pred, serve.Config{})
 	defer srv.Close()
 
 	const (
@@ -65,7 +65,6 @@ func main() {
 		go func(c int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(c)))
-			ctx := context.Background()
 			for {
 				select {
 				case <-stop:
@@ -79,9 +78,9 @@ func main() {
 				}
 				var err error
 				if rng.Intn(4) == 0 {
-					_, err = srv.Bound(ctx, q, 0.1)
+					_, err = srv.Bound(q, 0.1)
 				} else {
-					_, err = srv.Estimate(ctx, q)
+					_, err = srv.Estimate(q)
 				}
 				if err != nil {
 					log.Fatalf("client %d: %v", c, err)
@@ -119,10 +118,8 @@ func main() {
 		pred.Estimate(baseW, baseP, nil), baseline)
 
 	m := srv.Metrics()
-	fmt.Printf("\nmetrics: requests=%d rejected=%d inline=%d idle=%d full=%d timeout=%d\n",
-		m.Requests, m.Rejected, m.InlineFlushes, m.IdleFlushes, m.FullFlushes, m.TimeoutFlushes)
+	fmt.Printf("\nmetrics: requests=%d rejected=%d\n", m.Requests, m.Rejected)
 	for _, sm := range m.PerSnapshot {
-		fmt.Printf("  snapshot v%d: %d batches, %d queries, mean batch %.1f, max %d\n",
-			sm.Version, sm.Batches, sm.Queries, sm.MeanBatch, sm.MaxBatchSize)
+		fmt.Printf("  snapshot v%d: %d queries\n", sm.Version, sm.Queries)
 	}
 }

@@ -29,29 +29,23 @@ import (
 type Scheduler struct {
 	*SlotStore
 
-	cfg      Config
-	policy   Policy
-	strategy Strategy
-	pred     Predictor
-
-	// chunk is the resolved Config.WaveChunk: max jobs placed per view
-	// snapshot in PlaceAll. degradedPenalty multiplies the feasibility score of
-	// candidates on Degraded platforms (resolved Config.DegradedPenalty,
-	// finite and ≥ 1).
-	chunk           int
-	degradedPenalty float64
+	// cfg holds the configuration with its defaults resolved: Strategy,
+	// WaveChunk (max jobs placed per view snapshot in PlaceAll) and
+	// DegradedPenalty (finite and ≥ 1) are never zero. Its Metrics and
+	// Recorder are the optional observability hooks, both nil-safe and off
+	// the decision path; the embedded store's events holds the same
+	// recorder.
+	cfg    Config
+	policy Policy
+	pred   Predictor
 
 	// builtin identifies the strategy when it is one of the built-in
 	// three, so selection calls its Better directly (inlined) instead of
 	// through the interface.
 	builtin builtinStrategy
 
-	// met/rec are the optional observability hooks (Config.Metrics /
-	// Config.Recorder); both nil-safe, both off the decision path. ver
-	// reads the predictor's snapshot version for event stamping; nil when
-	// the predictor does not expose one.
-	met *obs.SchedMetrics
-	rec *obs.Recorder
+	// ver reads the predictor's snapshot version for event stamping; nil
+	// when the predictor does not expose one.
 	ver func() uint64
 
 	// placeMu is the placement mutex. It guards the views, whose resident
@@ -115,30 +109,23 @@ func New(cfg Config, policy Policy, pred Predictor) (*Scheduler, error) {
 	if cfg.MaxInFlight < 0 {
 		return nil, fmt.Errorf("sched: negative MaxInFlight")
 	}
-	chunk := cfg.WaveChunk
-	if chunk == 0 {
-		chunk = defaultWaveChunk
+	if cfg.WaveChunk == 0 {
+		cfg.WaveChunk = defaultWaveChunk
 	}
-	penalty := cfg.DegradedPenalty
-	if penalty == 0 {
-		penalty = defaultDegradedPenalty
+	if cfg.DegradedPenalty == 0 {
+		cfg.DegradedPenalty = defaultDegradedPenalty
 	}
-	if !(penalty >= 1) || math.IsInf(penalty, 1) {
-		return nil, fmt.Errorf("sched: DegradedPenalty %v is not a finite number ≥ 1", penalty)
+	if p := cfg.DegradedPenalty; !(p >= 1) || math.IsInf(p, 1) {
+		return nil, fmt.Errorf("sched: DegradedPenalty %v is not a finite number ≥ 1", p)
 	}
 	nP, mc := cfg.NumPlatforms, cfg.MaxColocation
 	s := &Scheduler{
-		SlotStore:       newSlotStore(cfg),
-		cfg:             cfg,
-		policy:          policy,
-		strategy:        cfg.Strategy,
-		pred:            pred,
-		chunk:           chunk,
-		degradedPenalty: penalty,
-		met:             cfg.Metrics,
-		rec:             cfg.Recorder,
-		views:           make([]platformView, nP),
-		table:           waveTable{nP: nP},
+		SlotStore: newSlotStore(cfg),
+		cfg:       cfg,
+		policy:    policy,
+		pred:      pred,
+		views:     make([]platformView, nP),
+		table:     waveTable{nP: nP},
 	}
 	switch cfg.Strategy.(type) {
 	case LeastLoaded:
@@ -204,13 +191,14 @@ func (s *Scheduler) Place(job Job) Assignment {
 func (s *Scheduler) PlaceAll(jobs []Job) []Assignment {
 	// Observability is guarded per-site so the disabled path never calls
 	// time.Now: one predictable branch per chunk, zero allocations.
+	met := s.cfg.Metrics
 	var waveStart time.Time
-	if s.met != nil {
+	if met != nil {
 		waveStart = time.Now()
-		s.met.WaveSize.Observe(float64(len(jobs)))
+		met.WaveSize.Observe(float64(len(jobs)))
 	}
 	out := make([]Assignment, len(jobs))
-	chunk := s.chunk
+	chunk := s.cfg.WaveChunk
 	if chunk < 0 || chunk > len(jobs) {
 		chunk = len(jobs)
 	}
@@ -218,20 +206,20 @@ func (s *Scheduler) PlaceAll(jobs []Job) []Assignment {
 		hi := min(lo+chunk, len(jobs))
 		s.placeMu.Lock()
 		var holdStart time.Time
-		if s.met != nil {
+		if met != nil {
 			holdStart = time.Now()
 		}
 		s.placeChunk(jobs[lo:hi], out[lo:hi])
-		if s.met != nil {
-			s.met.ChunkHold.ObserveSince(holdStart)
+		if met != nil {
+			met.ChunkHold.ObserveSince(holdStart)
 		}
 		s.placeMu.Unlock()
 		if s.chunkGap != nil && hi < len(jobs) {
 			s.chunkGap()
 		}
 	}
-	if s.met != nil {
-		s.met.WavePlace.ObserveSince(waveStart)
+	if met != nil {
+		met.WavePlace.ObserveSince(waveStart)
 	}
 	return out
 }
@@ -247,8 +235,8 @@ func (s *Scheduler) commit(p int, job Job) (JobID, []int, reserveStatus) {
 	}
 	st.mu.Lock()
 	id, inter, status := st.reserveLocked(p, &s.views[p], job)
-	if status == reserveOK && s.rec != nil {
-		s.rec.Record(obs.Event{Kind: obs.EvPlace, Job: uint64(id), ID: uint64(id),
+	if status == reserveOK && s.events != nil {
+		s.events.Record(obs.Event{Kind: obs.EvPlace, Job: uint64(id), ID: uint64(id),
 			Platform: int32(p), Version: s.snapVersion()})
 	}
 	st.mu.Unlock()
@@ -261,14 +249,14 @@ func (s *Scheduler) commit(p int, job Job) (JobID, []int, reserveStatus) {
 // demote p or crown a different winner. The event that moved p has
 // already released the store mutex, so the copy needs no backoff.
 func (s *Scheduler) retry(p, attempt int) bool {
-	if s.rec != nil {
-		s.rec.Record(obs.Event{Kind: obs.EvConflict, Platform: int32(p),
+	if s.events != nil {
+		s.events.Record(obs.Event{Kind: obs.EvConflict, Platform: int32(p),
 			N: int32(attempt), Version: s.snapVersion()})
 	}
 	if attempt > maxCommitRetries {
 		s.shed.Add(1)
-		if s.rec != nil {
-			s.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ReasonConflict,
+		if s.events != nil {
+			s.events.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ReasonConflict,
 				Platform: int32(p), N: int32(attempt), Version: s.snapVersion()})
 		}
 		return false

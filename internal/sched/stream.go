@@ -299,7 +299,7 @@ type retryEntry struct {
 // Arrived == Completed + Unplaced + Rejected and Placed == Completed +
 // Orphaned. Deterministic given rng and ChaosConfig.Seed.
 func Stream(cfg StreamConfig, s *Scheduler, oracle Oracle, source JobSource, observer Observer, rng *rand.Rand) (StreamResult, error) {
-	res := StreamResult{Policy: s.policy.Name(), Strategy: s.strategy.Name()}
+	res := StreamResult{Policy: s.policy.Name(), Strategy: s.cfg.Strategy.Name()}
 	if cfg.Jobs <= 0 {
 		return res, nil
 	}

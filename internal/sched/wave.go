@@ -157,12 +157,12 @@ func (t *waveTable) score(s *Scheduler) {
 		bound = t.bound[:n]
 	}
 	var start time.Time
-	if s.met != nil {
+	if s.cfg.Metrics != nil {
 		start = time.Now()
 	}
 	s.pred.ScoreSecondsBatch(t.qs, pol.eps, mean, bound)
-	if s.met != nil {
-		s.met.ScoreBatch.ObserveSince(start)
+	if s.cfg.Metrics != nil {
+		s.cfg.Metrics.ScoreBatch.ObserveSince(start)
 	}
 	for i := range mean {
 		mean[i] *= pol.factor
@@ -204,8 +204,8 @@ func (s *Scheduler) prescore() (hits, misses int) {
 	if len(qs) > 0 {
 		t.score(s)
 	}
-	if s.rec != nil {
-		s.rec.Record(obs.Event{Kind: obs.EvScore, Platform: -1, N: int32(len(qs)),
+	if s.events != nil {
+		s.events.Record(obs.Event{Kind: obs.EvScore, Platform: -1, N: int32(len(qs)),
 			Cached: int32(hits), Version: s.snapVersion()})
 	}
 	return hits, len(qs)
@@ -252,7 +252,7 @@ func (s *Scheduler) selectBest(job Job) (best Candidate, placeable, open int) {
 		cell := &row[p]
 		score := cell.feas
 		if v.degraded {
-			score *= s.degradedPenalty
+			score *= s.cfg.DegradedPenalty
 		}
 		if math.IsNaN(score) || math.IsInf(score, 1) || score > job.Deadline {
 			continue
@@ -268,7 +268,7 @@ func (s *Scheduler) selectBest(job Job) (best Candidate, placeable, open int) {
 			case builtinUtilization:
 				better = utilizationBetter(c, bestPick)
 			default:
-				better = s.strategy.Better(job, candidate(p, score, c), candidate(bestP, bestScore, bestPick))
+				better = s.cfg.Strategy.Better(job, candidate(p, score, c), candidate(bestP, bestScore, bestPick))
 			}
 			if !better {
 				continue
@@ -329,8 +329,8 @@ func (s *Scheduler) placeChunk(jobs []Job, out []Assignment) {
 			best, placeable, open := s.selectBest(job)
 			if best.Platform < 0 {
 				reason := unplacedReason(placeable, open)
-				if s.rec != nil {
-					s.rec.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ParseReason(reason),
+				if s.events != nil {
+					s.events.Record(obs.Event{Kind: obs.EvShed, Reason: obs.ParseReason(reason),
 						Platform: -1, Version: s.snapVersion()})
 				}
 				out[j] = Assignment{Job: job, Platform: -1, Budget: math.Inf(1), Reason: reason}

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"context"
 	"math/rand"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	pitot "repro"
 	"repro/internal/sched"
@@ -14,7 +12,7 @@ import (
 // benchQueries builds a serving-shaped workload: every query is an
 // independent (workload, platform, resident-set) arrival, so the direct
 // batch path gets no cross-query amortization — the honest baseline for
-// the micro-batching overhead.
+// the served path's overhead.
 func benchQueries(ds *pitot.Dataset, n int) []pitot.Query {
 	rng := rand.New(rand.NewSource(99))
 	qs := make([]pitot.Query, n)
@@ -46,22 +44,21 @@ func BenchmarkDirectEstimateBatch(b *testing.B) {
 	b.ReportMetric(1e9/perQuery, "queries/s")
 }
 
-// BenchmarkMicroBatchedEstimate is the serving path: independent concurrent
-// clients each submit one query; the server fuses them into batch windows.
-// One benchmark op is one served query, so ns/op compares directly against
-// BenchmarkDirectEstimateBatch's ns/query.
-func BenchmarkMicroBatchedEstimate(b *testing.B) {
+// BenchmarkServedEstimate is the serving path: independent concurrent
+// clients (32 per GOMAXPROCS) each submit one query, served on their own
+// goroutines. One benchmark op is one served query, so ns/op compares
+// directly against BenchmarkDirectEstimateBatch's ns/query.
+func BenchmarkServedEstimate(b *testing.B) {
 	pred, ds := testPredictor(b)
-	s := New(pred, Config{MaxBatch: 512, Window: 100 * time.Microsecond, MaxQueue: 1 << 16})
+	s := New(pred, Config{MaxQueue: 1 << 16})
 	defer s.Close()
 	qs := benchQueries(ds, 4096)
 	b.SetParallelism(32)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		ctx := context.Background()
 		i := rand.Intn(len(qs))
 		for pb.Next() {
-			if _, err := s.Estimate(ctx, qs[i%len(qs)]); err != nil {
+			if _, err := s.Estimate(qs[i%len(qs)]); err != nil {
 				b.Error(err)
 				return
 			}
@@ -74,67 +71,53 @@ func BenchmarkMicroBatchedEstimate(b *testing.B) {
 }
 
 // BenchmarkPlaceSingleJob drives concurrent single-job /place traffic
-// through the placement engine, direct (every call its own lock-serialized
-// wave) versus through the accumulation window (concurrent calls fused
-// into one wave whose platform folds are shared). One op = one placed-and-
-// completed job.
+// (16 callers per GOMAXPROCS) through the placement engine: every call is
+// its own lock-serialized wave on its caller's goroutine. One op = one
+// placed-and-completed job.
 func BenchmarkPlaceSingleJob(b *testing.B) {
 	pred, ds := testPredictor(b)
-	for _, mode := range []struct {
-		name   string
-		window time.Duration
-	}{
-		{"direct", 0},
-		{"window", 200 * time.Microsecond},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			s := New(pred, Config{})
-			defer s.Close()
-			if err := s.EnablePlacement(PlacementConfig{
-				Policy: "mean-bound", Eps: 0.1, MaxColocation: 64,
-				Window: mode.window, MaxWave: 64,
-			}); err != nil {
-				b.Fatal(err)
-			}
-			// Three permanent residents per platform: candidate scoring
-			// pays the full interference fold a loaded cluster sees —
-			// the shared work wave fusion amortizes.
-			for i := 0; i < 3*ds.NumPlatforms(); i++ {
-				if a := s.Placer().Place(sched.Job{Workload: i % ds.NumWorkloads(), Deadline: 1e9}); !a.Placed() {
-					b.Fatalf("resident %d unplaced", i)
-				}
-			}
-			var seq atomic.Int64
-			b.SetParallelism(16)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					w := int(seq.Add(1)) % ds.NumWorkloads()
-					as, err := s.PlaceJobs([]sched.Job{{Workload: w, Deadline: 1e9}})
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if as[0].Placed() {
-						if err := s.Placer().Complete(as[0].ID); err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "placements/s")
-		})
+	s := New(pred, Config{})
+	defer s.Close()
+	if err := s.EnablePlacement(PlacementConfig{
+		Policy: "mean-bound", Eps: 0.1, MaxColocation: 64,
+	}); err != nil {
+		b.Fatal(err)
 	}
+	// Three permanent residents per platform: candidate scoring pays the
+	// full interference fold a loaded cluster sees.
+	for i := 0; i < 3*ds.NumPlatforms(); i++ {
+		if a := s.Placer().Place(sched.Job{Workload: i % ds.NumWorkloads(), Deadline: 1e9}); !a.Placed() {
+			b.Fatalf("resident %d unplaced", i)
+		}
+	}
+	var seq atomic.Int64
+	b.SetParallelism(16)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			w := int(seq.Add(1)) % ds.NumWorkloads()
+			as, err := s.PlaceJobs([]sched.Job{{Workload: w, Deadline: 1e9}})
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			if as[0].Placed() {
+				if err := s.Placer().Complete(as[0].ID); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "placements/s")
 }
 
-// BenchmarkPlaceWaveFusion quantifies what the accumulation window buys
-// per fused wave, independent of goroutine scheduling: sixteen jobs
-// placed as sixteen single-job waves (each paying its own lock
-// acquisition and per-platform interference folds) versus one fused
-// 16-job wave (one platform-major pre-score, folds shared across the
-// wave). One benchmark op is one placed-and-completed job in both
+// BenchmarkPlaceWaveFusion quantifies what placing jobs as one wave buys,
+// independent of goroutine scheduling: sixteen jobs placed as sixteen
+// single-job waves (each paying its own lock acquisition and per-platform
+// interference folds) versus one 16-job wave (one platform-major
+// pre-score, folds shared across the wave). One benchmark op is one placed-and-completed job in both
 // variants.
 func BenchmarkPlaceWaveFusion(b *testing.B) {
 	pred, ds := testPredictor(b)

@@ -36,9 +36,8 @@ const maxPooledBody = 64 << 10
 
 // codec is one request's pooled buffer. It holds the request body while it
 // is decoded, then the reply until the ResponseWriter's Write returns.
-// Decoded values never point into it: the interferer slice in particular
-// must outlive the request, because a request abandoned on ctx.Done can
-// still be read by a flusher.
+// Decoded values never point into it, so they stay valid after the buffer
+// returns to the pool.
 type codec struct{ buf []byte }
 
 var codecPool = sync.Pool{New: func() any { return &codec{buf: make([]byte, 0, 1024)} }}

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/sched"
 )
@@ -484,11 +483,10 @@ func TestNonCanonicalBodiesMatchEncodingJSON(t *testing.T) {
 }
 
 // TestCodecConcurrentRequests shares the pooled codec buffers among
-// concurrent canonical and non-canonical requests, inline and
-// micro-batched: every reply must be byte-identical to the one its body
-// gets alone.
+// concurrent canonical and non-canonical requests: every reply must be
+// byte-identical to the one its body gets alone.
 func TestCodecConcurrentRequests(t *testing.T) {
-	s := New(newFakeBackend(), Config{MaxBatch: 8, Window: 50 * time.Microsecond})
+	s := New(newFakeBackend(), Config{})
 	defer s.Close()
 	h := NewHandler(s)
 	post := func(path, body string) string {

@@ -24,7 +24,8 @@ type EstimateRequest struct {
 // PredictionResponse is the JSON reply of /estimate and /bound. Version is
 // the snapshot version published at reply time — an upper bound on the
 // version that served the query (a concurrent Observe may land between
-// flush and reply), letting clients track staleness across updates.
+// the prediction and the reply), letting clients track staleness across
+// updates.
 // Infeasible marks a +Inf bound (the calibration set is too small for the
 // requested eps — a documented predictor outcome JSON cannot carry as a
 // number); Seconds is 0 in that case.
@@ -175,8 +176,8 @@ type errorResponse struct {
 
 // NewHandler returns the HTTP surface of the serving daemon:
 //
-//	POST /estimate  — one query through the micro-batched estimate path
-//	POST /bound     — one query through the micro-batched bound path
+//	POST /estimate  — one query's runtime estimate
+//	POST /bound     — one query's 1−eps runtime bound
 //	POST /observe   — feed measurements; publishes a new model snapshot
 //	POST /place     — place a wave of deadline jobs (requires EnablePlacement)
 //	POST /complete  — retire placed jobs, freeing colocation slots
@@ -252,7 +253,7 @@ func (s *Server) handlePrediction(w http.ResponseWriter, r *http.Request, bound 
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return
 	}
-	// End-to-end handler latency: decode + queue wait + flush + encode.
+	// End-to-end handler latency: decode + predict + encode.
 	h := s.hists.estimate
 	if bound {
 		h = s.hists.bound
@@ -273,19 +274,16 @@ func (s *Server) handlePrediction(w http.ResponseWriter, r *http.Request, bound 
 	}
 	var sec float64
 	if bound {
-		sec, err = s.Bound(r.Context(), q, req.Eps)
+		sec, err = s.Bound(q, req.Eps)
 	} else {
-		sec, err = s.Estimate(r.Context(), q)
+		sec, err = s.Estimate(q)
 	}
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrOverloaded), errors.Is(err, ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
-		case errors.Is(err, r.Context().Err()) && r.Context().Err() != nil:
-			writeError(w, http.StatusRequestTimeout, err)
-		default:
-			writeError(w, http.StatusBadRequest, err)
+		status := http.StatusBadRequest
+		if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrClosed) {
+			status = http.StatusServiceUnavailable
 		}
+		writeError(w, status, err)
 		return
 	}
 	resp := PredictionResponse{Seconds: sec, Version: s.Info().Version}

@@ -92,13 +92,13 @@ func postJSON(t *testing.T, client *http.Client, url string, body any, out any) 
 }
 
 // TestHTTPEndpoints drives all four endpoints of the daemon end to end
-// against a real trained predictor: micro-batched /estimate and /bound
-// agree with the direct predictor, /observe publishes a new snapshot that
+// against a real trained predictor: /estimate and /bound agree with the
+// direct predictor, /observe publishes a new snapshot that
 // subsequent predictions and /healthz reflect, and malformed requests are
 // rejected with client errors.
 func TestHTTPEndpoints(t *testing.T) {
 	pred, ds := ownPredictor(t)
-	s := New(pred, Config{MaxBatch: 64, Window: 200 * time.Microsecond})
+	s := New(pred, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
@@ -268,52 +268,11 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 }
 
-// TestHTTPFlushOnTimeout exercises the micro-batch timeout path end to end
-// over HTTP: with one flush held in flight (gated fake backend), a second
-// request can only complete through the window-timer flush.
-func TestHTTPFlushOnTimeout(t *testing.T) {
-	be := newFakeBackend()
-	be.gate = make(chan struct{})
-	s := New(be, Config{MaxBatch: 4096, Window: 2 * time.Millisecond})
-	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
-	client := ts.Client()
-
-	blockerDone := make(chan int, 1)
-	go func() {
-		status, _ := postJSON(t, client, ts.URL+"/estimate", EstimateRequest{Workload: 1}, nil)
-		blockerDone <- status
-	}()
-	waitFor(t, "blocker flush to start", be.flushInFlight)
-
-	var got PredictionResponse
-	start := time.Now()
-	status, raw := postJSON(t, client, ts.URL+"/estimate", EstimateRequest{Workload: 2, Platform: 1}, &got)
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, raw)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("timeout-flushed HTTP request took %v", elapsed)
-	}
-	want := be.estimate(pitot.Query{Workload: 2, Platform: 1})
-	if math.Abs(got.Seconds-want) > 1e-12 {
-		t.Fatalf("estimate %v, want %v", got.Seconds, want)
-	}
-	if m := s.Metrics(); m.TimeoutFlushes < 1 {
-		t.Fatalf("metrics %+v — expected a timeout flush", m)
-	}
-	close(be.gate)
-	if status := <-blockerDone; status != http.StatusOK {
-		t.Fatalf("blocker request status %d", status)
-	}
-}
-
-// A lone request through HTTP while the pipeline is idle is served without
-// waiting for any batching window.
+// A lone request through HTTP is served promptly and matches the direct
+// predictor.
 func TestHTTPLoneRequestLatency(t *testing.T) {
 	pred, _ := testPredictor(t)
-	s := New(pred, Config{MaxBatch: 4096, Window: time.Minute})
+	s := New(pred, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()
@@ -325,14 +284,11 @@ func TestHTTPLoneRequestLatency(t *testing.T) {
 		t.Fatalf("status %d: %s", status, raw)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("lone HTTP request took %v with an idle pipeline", elapsed)
+		t.Fatalf("lone HTTP request took %v", elapsed)
 	}
 	want := pred.Estimate(2, 1, nil)
 	if math.Abs(got.Seconds-want) > 1e-9*want {
 		t.Fatalf("estimate %v, direct %v", got.Seconds, want)
-	}
-	if m := s.Metrics(); m.InlineFlushes+m.IdleFlushes < 1 {
-		t.Fatalf("metrics %+v — expected an inline or idle flush", m)
 	}
 }
 
@@ -344,7 +300,7 @@ func TestHTTPConcurrentObserveAndEstimate(t *testing.T) {
 		t.Skip("trains during serving")
 	}
 	pred, ds := ownPredictor(t)
-	s := New(pred, Config{MaxBatch: 64, Window: 200 * time.Microsecond})
+	s := New(pred, Config{})
 	defer s.Close()
 	ts := httptest.NewServer(NewHandler(s))
 	defer ts.Close()

@@ -19,40 +19,23 @@ type counter = atomic.Int64
 const maxSnapshotRetention = 8
 
 // metrics holds the server's internal counters. Everything on the request
-// path — including the per-snapshot attribution used by the inline fast
-// path — is lock-free: plain atomics plus a sync.Map whose read path is a
-// single atomic load once a version's entry exists. The only mutex guards
-// pruning, which runs at most once per published snapshot beyond the
-// retention window.
+// path — including the per-snapshot attribution — is lock-free: plain
+// atomics plus a sync.Map whose read path is a single atomic load once a
+// version's entry exists. The only mutex guards pruning, which runs at
+// most once per published snapshot beyond the retention window.
 type metrics struct {
-	requests       counter
-	rejected       counter
-	observes       counter
-	observeErrors  counter
-	fullFlushes    counter
-	idleFlushes    counter
-	timeoutFlushes counter
-	inlineFlushes  counter
+	requests      counter
+	rejected      counter
+	observes      counter
+	observeErrors counter
 
 	// Placement lifecycle (populated only when EnablePlacement ran).
-	// placeWaves/placeWaveJobs count fused accumulation-window waves and
-	// the single-job calls they absorbed; placeInline counts single-job
-	// calls served on the caller's goroutine because nothing was in
-	// flight to fuse with.
 	placed          counter
 	placeUnplaced   counter
 	placeRejected   counter
 	completed       counter
 	completeUnknown counter
 	completeStale   counter
-	placeWaves      counter
-	placeWaveJobs   counter
-	placeInline     counter
-	// placeShed counts single-job calls that found the accumulation queue
-	// full and fell back to the direct path — overload traffic that fused
-	// waves never see, so it must be accounted separately or /place volume
-	// is under-reported exactly when the server is busiest.
-	placeShed counter
 
 	// Failure lifecycle: admin fail/degrade/recover events, residents
 	// orphaned by failures and whether their re-placement succeeded, and
@@ -65,7 +48,7 @@ type metrics struct {
 	orphanLost     counter
 	placeNoHealthy counter
 
-	perSnap   sync.Map // uint64 (snapshot version) -> *snapCounters
+	perSnap   sync.Map // uint64 (snapshot version) -> *counter (queries)
 	snapCount counter  // approximate entry count, drives pruning
 	pruneMu   sync.Mutex
 
@@ -118,34 +101,22 @@ func (m *metrics) calibrationLag(platforms int, current uint64) []uint64 {
 	return lag
 }
 
-type snapCounters struct {
-	batches counter
-	queries counter
-	maxSize counter
-}
-
-func (m *metrics) recordBatch(version uint64, size int) {
+// recordQuery counts one served query against the snapshot version that
+// served it.
+func (m *metrics) recordQuery(version uint64) {
 	v, ok := m.perSnap.Load(version)
 	if !ok {
 		var loaded bool
-		v, loaded = m.perSnap.LoadOrStore(version, &snapCounters{})
+		v, loaded = m.perSnap.LoadOrStore(version, new(counter))
 		if !loaded && m.snapCount.Add(1) > maxSnapshotRetention {
 			m.prune()
 		}
 	}
-	sc := v.(*snapCounters)
-	sc.batches.Add(1)
-	sc.queries.Add(int64(size))
-	for {
-		cur := sc.maxSize.Load()
-		if int64(size) <= cur || sc.maxSize.CompareAndSwap(cur, int64(size)) {
-			break
-		}
-	}
+	v.(*counter).Add(1)
 }
 
-// prune drops the oldest versions beyond the retention cap. A stale flush
-// racing the prune of its (ancient) version loses its counts — acceptable
+// prune drops the oldest versions beyond the retention cap. A stale call
+// racing the prune of its (ancient) version loses its count — acceptable
 // for aged-out telemetry.
 func (m *metrics) prune() {
 	m.pruneMu.Lock()
@@ -167,14 +138,11 @@ func (m *metrics) prune() {
 
 // SnapshotMetrics summarizes the traffic served from one published model
 // snapshot — the per-snapshot view that makes staleness visible: after an
-// Observe, new flushes land on the next version while in-flight ones
-// finish on the previous.
+// Observe, new calls land on the next version while in-flight ones finish
+// on the previous.
 type SnapshotMetrics struct {
-	Version      uint64  `json:"version"`
-	Batches      int64   `json:"batches"`
-	Queries      int64   `json:"queries"`
-	MaxBatchSize int     `json:"max_batch_size"`
-	MeanBatch    float64 `json:"mean_batch"`
+	Version uint64 `json:"version"`
+	Queries int64  `json:"queries"`
 }
 
 // Metrics is a point-in-time copy of the server's counters.
@@ -183,15 +151,10 @@ type Metrics struct {
 	Rejected      int64 `json:"rejected"`
 	Observes      int64 `json:"observes"`
 	ObserveErrors int64 `json:"observe_errors"`
-	// FullFlushes counts batches flushed at MaxBatch, IdleFlushes batches
-	// flushed because the pipeline was idle, TimeoutFlushes batches that
-	// waited out a Window behind an in-flight flush, and InlineFlushes
-	// single queries served synchronously on the caller's goroutine
-	// because there was nothing to co-batch with.
-	FullFlushes    int64 `json:"full_flushes"`
-	IdleFlushes    int64 `json:"idle_flushes"`
-	TimeoutFlushes int64 `json:"timeout_flushes"`
-	InlineFlushes  int64 `json:"inline_flushes"`
+	// InlineFlushes equals Requests: every call is served on its caller's
+	// goroutine. The field remains only because the benchmark reads it; it
+	// goes with the next change to the benchmark.
+	InlineFlushes int64 `json:"-"`
 
 	// Placement lifecycle counters: jobs placed, infeasible (no platform
 	// meets the deadline), rejected by admission control, completions, and
@@ -222,16 +185,10 @@ type Metrics struct {
 	// PlatformHealth[p] names platform p's health state; nil unless
 	// placement is enabled.
 	PlatformHealth []string `json:"platform_health,omitempty"`
-	// PlaceWaves counts fused accumulation-window waves, PlaceWaveJobs
-	// the single-job /place calls they absorbed, PlaceInline the
-	// single-job calls served inline because nothing was in flight, and
-	// PlaceShed the single-job calls shed to the direct path because the
-	// accumulation queue was full (overload). All zero unless
-	// PlacementConfig.Window is set.
-	PlaceWaves    int64 `json:"place_waves,omitempty"`
-	PlaceWaveJobs int64 `json:"place_wave_jobs,omitempty"`
-	PlaceInline   int64 `json:"place_inline,omitempty"`
-	PlaceShed     int64 `json:"place_shed,omitempty"`
+	// PlaceWaveJobs is always 0: no /place call is fused with another.
+	// The field remains only because the benchmark reads it; it goes with
+	// the next change to the benchmark.
+	PlaceWaveJobs int64 `json:"-"`
 
 	// Commit-protocol counters, set whenever placement is enabled:
 	// version-checked slot reservations attempted, reservations refused
@@ -263,20 +220,12 @@ func (s *Server) Metrics() Metrics {
 		Rejected:        m.rejected.Load(),
 		Observes:        m.observes.Load(),
 		ObserveErrors:   m.observeErrors.Load(),
-		FullFlushes:     m.fullFlushes.Load(),
-		IdleFlushes:     m.idleFlushes.Load(),
-		TimeoutFlushes:  m.timeoutFlushes.Load(),
-		InlineFlushes:   m.inlineFlushes.Load(),
 		Placed:          m.placed.Load(),
 		PlaceUnplaced:   m.placeUnplaced.Load(),
 		PlaceRejected:   m.placeRejected.Load(),
 		Completed:       m.completed.Load(),
 		CompleteUnknown: m.completeUnknown.Load(),
 		CompleteStale:   m.completeStale.Load(),
-		PlaceWaves:      m.placeWaves.Load(),
-		PlaceWaveJobs:   m.placeWaveJobs.Load(),
-		PlaceInline:     m.placeInline.Load(),
-		PlaceShed:       m.placeShed.Load(),
 		FailEvents:      m.failEvents.Load(),
 		DegradeEvents:   m.degradeEvents.Load(),
 		RecoverEvents:   m.recoverEvents.Load(),
@@ -285,6 +234,7 @@ func (s *Server) Metrics() Metrics {
 		OrphanLost:      m.orphanLost.Load(),
 		PlaceNoHealthy:  m.placeNoHealthy.Load(),
 	}
+	out.InlineFlushes = out.Requests
 	if s.placer != nil {
 		st := s.placer.FailureStats()
 		out.BreakerTrips = st.Trips
@@ -304,17 +254,7 @@ func (s *Server) Metrics() Metrics {
 		out.ScoreCacheMisses = ts.Misses
 	}
 	m.perSnap.Range(func(k, v any) bool {
-		sc := v.(*snapCounters)
-		sm := SnapshotMetrics{
-			Version:      k.(uint64),
-			Batches:      sc.batches.Load(),
-			Queries:      sc.queries.Load(),
-			MaxBatchSize: int(sc.maxSize.Load()),
-		}
-		if sm.Batches > 0 {
-			sm.MeanBatch = float64(sm.Queries) / float64(sm.Batches)
-		}
-		out.PerSnapshot = append(out.PerSnapshot, sm)
+		out.PerSnapshot = append(out.PerSnapshot, SnapshotMetrics{Version: k.(uint64), Queries: v.(*counter).Load()})
 		return true
 	})
 	sort.Slice(out.PerSnapshot, func(i, j int) bool {

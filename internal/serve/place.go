@@ -36,14 +36,13 @@ type PlacementConfig struct {
 	// WaveChunk bounds jobs placed per copy of the cluster state (see
 	// sched.Config.WaveChunk); 0 = default.
 	WaveChunk int
-	// Window accumulates concurrent single-job PlaceJobs calls for up to
-	// this long and places them as one wave — like the prediction
-	// micro-batcher, it converts lock-serialized single placements into
-	// wave-scored ones (the platform interference fold is shared across
-	// the fused wave). 0 disables fusion: every call places directly. A
-	// lone call never waits: with nothing in flight it places inline.
+	// Window has no effect: every /place call places on its caller's
+	// goroutine. The field remains only because the benchmark's set-up
+	// sets it; it goes with the next change to the benchmark.
 	Window time.Duration
-	// MaxWave caps a fused wave (default 64).
+	// MaxWave has no effect, as Window. The field remains only because
+	// the benchmark's set-up sets it; it goes with the next change to the
+	// benchmark.
 	MaxWave int
 	// DegradedPenalty multiplies the feasibility score on Degraded
 	// platforms (see sched.Config.DegradedPenalty); 0 = default (1.25).
@@ -65,24 +64,12 @@ type PlacementConfig struct {
 	TraceDepth int
 }
 
-// placeReq is one queued single-job placement awaiting wave fusion.
-type placeReq struct {
-	job   sched.Job
-	reply chan placeReply
-}
-
-type placeReply struct {
-	a   sched.Assignment
-	err error
-}
-
 // backendPredictor adapts the serving Backend to sched.Predictor. Each
 // scoring call goes to the one backend call that serves exactly the heads
 // asked for: EstimateBatch for the mean alone, BoundBatch for the bound
 // alone, and the fused two-head pass for both when the backend offers it
 // (ScorerBackend; the Pitot facade does), EstimateBatch then BoundBatch
-// otherwise. Placement scoring is already a batch, so it bypasses the
-// micro-batcher. A bound error maps to +Inf for the whole batch, the
+// otherwise. A bound error maps to +Inf for the whole batch, the
 // scheduler's infeasibility convention.
 type backendPredictor struct{ be Backend }
 
@@ -174,161 +161,26 @@ func (s *Server) EnablePlacement(pc PlacementConfig) error {
 	s.placer = placer
 	s.placementPolicy = pol.Name()
 	s.placementStrategy = strat.Name()
-	if pc.Window > 0 {
-		maxWave := pc.MaxWave
-		if maxWave <= 0 {
-			maxWave = 64
-		}
-		s.placeQueue = make(chan *placeReq, 4*maxWave)
-		s.placeDone = make(chan struct{})
-		go s.collectPlacements(pc.Window, maxWave)
-	}
 	return nil
 }
 
 // Placer returns the placement engine, nil unless EnablePlacement ran.
 func (s *Server) Placer() *sched.Scheduler { return s.placer }
 
-// PlaceJobs places a wave of jobs through the placement engine, updating
-// the serving metrics. Multi-job calls are already waves and place
-// directly; a single-job call joins the accumulation window (when
-// configured) so concurrent callers fuse into one scheduler wave, unless
-// the pipeline is idle — then it places inline with zero added latency.
+// PlaceJobs places a wave of jobs through the placement engine on the
+// caller's goroutine, updating the serving metrics.
 func (s *Server) PlaceJobs(jobs []sched.Job) ([]sched.Assignment, error) {
 	if s.placer == nil {
 		return nil, ErrPlacementDisabled
 	}
-	if len(jobs) != 1 || s.placeQueue == nil {
-		return s.placeDirect(jobs), nil
-	}
-	// Inline fast path: nothing queued, nothing accumulating in the
-	// collector, and no wave in flight — fusing has nothing to fuse with,
-	// so place on the caller's goroutine. placePending matters: without
-	// it, a request waiting out an open window (already moved into the
-	// collector's private batch) would be invisible here, and later
-	// arrivals would jump ahead inline instead of joining its wave.
-	if len(s.placeQueue) == 0 && s.placeInFlight.Load() == 0 && s.placePending.Load() == 0 {
-		s.metrics.placeInline.Add(1)
-		return s.placeDirect(jobs), nil
-	}
-	r := &placeReq{job: jobs[0], reply: make(chan placeReply, 1)}
-	s.placePending.Add(1)
-	select {
-	case s.placeQueue <- r:
-	case <-s.closing:
-		s.placePending.Add(-1)
-		return nil, ErrClosed
-	default:
-		// Queue full: shed to the direct path rather than rejecting — the
-		// scheduler's own admission control is the intended backpressure.
-		// Counted separately: shed placements bypass the wave accounting
-		// (placeWaves/placeWaveJobs), so without this the busiest traffic
-		// would vanish from the /place fusion metrics.
-		s.metrics.placeShed.Add(1)
-		s.placePending.Add(-1)
-		return s.placeDirect(jobs), nil
-	}
-	select {
-	case rep := <-r.reply:
-		if rep.err != nil {
-			return nil, rep.err
-		}
-		return []sched.Assignment{rep.a}, nil
-	case <-s.placeDone:
-		// Close raced our enqueue; prefer a reply if the final wave
-		// carried it.
-		select {
-		case rep := <-r.reply:
-			if rep.err != nil {
-				return nil, rep.err
-			}
-			return []sched.Assignment{rep.a}, nil
-		default:
-			return nil, ErrClosed
-		}
-	}
+	return s.placeDirect(jobs), nil
 }
 
-// placeDirect runs one wave on the caller's goroutine.
+// placeDirect runs one wave and counts its outcomes.
 func (s *Server) placeDirect(jobs []sched.Job) []sched.Assignment {
-	s.placeInFlight.Add(1)
 	as := s.placer.PlaceAll(jobs)
-	s.placeInFlight.Add(-1)
 	s.recordAssignments(as)
 	return as
-}
-
-// collectPlacements is the /place accumulation loop: the first queued job
-// opens a window; everything arriving within it (capped at maxWave) is
-// placed as one wave and fanned back out.
-func (s *Server) collectPlacements(window time.Duration, maxWave int) {
-	defer close(s.placeDone)
-	var batch []*placeReq
-	timer := time.NewTimer(window)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerLive := false
-	stopTimer := func() {
-		if timerLive && !timer.Stop() {
-			<-timer.C
-		}
-		timerLive = false
-	}
-	flush := func() {
-		if len(batch) == 0 {
-			return
-		}
-		// Hand the batch's pending count over to the in-flight count
-		// before clearing it, so there is no window where the inline fast
-		// path sees neither.
-		s.placeInFlight.Add(1)
-		s.placePending.Add(int64(-len(batch)))
-		jobs := make([]sched.Job, len(batch))
-		for i, r := range batch {
-			jobs[i] = r.job
-		}
-		as := s.placer.PlaceAll(jobs)
-		s.recordAssignments(as)
-		s.metrics.placeWaves.Add(1)
-		s.metrics.placeWaveJobs.Add(int64(len(batch)))
-		for i, r := range batch {
-			r.reply <- placeReply{a: as[i]}
-		}
-		batch = batch[:0]
-		s.placeInFlight.Add(-1)
-	}
-	for {
-		select {
-		case r := <-s.placeQueue:
-			batch = append(batch, r)
-			if len(batch) >= maxWave {
-				stopTimer()
-				flush()
-				continue
-			}
-			if !timerLive {
-				timer.Reset(window)
-				timerLive = true
-			}
-		case <-timer.C:
-			timerLive = false
-			flush()
-		case <-s.closing:
-			stopTimer()
-			// Final wave for everything accumulated, then fail what is
-			// still queued.
-			for {
-				select {
-				case r := <-s.placeQueue:
-					batch = append(batch, r)
-				default:
-					flush()
-					return
-				}
-			}
-		}
-	}
 }
 
 // recordAssignments updates the placement lifecycle counters for one wave.

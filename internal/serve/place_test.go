@@ -266,3 +266,85 @@ func TestBackendPredictorRoutesHeads(t *testing.T) {
 		}
 	}
 }
+
+// The per-platform calibration staleness gauge: a platform's lag drops to
+// zero when an Observe carries its measurements and grows by one with
+// every snapshot published without them.
+func TestCalibrationLagGauge(t *testing.T) {
+	be := newFakeBackend() // 10 platforms, version bumps per Observe
+	s := New(be, Config{})
+	defer s.Close()
+	if err := s.EnablePlacement(PlacementConfig{Policy: "mean"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Observe([]pitot.Observation{{Workload: 1, Platform: 2, Seconds: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Observe([]pitot.Observation{
+		{Workload: 1, Platform: 5, Seconds: 1},
+		{Workload: 2, Platform: 5, Interferers: []int{1}, Seconds: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	lag := s.PlatformCalibrationLag()
+	if len(lag) != 10 {
+		t.Fatalf("lag for %d platforms, want 10", len(lag))
+	}
+	if lag[2] != 1 || lag[5] != 0 {
+		t.Fatalf("lag[2]=%d lag[5]=%d, want 1 and 0", lag[2], lag[5])
+	}
+	// Never-observed platforms lag the whole version history (2 Observes).
+	if lag[0] != 2 || lag[9] != 2 {
+		t.Fatalf("unobserved platform lag %d/%d, want 2", lag[0], lag[9])
+	}
+	var b strings.Builder
+	if err := s.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
+	for _, want := range []string{
+		"# TYPE pitot_platform_calibration_lag gauge",
+		"pitot_platform_calibration_lag{platform=\"5\"} 0",
+		"pitot_platform_calibration_lag{platform=\"2\"} 1",
+		"pitot_platform_calibration_lag{platform=\"0\"} 2",
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("/metrics missing %q in:\n%s", want, text)
+		}
+	}
+}
+
+// fusedCounter is the real predictor counting its fused two-head passes.
+type fusedCounter struct {
+	*pitot.Predictor
+	fused atomic.Int64
+}
+
+func (c *fusedCounter) ScoreSecondsBatch(qs []pitot.Query, eps float64, meanOut, boundOut []float64) {
+	c.fused.Add(1)
+	c.Predictor.ScoreSecondsBatch(qs, eps, meanOut, boundOut)
+}
+
+// The real predictor's fused two-head surface reaches the placement engine
+// through the backend adapter: mixed policies score through one pass.
+func TestPlacementFusedThroughBackend(t *testing.T) {
+	pred, _ := testPredictor(t)
+	fc := &fusedCounter{Predictor: pred}
+	s := New(fc, Config{})
+	defer s.Close()
+	if err := s.EnablePlacement(PlacementConfig{Policy: "mean-bound", Eps: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	as, err := s.PlaceJobs([]sched.Job{{Workload: 0, Deadline: 1e9}})
+	if err != nil || !as[0].Placed() {
+		t.Fatalf("fused placement failed: %v %+v", err, as)
+	}
+	if fc.fused.Load() == 0 {
+		t.Fatal("mean-bound placement over the real predictor is not fused")
+	}
+	// Budget must be the conservative bound head, not the mean.
+	mean := pred.Estimate(0, as[0].Platform, as[0].Interferers)
+	if as[0].Budget <= mean {
+		t.Fatalf("budget %v not above mean %v — fused policy served the wrong head", as[0].Budget, mean)
+	}
+}

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 )
@@ -21,13 +20,9 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
 	c("pitot_requests_total", "Prediction requests admitted (estimate and bound).", m.Requests)
-	c("pitot_rejected_total", "Requests rejected by admission control (queue full).", m.Rejected)
+	c("pitot_rejected_total", "Requests rejected by admission control (MaxQueue calls in flight).", m.Rejected)
 	c("pitot_observes_total", "Observe calls forwarded to the predictor.", m.Observes)
 	c("pitot_observe_errors_total", "Observe calls that returned an error.", m.ObserveErrors)
-	c("pitot_flushes_full_total", "Batches flushed at MaxBatch.", m.FullFlushes)
-	c("pitot_flushes_idle_total", "Batches flushed because the pipeline was idle.", m.IdleFlushes)
-	c("pitot_flushes_timeout_total", "Batches released by the window timer behind an in-flight flush.", m.TimeoutFlushes)
-	c("pitot_flushes_inline_total", "Single queries served synchronously on the caller's goroutine.", m.InlineFlushes)
 	if s.placer != nil {
 		c("pitot_placed_total", "Jobs placed on a platform.", m.Placed)
 		c("pitot_place_unplaced_total", "Jobs with no feasible platform.", m.PlaceUnplaced)
@@ -35,10 +30,6 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 		c("pitot_completed_total", "Placed jobs retired via /complete.", m.Completed)
 		c("pitot_complete_unknown_total", "Completion calls for IDs the scheduler never issued.", m.CompleteUnknown)
 		c("pitot_complete_stale_total", "Completion calls for already-retired jobs (duplicates or orphans).", m.CompleteStale)
-		c("pitot_place_waves_total", "Fused /place accumulation-window waves.", m.PlaceWaves)
-		c("pitot_place_wave_jobs_total", "Single-job /place calls absorbed into fused waves.", m.PlaceWaveJobs)
-		c("pitot_place_inline_total", "Single-job /place calls served inline (nothing in flight to fuse with).", m.PlaceInline)
-		c("pitot_place_shed_total", "Single-job /place calls shed to the direct path (accumulation queue full).", m.PlaceShed)
 		c("pitot_fail_events_total", "Platform failures injected via /fail.", m.FailEvents)
 		c("pitot_degrade_events_total", "Platform degradations injected via /fail.", m.DegradeEvents)
 		c("pitot_recover_events_total", "Platform recoveries via /recover.", m.RecoverEvents)
@@ -94,11 +85,6 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	fmt.Fprintf(&b, "# HELP pitot_snapshot_version Currently published model snapshot version.\n# TYPE pitot_snapshot_version gauge\npitot_snapshot_version %d\n", info.Version)
 	fmt.Fprintf(&b, "# HELP pitot_snapshot_observations Dataset size of the published snapshot.\n# TYPE pitot_snapshot_observations gauge\npitot_snapshot_observations %d\n", info.Observations)
 
-	sort.Slice(m.PerSnapshot, func(i, j int) bool { return m.PerSnapshot[i].Version < m.PerSnapshot[j].Version })
-	fmt.Fprintf(&b, "# HELP pitot_snapshot_batches_total Batches served per model snapshot (retained window).\n# TYPE pitot_snapshot_batches_total counter\n")
-	for _, sm := range m.PerSnapshot {
-		fmt.Fprintf(&b, "pitot_snapshot_batches_total{version=\"%d\"} %d\n", sm.Version, sm.Batches)
-	}
 	fmt.Fprintf(&b, "# HELP pitot_snapshot_queries_total Queries served per model snapshot (retained window).\n# TYPE pitot_snapshot_queries_total counter\n")
 	for _, sm := range m.PerSnapshot {
 		fmt.Fprintf(&b, "pitot_snapshot_queries_total{version=\"%d\"} %d\n", sm.Version, sm.Queries)

@@ -247,7 +247,9 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 	// are gone, and so is the deleted approximate kernel's scoring-mode
 	// gauge (the prefix matches every pitot_fast… family). One engine
 	// places, so the replica gauge and the shard rebalance counter are
-	// gone too.
+	// gone too. Every call is served on its caller's goroutine, so the
+	// micro-batcher's flush counters, the /place accumulation window's
+	// counters and the per-snapshot batch count are gone as well.
 	for _, gone := range []string{
 		"pitot_place_score_cache_evictions_total",
 		"pitot_place_score_cache_invalidations_total",
@@ -256,6 +258,15 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 		"pitot_fast",
 		"pitot_place_replicas",
 		"pitot_place_rebalances_total",
+		"pitot_flushes_full_total",
+		"pitot_flushes_idle_total",
+		"pitot_flushes_timeout_total",
+		"pitot_flushes_inline_total",
+		"pitot_place_waves_total",
+		"pitot_place_wave_jobs_total",
+		"pitot_place_inline_total",
+		"pitot_place_shed_total",
+		"pitot_snapshot_batches_total",
 	} {
 		if strings.Contains(b.String(), gone) {
 			t.Errorf("retired series %s still exported", gone)

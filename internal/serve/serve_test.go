@@ -1,9 +1,10 @@
 package serve
 
 import (
-	"context"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,9 +14,9 @@ import (
 )
 
 // fakeBackend is a deterministic Backend recording every batched call.
-// With gate non-nil, the first EstimateBatch call blocks until the gate is
-// closed — the deterministic way to hold a flush in flight so the next
-// batch provably accumulates behind it.
+// With gate non-nil, every EstimateBatch call (and so every scalar
+// Estimate) blocks until the gate is closed — the deterministic way to
+// hold calls in flight; held counts the calls that reached the gate.
 type fakeBackend struct {
 	mu         sync.Mutex
 	estBatches [][]pitot.Query
@@ -24,19 +25,12 @@ type fakeBackend struct {
 	version    atomic.Uint64
 	boundErr   error
 
-	gate     chan struct{}
-	gateUsed bool
+	gate chan struct{}
+	held atomic.Int64
 }
 
 func newFakeBackend() *fakeBackend {
 	return &fakeBackend{boundCalls: map[float64][]int{}}
-}
-
-// flushInFlight reports whether the gated first call has started.
-func (f *fakeBackend) flushInFlight() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.gateUsed
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -54,14 +48,14 @@ func (f *fakeBackend) estimate(q pitot.Query) float64 {
 	return float64(q.Workload+1) + 0.001*float64(q.Platform)
 }
 
-// Estimate is the scalar (inline fast path) call; it records as a batch of
+// Estimate is the scalar call behind /estimate; it records as a batch of
 // one and honors the gate exactly like EstimateBatch.
 func (f *fakeBackend) Estimate(w, pl int, interferers []int) float64 {
 	q := pitot.Query{Workload: w, Platform: pl, Interferers: interferers}
 	return f.EstimateBatch([]pitot.Query{q})[0]
 }
 
-// Bound is the scalar bound call used by the inline fast path.
+// Bound is the scalar call behind /bound.
 func (f *fakeBackend) Bound(w, pl int, interferers []int, eps float64) (float64, error) {
 	q := pitot.Query{Workload: w, Platform: pl, Interferers: interferers}
 	out, err := f.BoundBatch([]pitot.Query{q}, eps)
@@ -74,12 +68,9 @@ func (f *fakeBackend) Bound(w, pl int, interferers []int, eps float64) (float64,
 func (f *fakeBackend) EstimateBatch(qs []pitot.Query) []float64 {
 	f.mu.Lock()
 	f.estBatches = append(f.estBatches, append([]pitot.Query(nil), qs...))
-	block := f.gate != nil && !f.gateUsed
-	if block {
-		f.gateUsed = true
-	}
 	f.mu.Unlock()
-	if block {
+	if f.gate != nil {
+		f.held.Add(1)
 		<-f.gate
 	}
 	out := make([]float64, len(qs))
@@ -125,313 +116,130 @@ func (f *fakeBackend) Info() pitot.Info {
 	}
 }
 
-// A request arriving while the pipeline is idle must be served immediately
-// (idle flush), not wait out a batching window.
-func TestLoneRequestFlushesImmediately(t *testing.T) {
-	be := newFakeBackend()
-	s := New(be, Config{MaxBatch: 1024, Window: time.Minute})
+// The server owns no goroutine: New and EnablePlacement start none, also
+// with the benchmark's configuration, which sets Window and MaxWave.
+func TestServerStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(newFakeBackend(), Config{
+		MaxBatch: 256, Window: 100 * time.Microsecond, MaxQueue: 4096, BuildVersion: "perfbench",
+	})
 	defer s.Close()
-
-	start := time.Now()
-	got, err := s.Estimate(context.Background(), pitot.Query{Workload: 3})
-	if err != nil {
+	if err := s.EnablePlacement(PlacementConfig{
+		Policy: "bound", Eps: 0.1, PadFactor: 1.3, Strategy: "least-loaded", MaxColocation: 4,
+		Window: 200 * time.Microsecond, MaxWave: 64, Replicas: 1,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if want := be.estimate(pitot.Query{Workload: 3}); got != want {
-		t.Fatalf("estimate %v, want %v", got, want)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("lone request waited %v despite idle pipeline", elapsed)
-	}
-	m := s.Metrics()
-	if m.InlineFlushes != 1 || m.IdleFlushes != 0 || m.TimeoutFlushes != 0 || m.FullFlushes != 0 {
-		t.Fatalf("flush counters: %+v", m)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New and EnablePlacement started %d goroutines", after-before)
 	}
 }
 
-// A batch stuck behind an in-flight flush must be flushed by the window
-// timer — flush-on-timeout.
-func TestFlushOnTimeout(t *testing.T) {
-	be := newFakeBackend()
-	be.gate = make(chan struct{})
-	s := New(be, Config{MaxBatch: 1024, Window: 5 * time.Millisecond})
-	defer s.Close()
-
-	blockerDone := make(chan error, 1)
-	go func() {
-		_, err := s.Estimate(context.Background(), pitot.Query{Workload: 1})
-		blockerDone <- err
-	}()
-	waitFor(t, "blocker flush to start", be.flushInFlight)
-
-	// The second request accumulates behind the blocked flush; only the
-	// window timer can release it.
-	got, err := s.Estimate(context.Background(), pitot.Query{Workload: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := be.estimate(pitot.Query{Workload: 7}); got != want {
-		t.Fatalf("estimate %v, want %v", got, want)
-	}
-	if m := s.Metrics(); m.TimeoutFlushes != 1 {
-		t.Fatalf("metrics %+v — expected exactly one timeout flush", m)
-	}
-	close(be.gate)
-	if err := <-blockerDone; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// With the pipeline held busy, MaxBatch pending requests must fuse into
-// exactly one EstimateBatch call (a full flush fires even while another
-// flush is in flight).
-func TestFullBatchFusesIntoOneCall(t *testing.T) {
-	be := newFakeBackend()
-	be.gate = make(chan struct{})
-	const n = 8
-	s := New(be, Config{MaxBatch: n, Window: time.Minute})
-	defer s.Close()
-
-	blockerDone := make(chan error, 1)
-	go func() {
-		_, err := s.Estimate(context.Background(), pitot.Query{Workload: 99})
-		blockerDone <- err
-	}()
-	waitFor(t, "blocker flush to start", be.flushInFlight)
-
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got, err := s.Estimate(context.Background(), pitot.Query{Workload: i})
-			if err == nil && got != be.estimate(pitot.Query{Workload: i}) {
-				err = errors.New("wrong value for query")
-			}
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-	}
-	close(be.gate)
-	if err := <-blockerDone; err != nil {
-		t.Fatal(err)
-	}
-
-	be.mu.Lock()
-	defer be.mu.Unlock()
-	// Batch 0 is the blocker; the n concurrent requests must form one
-	// full batch.
-	if len(be.estBatches) != 2 || len(be.estBatches[1]) != n {
-		sizes := []int{}
-		for _, b := range be.estBatches {
-			sizes = append(sizes, len(b))
-		}
-		t.Fatalf("expected batches [1 %d], got sizes %v", n, sizes)
-	}
-	if m := s.Metrics(); m.FullFlushes != 1 || m.Requests != n+1 {
-		t.Fatalf("metrics %+v", m)
-	}
-}
-
-// Mixed estimate/bound batches must issue one EstimateBatch plus one
-// BoundBatch per distinct eps.
-func TestBoundGroupsByEps(t *testing.T) {
-	be := newFakeBackend()
-	be.gate = make(chan struct{})
-	const n = 6
-	s := New(be, Config{MaxBatch: n, Window: time.Minute})
-	defer s.Close()
-
-	blockerDone := make(chan error, 1)
-	go func() {
-		_, err := s.Estimate(context.Background(), pitot.Query{Workload: 99})
-		blockerDone <- err
-	}()
-	waitFor(t, "blocker flush to start", be.flushInFlight)
-
-	var wg sync.WaitGroup
-	launch := func(fn func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := fn(); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		i := i
-		launch(func() error {
-			_, err := s.Estimate(context.Background(), pitot.Query{Workload: i})
-			return err
-		})
-		launch(func() error {
-			got, err := s.Bound(context.Background(), pitot.Query{Workload: i}, 0.1)
-			if err == nil && got != be.estimate(pitot.Query{Workload: i})*1.1 {
-				return errors.New("wrong bound value")
-			}
-			return err
-		})
-		launch(func() error {
-			_, err := s.Bound(context.Background(), pitot.Query{Workload: i}, 0.2)
-			return err
-		})
-	}
-	wg.Wait()
-	close(be.gate)
-	if err := <-blockerDone; err != nil {
-		t.Fatal(err)
-	}
-
-	be.mu.Lock()
-	defer be.mu.Unlock()
-	if len(be.estBatches) != 2 || len(be.estBatches[1]) != 2 {
-		t.Fatalf("estimate batches %v", be.estBatches)
-	}
-	if got := be.boundCalls[0.1]; len(got) != 1 || got[0] != 2 {
-		t.Fatalf("eps=0.1 calls %v", got)
-	}
-	if got := be.boundCalls[0.2]; len(got) != 1 || got[0] != 2 {
-		t.Fatalf("eps=0.2 calls %v", got)
-	}
-}
-
-// A BoundBatch error must propagate to every waiter in the group, and bad
-// eps is rejected before enqueueing.
+// A BoundBatch error must propagate to the caller, and bad eps is rejected
+// before the backend is called.
 func TestBoundErrors(t *testing.T) {
 	be := newFakeBackend()
 	be.boundErr = errors.New("bounds not enabled")
-	s := New(be, Config{MaxBatch: 4, Window: time.Millisecond})
+	s := New(be, Config{})
 	defer s.Close()
-	if _, err := s.Bound(context.Background(), pitot.Query{}, 0.1); err == nil {
+	if _, err := s.Bound(pitot.Query{}, 0.1); err == nil {
 		t.Fatal("backend error not propagated")
 	}
-	if _, err := s.Bound(context.Background(), pitot.Query{}, 0); err == nil {
+	if _, err := s.Bound(pitot.Query{}, 0); err == nil {
 		t.Fatal("eps=0 accepted")
 	}
-	if _, err := s.Bound(context.Background(), pitot.Query{}, 1.5); err == nil {
+	if _, err := s.Bound(pitot.Query{}, 1.5); err == nil {
 		t.Fatal("eps>1 accepted")
 	}
-	// NaN must be rejected before enqueueing: a queued NaN eps would
-	// defeat the flusher's per-eps grouping (NaN != NaN).
-	if _, err := s.Bound(context.Background(), pitot.Query{}, math.NaN()); err == nil {
+	if _, err := s.Bound(pitot.Query{}, math.NaN()); err == nil {
 		t.Fatal("eps=NaN accepted")
 	}
 }
 
-// Admission control: when the queue is full, submit fails fast with
-// ErrOverloaded. White-box: the collector is not started, so the queue
-// stays full deterministically.
+// Admission control: with MaxQueue calls held in flight, the next call
+// fails fast with ErrOverloaded and counts as rejected; the held calls are
+// still answered, and once they are, calls are admitted again.
 func TestAdmissionOverload(t *testing.T) {
-	s := &Server{
-		be:            newFakeBackend(),
-		cfg:           Config{MaxBatch: 4, Window: time.Minute, MaxQueue: 1}.withDefaults(),
-		closing:       make(chan struct{}),
-		collectorDone: make(chan struct{}),
-	}
-	s.queue = make(chan *request, 1)
-	// Pretend a flush is in flight so requests take the queued path
-	// instead of the inline fast path.
-	s.inFlight.Add(1)
-
-	done := make(chan error, 2)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		_, err := s.Estimate(ctx, pitot.Query{})
-		done <- err
-	}()
-	waitFor(t, "first request to queue", func() bool { return len(s.queue) == 1 })
-	if _, err := s.Estimate(context.Background(), pitot.Query{}); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
-	}
-	if m := s.Metrics(); m.Rejected != 1 {
-		t.Fatalf("rejected counter %d", m.Rejected)
-	}
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("queued request err = %v", err)
-	}
-	close(s.closing)
-	close(s.collectorDone)
-}
-
-// Close must fail queued and future requests with ErrClosed and leave no
-// goroutines wedged.
-func TestCloseFailsPending(t *testing.T) {
-	be := newFakeBackend()
-	s := New(be, Config{MaxBatch: 1024, Window: time.Minute})
-	var wg sync.WaitGroup
-	results := make(chan error, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := s.Estimate(context.Background(), pitot.Query{Workload: i})
-			results <- err
-		}(i)
-	}
-	// Some requests may be served before the close lands; the rest must
-	// fail fast with ErrClosed. Either way nothing may hang.
-	time.Sleep(10 * time.Millisecond)
-	s.Close()
-	wg.Wait()
-	close(results)
-	for err := range results {
-		if err != nil && !errors.Is(err, ErrClosed) {
-			t.Fatalf("unexpected error %v", err)
-		}
-	}
-	if _, err := s.Estimate(context.Background(), pitot.Query{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("post-close err = %v", err)
-	}
-	s.Close() // idempotent
-}
-
-// Context cancellation unblocks a waiter whose batch has not flushed yet
-// (held behind a gated in-flight flush with a long window).
-func TestContextCancelUnblocks(t *testing.T) {
 	be := newFakeBackend()
 	be.gate = make(chan struct{})
-	s := New(be, Config{MaxBatch: 1024, Window: time.Minute})
-	defer func() {
-		close(be.gate)
-		s.Close()
-	}()
+	const maxQueue = 2
+	s := New(be, Config{MaxQueue: maxQueue})
+	defer s.Close()
 
-	blockerDone := make(chan error, 1)
-	go func() {
-		_, err := s.Estimate(context.Background(), pitot.Query{})
-		blockerDone <- err
-	}()
-	waitFor(t, "blocker flush to start", be.flushInFlight)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := s.Estimate(ctx, pitot.Query{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
+	held := make(chan error, maxQueue)
+	for i := 0; i < maxQueue; i++ {
+		go func(q pitot.Query) {
+			got, err := s.Estimate(q)
+			if want := be.estimate(q); err == nil && got != want {
+				err = fmt.Errorf("held call: %v, want %v", got, want)
+			}
+			held <- err
+		}(pitot.Query{Workload: i})
+	}
+	waitFor(t, "calls to reach the gate", func() bool { return be.held.Load() == maxQueue })
+	if _, err := s.Estimate(pitot.Query{}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("Estimate err = %v, want ErrOverloaded", err)
+	}
+	if _, err := s.Bound(pitot.Query{}, 0.1); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("Bound err = %v, want ErrOverloaded", err)
+	}
+	if m := s.Metrics(); m.Rejected != 2 || m.Requests != maxQueue {
+		t.Fatalf("rejected %d requests %d, want 2 and %d", m.Rejected, m.Requests, maxQueue)
+	}
+	close(be.gate)
+	for i := 0; i < maxQueue; i++ {
+		if err := <-held; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Estimate(pitot.Query{Workload: 1}); err != nil {
+		t.Fatalf("call after the held ones finished: %v", err)
 	}
 }
 
-// Per-snapshot metrics must attribute batches to the snapshot version that
+// Close: later calls fail with ErrClosed, a call already in flight
+// finishes with its answer, and Close returns at once and is idempotent.
+func TestCloseFailsPending(t *testing.T) {
+	be := newFakeBackend()
+	be.gate = make(chan struct{})
+	s := New(be, Config{})
+	q := pitot.Query{Workload: 4}
+	inFlight := make(chan error, 1)
+	go func() {
+		got, err := s.Estimate(q)
+		if want := be.estimate(q); err == nil && got != want {
+			err = fmt.Errorf("in-flight call: %v, want %v", got, want)
+		}
+		inFlight <- err
+	}()
+	waitFor(t, "call to reach the gate", func() bool { return be.held.Load() == 1 })
+	s.Close() // returns with the call still held
+	if _, err := s.Estimate(pitot.Query{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Estimate after Close: err = %v", err)
+	}
+	if _, err := s.Bound(pitot.Query{}, 0.1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Bound after Close: err = %v", err)
+	}
+	s.Close() // idempotent
+	close(be.gate)
+	if err := <-inFlight; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Per-snapshot metrics must attribute queries to the snapshot version that
 // served them.
 func TestPerSnapshotMetrics(t *testing.T) {
 	be := newFakeBackend()
-	s := New(be, Config{MaxBatch: 4, Window: time.Millisecond})
+	s := New(be, Config{})
 	defer s.Close()
-	if _, err := s.Estimate(context.Background(), pitot.Query{Workload: 1}); err != nil {
+	if _, err := s.Estimate(pitot.Query{Workload: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Observe([]pitot.Observation{{Workload: 0, Platform: 0, Seconds: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Estimate(context.Background(), pitot.Query{Workload: 2}); err != nil {
+	if _, err := s.Estimate(pitot.Query{Workload: 2}); err != nil {
 		t.Fatal(err)
 	}
 	m := s.Metrics()
@@ -445,7 +253,7 @@ func TestPerSnapshotMetrics(t *testing.T) {
 		t.Fatalf("snapshot versions %+v", m.PerSnapshot)
 	}
 	for _, sm := range m.PerSnapshot {
-		if sm.Batches != 1 || sm.Queries != 1 || sm.MeanBatch != 1 {
+		if sm.Queries != 1 {
 			t.Fatalf("snapshot row %+v", sm)
 		}
 	}
@@ -455,11 +263,11 @@ func TestPerSnapshotMetrics(t *testing.T) {
 // publications: only the newest maxSnapshotRetention versions survive.
 func TestPerSnapshotMetricsRetention(t *testing.T) {
 	be := newFakeBackend()
-	s := New(be, Config{MaxBatch: 4, Window: time.Millisecond})
+	s := New(be, Config{})
 	defer s.Close()
 	const versions = maxSnapshotRetention * 3
 	for v := 0; v < versions; v++ {
-		if _, err := s.Estimate(context.Background(), pitot.Query{Workload: v % 10}); err != nil {
+		if _, err := s.Estimate(pitot.Query{Workload: v % 10}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Observe([]pitot.Observation{{Workload: 0, Platform: 0, Seconds: 1}}); err != nil {
