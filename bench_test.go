@@ -13,8 +13,10 @@ import (
 	"testing"
 
 	"repro/internal/autodiff"
+	"repro/internal/conformal"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/eval"
 	"repro/internal/exp"
 	"repro/internal/sched"
 	"repro/internal/tensor"
@@ -392,36 +394,18 @@ func BenchmarkMatrixAlloc(b *testing.B) {
 }
 
 // BenchmarkConformalCalibration measures calibrating one epsilon over the
-// full calibration set.
+// full calibration set, as a snapshot's calibration cache miss does: the
+// per-head predictions, then the per-pool sort and head selection.
 func BenchmarkConformalCalibration(b *testing.B) {
 	m, split := benchSetup(b, []float64{0.5, 0.8, 0.9, 0.95})
-	d := m.Dataset()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = d
-		_ = split
-		// Calibration = per-head predictions + sorting per pool; exercised
-		// through the public facade path in pitot.go.
-		pr := quantAdapter{m}
-		hp := buildHP(d, pr, split)
-		if hp == nil {
-			b.Fatal("nil head predictions")
+		hp := eval.BuildHeadPredictions(m.Dataset(), eval.PitotTrained(m), split)
+		if _, err := conformal.Calibrate(hp, 0.1, conformal.SelectOptimal); err != nil {
+			b.Fatal(err)
 		}
 	}
-}
-
-// buildHP mirrors eval.BuildHeadPredictions without importing eval into
-// the root package's bench (avoiding an import cycle through test code).
-func buildHP(d *dataset.Dataset, tr quantAdapter, split dataset.Split) any {
-	nh := tr.NumHeads()
-	cal := make([][]float64, nh)
-	val := make([][]float64, nh)
-	for h := 0; h < nh; h++ {
-		cal[h] = tr.PredictLogObs(split.Cal, h)
-		val[h] = tr.PredictLogObs(split.Val, h)
-	}
-	return [2][][]float64{cal, val}
 }
 
 // placementBench trains a bounds-enabled predictor and builds a
@@ -521,44 +505,24 @@ func benchScoreSetup(b *testing.B) (*Predictor, []Query) {
 		}
 	}
 	// Prime the conformal bounder so calibration cost stays out of the
-	// timed loop for both variants.
+	// timed loop.
 	if _, err := pred.BoundBatch(qs[:1], 0.1); err != nil {
 		b.Fatal(err)
 	}
 	return pred, qs
 }
 
-// BenchmarkScoreTwoPass24 serves a mixed mean/bound policy the pre-fusion
-// way: back-to-back EstimateBatch + BoundBatch over the same queries (two
-// span traversals, two interference folds per platform, a per-query
-// conformal pool lookup).
+// BenchmarkScoreTwoPass24 serves a mixed mean/bound policy's call: one
+// ScoreSecondsBatch with both heads into caller buffers, which runs the
+// mean model's batch pass and then the quantile model's, each folding
+// every platform's interference term once, from one snapshot.
 func BenchmarkScoreTwoPass24(b *testing.B) {
 	pred, qs := benchScoreSetup(b)
+	mean, bound := make([]float64, len(qs)), make([]float64, len(qs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mean := pred.EstimateBatch(qs)
-		bound, err := pred.BoundBatch(qs, 0.1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sinkFloat = mean[0] + bound[0]
-	}
-	b.ReportMetric(float64(len(qs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-// BenchmarkScoreFused24 serves both heads through the fused ScoreBatch:
-// one span traversal, one fold per (platform, model), the conformal offset
-// hoisted per span. Outputs are bitwise-identical to the two-pass variant.
-func BenchmarkScoreFused24(b *testing.B) {
-	pred, qs := benchScoreSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mean, bound, err := pred.ScoreBatch(qs, 0.1)
-		if err != nil {
-			b.Fatal(err)
-		}
+		pred.ScoreSecondsBatch(qs, 0.1, mean, bound)
 		sinkFloat = mean[0] + bound[0]
 	}
 	b.ReportMetric(float64(len(qs))*float64(b.N)/b.Elapsed().Seconds(), "queries/s")

@@ -12,7 +12,7 @@ import (
 // fusedQueries builds a scheduler-shaped batch over the real dataset:
 // platform-major spans sharing resident sets (degrees 0..3, hitting
 // several conformal calibration pools), plus a shuffled tail of singleton
-// groups so the fused path's span detection sees narrow spans too.
+// groups so the batch path's span detection sees narrow spans too.
 func fusedQueries(ds *Dataset, rng *rand.Rand) []Query {
 	var qs []Query
 	for p := 0; p < ds.NumPlatforms(); p++ {
@@ -42,49 +42,39 @@ func fusedQueries(ds *Dataset, rng *rand.Rand) []Query {
 	return qs
 }
 
-// TestScoreBatchBitwiseIdentical pins the fused kernel's core guarantee:
-// ScoreBatch's mean and bound outputs are bitwise-identical to the
-// separate EstimateBatch + BoundBatch passes — fusion shares traversal and
-// folds but never reassociates arithmetic — across epsilons (distinct
-// conformal heads/offsets).
+// scoreBoth is the two-head scheduler call into fresh buffers.
+func scoreBoth(pred *Predictor, qs []Query, eps float64) (mean, bound []float64) {
+	mean, bound = make([]float64, len(qs)), make([]float64, len(qs))
+	pred.ScoreSecondsBatch(qs, eps, mean, bound)
+	return mean, bound
+}
+
+// TestScoreBatchBitwiseIdentical pins the two-head call's guarantee:
+// ScoreSecondsBatch with both buffers fills means and bounds
+// bitwise-identical to the separate EstimateBatch + BoundBatch passes,
+// across epsilons (distinct conformal heads/offsets).
 func TestScoreBatchBitwiseIdentical(t *testing.T) {
 	pred, ds := enginePredictor(t)
 	qs := fusedQueries(ds, rand.New(rand.NewSource(17)))
 	for _, eps := range []float64{0.05, 0.1, 0.3} {
-		mean, bound, err := pred.ScoreBatch(qs, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mean, bound := scoreBoth(pred, qs, eps)
 		wantMean := pred.EstimateBatch(qs)
 		wantBound, err := pred.BoundBatch(qs, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range qs {
-			if mean[i] != wantMean[i] {
-				t.Fatalf("eps %v query %d (%+v): fused mean %v != EstimateBatch %v",
+			if math.Float64bits(mean[i]) != math.Float64bits(wantMean[i]) {
+				t.Fatalf("eps %v query %d (%+v): two-head mean %v != EstimateBatch %v",
 					eps, i, qs[i], mean[i], wantMean[i])
 			}
-			if bound[i] != wantBound[i] {
-				t.Fatalf("eps %v query %d (%+v): fused bound %v != BoundBatch %v",
+			if math.Float64bits(bound[i]) != math.Float64bits(wantBound[i]) {
+				t.Fatalf("eps %v query %d (%+v): two-head bound %v != BoundBatch %v",
 					eps, i, qs[i], bound[i], wantBound[i])
 			}
 			if !(mean[i] > 0) || math.IsNaN(bound[i]) {
 				t.Fatalf("degenerate outputs: mean %v bound %v", mean[i], bound[i])
 			}
-		}
-	}
-	// ScoreSecondsBatch (the scheduler surface) must agree with ScoreBatch.
-	meanOut := make([]float64, len(qs))
-	boundOut := make([]float64, len(qs))
-	pred.ScoreSecondsBatch(qs, 0.1, meanOut, boundOut)
-	mean, bound, err := pred.ScoreBatch(qs, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range qs {
-		if meanOut[i] != mean[i] || boundOut[i] != bound[i] {
-			t.Fatalf("ScoreSecondsBatch diverges from ScoreBatch at %d", i)
 		}
 	}
 }
@@ -116,8 +106,8 @@ func TestScoreSecondsBatchOneHead(t *testing.T) {
 }
 
 // The shared engine predictor runs rank 16; this variant pins bitwise
-// identity on the default rank-32 configuration, whose span kernel takes
-// the fully unrolled dot32 fast path.
+// identity of the two-head call on the default rank-32 configuration,
+// whose span kernel takes the fully unrolled dot32 fast path.
 func TestScoreBatchBitwiseIdenticalRank32(t *testing.T) {
 	ds := smallDataset()
 	cfg := DefaultModelConfig(3)
@@ -129,18 +119,16 @@ func TestScoreBatchBitwiseIdenticalRank32(t *testing.T) {
 		t.Fatal(err)
 	}
 	qs := fusedQueries(ds, rand.New(rand.NewSource(29)))
-	mean, bound, err := pred.ScoreBatch(qs, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mean, bound := scoreBoth(pred, qs, 0.1)
 	wantMean := pred.EstimateBatch(qs)
 	wantBound, err := pred.BoundBatch(qs, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range qs {
-		if mean[i] != wantMean[i] || bound[i] != wantBound[i] {
-			t.Fatalf("rank-32 query %d: fused (%v, %v) != separate (%v, %v)",
+		if math.Float64bits(mean[i]) != math.Float64bits(wantMean[i]) ||
+			math.Float64bits(bound[i]) != math.Float64bits(wantBound[i]) {
+			t.Fatalf("rank-32 query %d: two-head (%v, %v) != separate (%v, %v)",
 				i, mean[i], bound[i], wantMean[i], wantBound[i])
 		}
 	}
@@ -167,14 +155,14 @@ func boundsFreePredictor(t *testing.T) (*Predictor, *Dataset) {
 	return boundsFreeShared.pred, boundsFreeShared.ds
 }
 
-// Without bounds, ScoreBatch errors while ScoreSecondsBatch degrades to
+// Without bounds, BoundBatch errors while ScoreSecondsBatch degrades to
 // +Inf bounds with valid means — the scheduler's infeasibility convention
 // (the in-place fill is TestScoreSecondsBatchFallbackFillsInPlace's).
 func TestScoreBatchWithoutBounds(t *testing.T) {
 	pred, _ := boundsFreePredictor(t)
 	qs := []Query{{Workload: 0, Platform: 0}, {Workload: 1, Platform: 1, Interferers: []int{2}}}
-	if _, _, err := pred.ScoreBatch(qs, 0.1); err == nil {
-		t.Fatal("ScoreBatch without bounds did not error")
+	if _, err := pred.BoundBatch(qs, 0.1); err == nil {
+		t.Fatal("BoundBatch without bounds did not error")
 	}
 	// A bad eps degrades the same way even with bounds enabled.
 	predB, _ := enginePredictor(t)

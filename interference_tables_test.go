@@ -27,7 +27,8 @@ func ownCopy(t *testing.T, pred *Predictor) (*Predictor, *Dataset) {
 }
 
 // facadeOutputs collects every read of the facade over qs: scalar
-// Estimate and Bound, EstimateBatch, BoundBatch and ScoreBatch.
+// Estimate and Bound, EstimateBatch, BoundBatch and the two-head
+// ScoreSecondsBatch.
 func facadeOutputs(t *testing.T, p *Predictor, qs []Query) []float64 {
 	t.Helper()
 	var out []float64
@@ -42,10 +43,7 @@ func facadeOutputs(t *testing.T, p *Predictor, qs []Query) []float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm, sb, err := p.ScoreBatch(qs, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sm, sb := scoreBoth(p, qs, 0.1)
 	out = append(out, p.EstimateBatch(qs)...)
 	out = append(out, bb...)
 	out = append(out, sm...)

@@ -155,9 +155,8 @@ func spanEnd(qs []Query, lo int) int {
 // spanLogInto fills out[lo:hi] with head h's predicted log runtimes for
 // queries qs[lo:hi], which must all share qs[lo]'s platform and interferer
 // set, whose interference term the caller has already folded into peff.
-// This is the per-span inner kernel shared by the single-model batch path
-// and the fused two-model path — sharing it is what makes the fused outputs
-// bitwise-identical to the separate calls.
+// This is the per-span inner kernel behind every batch score, the mean
+// head's and the bound head's alike.
 func (m *Model) spanLogInto(qs []Query, lo, hi int, peff []float64, h int, out []float64) {
 	r := m.Cfg.EmbeddingDim
 	wlo, whi := h*r, (h+1)*r
@@ -225,29 +224,6 @@ func dot32(a, b []float64) float64 {
 		s3 += a[i+3] * b[i+3]
 	}
 	return s0 + s1 + s2 + s3
-}
-
-// dot32Pair computes dot32(a1, b1) and dot32(a2, b2) in one eight-chain
-// loop — the fused two-model span kernel's shape, where every query pays
-// one dot per model. Each result accumulates in exactly dot32's order
-// (bitwise interchangeable with two dot32 calls) while sharing loop
-// overhead and exposing twice the instruction-level parallelism.
-func dot32Pair(a1, b1, a2, b2 []float64) (float64, float64) {
-	a1, b1 = a1[:32], b1[:32]
-	a2, b2 = a2[:32], b2[:32]
-	var s0, s1, s2, s3 float64
-	var t0, t1, t2, t3 float64
-	for i := 0; i < 32; i += 4 {
-		s0 += a1[i] * b1[i]
-		s1 += a1[i+1] * b1[i+1]
-		s2 += a1[i+2] * b1[i+2]
-		s3 += a1[i+3] * b1[i+3]
-		t0 += a2[i] * b2[i]
-		t1 += a2[i+1] * b2[i+1]
-		t2 += a2[i+2] * b2[i+2]
-		t3 += a2[i+3] * b2[i+3]
-	}
-	return s0 + s1 + s2 + s3, t0 + t1 + t2 + t3
 }
 
 // dotUnrolled is the batch path's inner-product kernel: four accumulators

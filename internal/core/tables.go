@@ -26,10 +26,10 @@ func colMagUnr(s, t int) int { return 1 + 2*s + t }
 // interferer.
 //
 // The scalar path (PredictResidual) sums with dot and reads w·p, the
-// susceptibilities and colMagSeq; the batch and fused folds sum with
-// dotUnrolled or dot32Pair, which share one chain order, and read
-// colMagUnr. Each path reads the values it would have computed, so every
-// output stays bitwise identical to the dot code.
+// susceptibilities and colMagSeq; the batch fold sums with dotUnrolled,
+// whose chain order dot32 shares, and reads colMagUnr. Each path reads
+// the values it would have computed, so every output stays bitwise
+// identical to the dot code.
 type interferenceTables struct {
 	nh, nw, np, stride int
 	data               []float64

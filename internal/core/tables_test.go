@@ -67,9 +67,8 @@ func tableQueries(m *Model, rng *rand.Rand) []Query {
 	return qs
 }
 
-// tableOutputs runs every scoring path over qs: per head the scalar
-// residual, the batch path in log seconds and seconds, and the fused pass
-// of the mean model with each quantile head.
+// tableOutputs runs every scoring path over qs: per head of both models
+// the scalar residual and the batch path in log seconds and seconds.
 func tableOutputs(mean, quant *Model, qs []Query) [][]float64 {
 	var outs [][]float64
 	for _, m := range []*Model{mean, quant} {
@@ -84,11 +83,6 @@ func tableOutputs(mean, quant *Model, qs []Query) [][]float64 {
 			m.PredictSecondsBatch(qs, h, secs)
 			outs = append(outs, res, logs, secs)
 		}
-	}
-	for h := 0; h < quant.Cfg.NumHeads(); h++ {
-		ms, bs := make([]float64, len(qs)), make([]float64, len(qs))
-		PredictFusedBatch(mean, quant, qs, h, func(d int) float64 { return 0.1 * float64(d) }, ms, bs)
-		outs = append(outs, ms, bs)
 	}
 	return outs
 }
@@ -113,7 +107,7 @@ func requireBitwise(t *testing.T, got, want [][]float64, qs []Query) {
 	}
 }
 
-// TestInterferenceTablesMatchDotPath: every scalar, batch and fused output
+// TestInterferenceTablesMatchDotPath: every scalar and batch output
 // read from the tables is bitwise the dot code's, for every head of both
 // models, across the configurations that change what the tables hold or
 // how the paths read them.
@@ -259,16 +253,16 @@ func TestInterferenceTablesPrivateAndCurrent(t *testing.T) {
 	}
 }
 
-// TestScoringAllocationFree: a warm batch or fused call into caller
-// buffers allocates nothing at the default rank.
+// TestScoringAllocationFree: a warm batch call into a caller buffer, the
+// mean model's or a quantile model's bound head, allocates nothing at the
+// default rank.
 func TestScoringAllocationFree(t *testing.T) {
 	mean, quant := tableModels(t, func(c *Config) { c.EmbeddingDim = 32 })
 	qs := tableQueries(mean, rand.New(rand.NewSource(5)))
 	a, b := make([]float64, len(qs)), make([]float64, len(qs))
-	off := func(d int) float64 { return 0.1 * float64(d) }
 	for name, call := range map[string]func(){
 		"batch": func() { mean.PredictSecondsBatch(qs, 0, a) },
-		"fused": func() { PredictFusedBatch(mean, quant, qs, 1, off, a, b) },
+		"bound": func() { quant.PredictLogSecondsBatch(qs, 1, b) },
 	} {
 		call()
 		if n := testing.AllocsPerRun(20, call); n != 0 {

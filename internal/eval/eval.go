@@ -32,7 +32,11 @@ type Method struct {
 	Fit  func(d *dataset.Dataset, split dataset.Split, seed int64) (Trained, error)
 }
 
-// pitotTrained adapts core.Model to the Trained interface.
+// PitotTrained adapts a trained core.Model to the Trained interface:
+// head h's predicted log runtimes of dataset observations, from the
+// scalar prediction path.
+func PitotTrained(m *core.Model) Trained { return pitotTrained{m} }
+
 type pitotTrained struct{ m *core.Model }
 
 func (p pitotTrained) PredictLogObs(idx []int, head int) []float64 {
@@ -61,7 +65,7 @@ func PitotMethod(name string, cfg core.Config) Method {
 		if _, err := m.Train(split); err != nil {
 			return nil, err
 		}
-		return pitotTrained{m}, nil
+		return PitotTrained(m), nil
 	}}
 }
 

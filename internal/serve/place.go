@@ -23,8 +23,8 @@ type PlacementConfig struct {
 	MaxInFlight int
 	// Policy is "bound" (default), "mean", "padded", or the mixed-head
 	// "mean-bound" / "padded-bound" (rank on (padded) mean, feasibility on
-	// the conformal bound, scored in one fused pass when the backend is a
-	// ScorerBackend).
+	// the conformal bound, both heads in one call on one snapshot when the
+	// backend is a ScorerBackend).
 	Policy string
 	// Eps is the bound policy's per-job miss budget (default 0.1).
 	Eps float64
@@ -67,14 +67,16 @@ type PlacementConfig struct {
 // backendPredictor adapts the serving Backend to sched.Predictor. Each
 // scoring call goes to the one backend call that serves exactly the heads
 // asked for: EstimateBatch for the mean alone, BoundBatch for the bound
-// alone, and the fused two-head pass for both when the backend offers it
-// (ScorerBackend; the Pitot facade does), EstimateBatch then BoundBatch
-// otherwise. A bound error maps to +Inf for the whole batch, the
-// scheduler's infeasibility convention.
+// alone, and the two-head ScoreSecondsBatch for both when the backend
+// offers it (ScorerBackend; the Pitot facade does), so both heads read
+// one snapshot; EstimateBatch then BoundBatch otherwise. A bound error
+// maps to +Inf for the whole batch, the scheduler's infeasibility
+// convention.
 type backendPredictor struct{ be Backend }
 
-// ScorerBackend is the optional fused two-head surface of a Backend,
-// with sched.Predictor's buffer contract. *pitot.Predictor implements it.
+// ScorerBackend is the optional two-head surface of a Backend, with
+// sched.Predictor's buffer contract: one call fills both heads from one
+// model snapshot. *pitot.Predictor implements it.
 type ScorerBackend interface {
 	ScoreSecondsBatch(qs []pitot.Query, eps float64, meanOut, boundOut []float64)
 }

@@ -197,8 +197,8 @@ func TestBackendPredictorErrorMapsToInfeasible(t *testing.T) {
 	}
 }
 
-// scorerFake is fakeBackend with the fused two-head pass, counting its
-// calls.
+// scorerFake is fakeBackend with the two-head ScoreSecondsBatch,
+// counting its calls.
 type scorerFake struct {
 	*fakeBackend
 	fused atomic.Int64
@@ -214,8 +214,8 @@ func (f *scorerFake) ScoreSecondsBatch(qs []pitot.Query, eps float64, meanOut, b
 
 // The adapter sends each scoring call to the one backend call that serves
 // exactly the heads asked for: EstimateBatch for the mean, BoundBatch for
-// the bound, the fused pass for both when the backend has one and the two
-// batch calls otherwise.
+// the bound, the two-head call for both when the backend has one and the
+// two batch calls otherwise.
 func TestBackendPredictorRoutesHeads(t *testing.T) {
 	qs := []pitot.Query{{Workload: 0, Platform: 1}, {Workload: 3, Platform: 2, Interferers: []int{1}}}
 	want := func(eps float64) (mean, bound []float64) {
@@ -314,7 +314,7 @@ func TestCalibrationLagGauge(t *testing.T) {
 	}
 }
 
-// fusedCounter is the real predictor counting its fused two-head passes.
+// fusedCounter is the real predictor counting its two-head calls.
 type fusedCounter struct {
 	*pitot.Predictor
 	fused atomic.Int64
@@ -325,8 +325,9 @@ func (c *fusedCounter) ScoreSecondsBatch(qs []pitot.Query, eps float64, meanOut,
 	c.Predictor.ScoreSecondsBatch(qs, eps, meanOut, boundOut)
 }
 
-// The real predictor's fused two-head surface reaches the placement engine
-// through the backend adapter: mixed policies score through one pass.
+// The real predictor's two-head surface reaches the placement engine
+// through the backend adapter: mixed policies score both heads in one
+// call.
 func TestPlacementFusedThroughBackend(t *testing.T) {
 	pred, _ := testPredictor(t)
 	fc := &fusedCounter{Predictor: pred}

@@ -27,8 +27,8 @@
 //
 // The predictor also backs the failure-aware orchestration stack
 // (internal/sched, internal/serve): ScoreSecondsBatch is the scheduler's
-// one scoring call — the mean head, the bound head, or both in one fused
-// pass, as the placement policy asks — and ScoreEpoch and ObserveSeconds
+// one scoring call — the mean head, the bound head, or both from one
+// snapshot, as the placement policy asks — and ScoreEpoch and ObserveSeconds
 // complete its predictor and feedback surfaces, so placement scores
 // candidate platforms — skipping failed ones and padding degraded ones —
 // directly against the live model snapshot. See DESIGN.md for the
@@ -100,7 +100,8 @@ type Options struct {
 // used for calibration, and the per-eps conformal bounder cache. Once a
 // snapshot is published via Predictor.snap nothing in it is mutated — the
 // only "write" is the copy-on-write insertion of freshly calibrated
-// bounders, which swaps an immutable map for an extended copy.
+// bounders, which swaps an immutable map for an extended copy, up to
+// maxCalibrations entries.
 type snapshot struct {
 	ds      *dataset.Dataset
 	mean    *core.Model
@@ -110,8 +111,9 @@ type snapshot struct {
 
 	// bounders holds the per-eps conformal calibrations for this snapshot.
 	// Reads are a single atomic load; a cache miss calibrates off to the
-	// side and publishes old∪{eps} with a compare-and-swap. Losing the race
-	// costs a redundant (idempotent) calibration, never correctness.
+	// side and publishes old∪{eps} with a compare-and-swap while the map
+	// holds fewer than maxCalibrations. Losing the race costs a redundant
+	// (idempotent) calibration, never correctness.
 	bounders atomic.Pointer[map[float64]*calibration]
 }
 
@@ -157,17 +159,30 @@ func (c *calibration) offset(degree int) float64 {
 	return c.MaxOffset
 }
 
+// maxCalibrations caps the calibrations one snapshot caches. /bound
+// takes any eps in (0, 1), so without a cap a caller sending distinct
+// values would grow the cache, and the map each insert copies, until the
+// next Observe. An eps beyond the cap is calibrated for its call alone.
+const maxCalibrations = 8
+
 // bounder returns the conformal calibration for eps, calibrating it on
-// first use. Lock-free: concurrent callers with the same fresh eps may
-// both calibrate, but exactly one result is published and calibration is
-// deterministic, so both callers return equivalent bounders.
+// first use and caching it while the snapshot holds fewer than
+// maxCalibrations. Lock-free: concurrent callers with the same fresh eps
+// may both calibrate, but at most one result is published and
+// calibration is deterministic, so both callers return equivalent
+// bounders.
 func (s *snapshot) bounder(eps float64) (*calibration, error) {
 	if b, ok := (*s.bounders.Load())[eps]; ok {
 		return b, nil
 	}
+	// Refuse an eps Calibrate would refuse (NaN fails the negated form)
+	// before paying for the head predictions.
+	if !(eps > 0 && eps < 1) {
+		return nil, fmt.Errorf("pitot: eps %v out of (0,1)", eps)
+	}
 	// Calibrate once, off to the side; the retry loop below only re-merges
 	// the result if another eps was published concurrently.
-	hp := eval.BuildHeadPredictions(s.ds, quantAdapter{s.quant}, s.split)
+	hp := eval.BuildHeadPredictions(s.ds, eval.PitotTrained(s.quant), s.split)
 	cb, err := conformal.Calibrate(hp, eps, conformal.SelectOptimal)
 	if err != nil {
 		return nil, err
@@ -179,6 +194,9 @@ func (s *snapshot) bounder(eps float64) (*calibration, error) {
 			// A racing caller published this eps first; converge on the
 			// single published instance.
 			return published, nil
+		}
+		if len(*cur) >= maxCalibrations {
+			return b, nil
 		}
 		next := make(map[float64]*calibration, len(*cur)+1)
 		for k, v := range *cur {
@@ -318,45 +336,13 @@ func (s *snapshot) boundInto(qs []Query, eps float64, out []float64) error {
 	return nil
 }
 
-// ScoreBatch returns, for every query, both predictor heads in one fused
-// pass: the expected runtime (as EstimateBatch) and the conformal (1−eps)
-// budget (as BoundBatch). The two models share one platform-major span
-// traversal — each platform's interference term is folded once per model
-// per span instead of once per pass, and the conformal offset is hoisted
-// per span — so mixed mean/bound scheduling policies pay roughly one pass
-// instead of two. Outputs are bitwise-identical to calling EstimateBatch
-// and BoundBatch separately. Requires Options.EnableBounds; the whole
-// batch is served from one snapshot. Lock-free and safe from any number
-// of goroutines.
-func (p *Predictor) ScoreBatch(qs []Query, eps float64) (mean, bound []float64, err error) {
-	mean = make([]float64, len(qs))
-	bound = make([]float64, len(qs))
-	if err := p.snap.Load().scoreInto(qs, eps, mean, bound); err != nil {
-		return nil, nil, err
-	}
-	return mean, bound, nil
-}
-
-// scoreInto is ScoreBatch into caller-owned buffers, pinned to one
-// snapshot.
-func (s *snapshot) scoreInto(qs []Query, eps float64, mean, bound []float64) error {
-	if s.quant == nil {
-		return fmt.Errorf("pitot: bounds not enabled; train with Options.EnableBounds")
-	}
-	b, err := s.bounder(eps)
-	if err != nil {
-		return err
-	}
-	core.PredictFusedBatch(s.mean, s.quant, qs, b.Head, b.offset, mean, bound)
-	return nil
-}
-
 // Bound returns a runtime budget in seconds that is sufficient with
 // probability at least 1−eps (paper Eq. 10), using conformalized quantile
 // regression with per-degree calibration pools and optimal head selection.
 // Requires Options.EnableBounds at training time. A +Inf result means the
 // calibration set is too small for the requested eps. Lock-free: the
-// per-eps calibration is cached per snapshot with a copy-on-write swap.
+// per-eps calibration is cached per snapshot with a copy-on-write swap,
+// for up to maxCalibrations distinct eps values.
 func (p *Predictor) Bound(w, pl int, interferers []int, eps float64) (float64, error) {
 	s := p.snap.Load()
 	if s.quant == nil {
@@ -369,21 +355,6 @@ func (p *Predictor) Bound(w, pl int, interferers []int, eps float64) (float64, e
 	pred := s.quant.PredictLogSeconds(w, pl, interferers, b.Head)
 	return math.Exp(pred + b.offset(len(interferers))), nil
 }
-
-// quantAdapter exposes the quantile model through eval.Trained.
-type quantAdapter struct{ m *core.Model }
-
-func (a quantAdapter) PredictLogObs(idx []int, head int) []float64 {
-	d := a.m.Dataset()
-	out := make([]float64, len(idx))
-	for i, oi := range idx {
-		o := d.Obs[oi]
-		out[i] = a.m.PredictLogSeconds(o.Workload, o.Platform, o.Interferers, head)
-	}
-	return out
-}
-func (a quantAdapter) NumHeads() int        { return a.m.Cfg.NumHeads() }
-func (a quantAdapter) Quantiles() []float64 { return a.m.Cfg.Quantiles }
 
 // Info describes the currently published snapshot of a Predictor.
 type Info struct {
@@ -457,29 +428,17 @@ var (
 
 // ScoreSecondsBatch is the orchestration engine's scoring call
 // (sched.Predictor): meanOut[i] gets the expected runtime and boundOut[i]
-// the (1−eps) budget of qs[i], from one snapshot; a nil buffer skips its
-// head. One head runs exactly EstimateBatch's or BoundBatch's code into
-// the caller's buffer, both run ScoreBatch's fused pass. A bound error
-// (bounds not enabled, a calibration failure for eps) sets every bound to
-// +Inf, the scheduler's infeasibility convention; the means are filled
-// either way.
+// the (1−eps) budget of qs[i], both from the one snapshot the call loads;
+// a nil buffer skips its head. Each head runs exactly EstimateBatch's or
+// BoundBatch's code into the caller's buffer. A bound error (bounds not
+// enabled, a calibration failure for eps) sets every bound to +Inf, the
+// scheduler's infeasibility convention; the means are filled either way.
 func (p *Predictor) ScoreSecondsBatch(qs []Query, eps float64, meanOut, boundOut []float64) {
 	s := p.snap.Load()
-	var err error
-	switch {
-	case boundOut == nil:
-		if meanOut != nil {
-			s.mean.PredictSecondsBatch(qs, 0, meanOut)
-		}
-		return
-	case meanOut == nil:
-		err = s.boundInto(qs, eps, boundOut)
-	default:
-		if err = s.scoreInto(qs, eps, meanOut, boundOut); err != nil {
-			s.mean.PredictSecondsBatch(qs, 0, meanOut)
-		}
+	if meanOut != nil {
+		s.mean.PredictSecondsBatch(qs, 0, meanOut)
 	}
-	if err != nil {
+	if boundOut != nil && s.boundInto(qs, eps, boundOut) != nil {
 		for i := range boundOut {
 			boundOut[i] = math.Inf(1)
 		}

@@ -2,7 +2,10 @@ package pitot
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -163,6 +166,113 @@ func TestConcurrentEstimateObserve(t *testing.T) {
 	}
 	if info := pred.Info(); info.Observations != len(ds.Obs)+rounds*10 {
 		t.Fatalf("info reports %d observations, want %d", info.Observations, len(ds.Obs)+rounds*10)
+	}
+}
+
+// TestConcurrentScoreBothHeadsOneSnapshot: a two-head ScoreSecondsBatch
+// runs the mean pass and then the bound pass, and both must read the
+// snapshot the call loaded while Observe publishes. Readers score a fixed
+// batch with both buffers across three publishes; every (means, bounds)
+// pair a reader saw must be one published version's pair, never one
+// version's means with another's bounds. Run under `go test -race`.
+func TestConcurrentScoreBothHeadsOneSnapshot(t *testing.T) {
+	shared, _ := enginePredictor(t)
+	pred, ds := ownCopy(t, shared)
+	qs := fusedQueries(ds, rand.New(rand.NewSource(47)))
+	const eps = 0.1
+	// A pair digests one call's two heads, bit for bit.
+	type pair struct{ mean, bound uint64 }
+	digest := func(xs []float64) uint64 {
+		h := uint64(14695981039346656037)
+		for _, x := range xs {
+			h = (h ^ math.Float64bits(x)) * 1099511628211
+		}
+		return h
+	}
+	// published is the current snapshot's pair, from the single-head
+	// batch calls on that snapshot alone.
+	published := func() pair {
+		snap := newPredictor(pred.snap.Load())
+		bound, err := snap.BoundBatch(qs, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pair{digest(snap.EstimateBatch(qs)), digest(bound)}
+	}
+	versions := []pair{published()}
+
+	const readers = 2
+	var reads [readers]atomic.Int64
+	seen := make([]map[pair]int, readers)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var halted sync.Once
+	halt := func() { halted.Do(func() { close(stop); wg.Wait() }) }
+	defer halt()
+	for r := 0; r < readers; r++ {
+		seen[r] = map[pair]int{}
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			mean, bound := make([]float64, len(qs)), make([]float64, len(qs))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				pred.ScoreSecondsBatch(qs, eps, mean, bound)
+				seen[r][pair{digest(mean), digest(bound)}]++
+				reads[r].Add(1)
+			}
+		}(r)
+	}
+
+	const rounds = 3
+	for round := 0; round < rounds; round++ {
+		var obs []Observation
+		for i := 0; i < 8; i++ {
+			w, p := (round+3*i)%ds.NumWorkloads(), (round+i)%ds.NumPlatforms()
+			ks := []int{(w + 1) % ds.NumWorkloads(), (w + 5) % ds.NumWorkloads()}
+			obs = append(obs, Observation{Workload: w, Platform: p, Interferers: ks,
+				Seconds: 1.5 * pred.Estimate(w, p, ks)})
+		}
+		if err := pred.Observe(obs); err != nil {
+			t.Error(err)
+			break
+		}
+		versions = append(versions, published())
+		// Every reader finishes a call that started after this publish
+		// before the next one, so each version is read.
+		for r := range reads {
+			for n := reads[r].Load(); reads[r].Load() < n+2; {
+				runtime.Gosched()
+			}
+		}
+	}
+	halt()
+
+	want := map[pair]int{}
+	for v, p := range versions {
+		if v > 0 && (p.mean == versions[v-1].mean || p.bound == versions[v-1].bound) {
+			t.Fatalf("version %d left a head unchanged: a mixed pair would go unseen", v)
+		}
+		want[p] = v
+	}
+	for r := range seen {
+		got := map[int]bool{}
+		for p, n := range seen[r] {
+			v, ok := want[p]
+			if !ok {
+				t.Fatalf("reader %d: %d calls returned a pair no version published (means of one snapshot, bounds of another)", r, n)
+			}
+			got[v] = true
+		}
+		for v := 1; v < len(versions); v++ {
+			if !got[v] {
+				t.Errorf("reader %d never read version %d", r, v)
+			}
+		}
 	}
 }
 

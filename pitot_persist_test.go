@@ -197,14 +197,15 @@ func TestLoadPredictorRejectsCorruptInput(t *testing.T) {
 }
 
 // TestLoadStreamsOfRemovedApproxKernel loads streams written when the
-// model config still had a flag that served ScoreBatch from an approximate
-// kernel (deleted after commit 7fa879f, whose LoadPredictor turned it back
-// on from the stream). testdata/approx-kernel holds the mean and quantile
-// streams of a predictor trained on smallDataset() with that flag set:
-// DefaultModelConfig(5) at rank 32, Hidden 8, Steps 40, BatchPerDegree 64,
-// EvalEvery 20, EnableBounds. Gob drops the unknown field, so the loaded
-// predictor scores with the one exact kernel: ScoreBatch is bitwise equal
-// to EstimateBatch + BoundBatch.
+// model config still had a flag that served two-head scoring from an
+// approximate kernel (deleted after commit 7fa879f, whose LoadPredictor
+// turned it back on from the stream). testdata/approx-kernel holds the
+// mean and quantile streams of a predictor trained on smallDataset() with
+// that flag set: DefaultModelConfig(5) at rank 32, Hidden 8, Steps 40,
+// BatchPerDegree 64, EvalEvery 20, EnableBounds. Gob drops the unknown
+// field, so the loaded predictor scores with the one exact kernel: the
+// two-head ScoreSecondsBatch is bitwise equal to EstimateBatch +
+// BoundBatch.
 func TestLoadStreamsOfRemovedApproxKernel(t *testing.T) {
 	ds := smallDataset()
 	meanB, err := os.ReadFile(filepath.Join("testdata", "approx-kernel", "mean.gob"))
@@ -221,10 +222,7 @@ func TestLoadStreamsOfRemovedApproxKernel(t *testing.T) {
 	}
 	qs := fusedQueries(ds, rand.New(rand.NewSource(43)))
 	for _, eps := range []float64{0.05, 0.1, 0.3} {
-		mean, bound, err := pred.ScoreBatch(qs, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mean, bound := scoreBoth(pred, qs, eps)
 		wantMean := pred.EstimateBatch(qs)
 		wantBound, err := pred.BoundBatch(qs, eps)
 		if err != nil {
@@ -233,7 +231,7 @@ func TestLoadStreamsOfRemovedApproxKernel(t *testing.T) {
 		for i := range qs {
 			if math.Float64bits(mean[i]) != math.Float64bits(wantMean[i]) ||
 				math.Float64bits(bound[i]) != math.Float64bits(wantBound[i]) {
-				t.Fatalf("eps %v query %d: ScoreBatch (%v, %v) != EstimateBatch/BoundBatch (%v, %v)",
+				t.Fatalf("eps %v query %d: ScoreSecondsBatch (%v, %v) != EstimateBatch/BoundBatch (%v, %v)",
 					eps, i, mean[i], bound[i], wantMean[i], wantBound[i])
 			}
 		}

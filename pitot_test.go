@@ -1,6 +1,7 @@
 package pitot
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -105,6 +106,93 @@ func TestBoundMonotoneInEps(t *testing.T) {
 	}
 	if _, err := pred.BoundBatch([]Query{{Workload: 1, Platform: 1}}, math.NaN()); err == nil {
 		t.Fatal("BoundBatch accepted eps=NaN")
+	}
+}
+
+// TestCalibrationCacheBounded: a snapshot caches at most maxCalibrations
+// eps values. Beyond the cap an eps is calibrated for its call alone and
+// answers bitwise as that eps does from a fresh copy's cache, and an eps
+// outside (0, 1) errors before any head prediction is built.
+func TestCalibrationCacheBounded(t *testing.T) {
+	shared, _ := enginePredictor(t)
+	pred, _ := ownCopy(t, shared)
+	qs := []Query{{Workload: 1, Platform: 2, Interferers: []int{3}}, {Workload: 4, Platform: 0}}
+	cached := func(p *Predictor) int { return len(*p.snap.Load().bounders.Load()) }
+	var eps []float64
+	for i := 0; i < maxCalibrations+4; i++ {
+		eps = append(eps, 0.02+0.01*float64(i))
+	}
+	scalar := make([]float64, len(eps))
+	batch := make([][]float64, len(eps))
+	for round := 0; round < 2; round++ {
+		for i, e := range eps {
+			b, err := pred.Bound(qs[0].Workload, qs[0].Platform, qs[0].Interferers, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bb, err := pred.BoundBatch(qs, e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if round == 1 && (math.Float64bits(b) != math.Float64bits(scalar[i]) ||
+				math.Float64bits(bb[1]) != math.Float64bits(batch[i][1])) {
+				t.Fatalf("eps %v: second round (%v, %v), first (%v, %v)", e, b, bb[1], scalar[i], batch[i][1])
+			}
+			scalar[i], batch[i] = b, bb
+		}
+		if n := cached(pred); n != maxCalibrations {
+			t.Fatalf("round %d: %d calibrations cached after %d distinct eps, want the cap %d",
+				round, n, len(eps), maxCalibrations)
+		}
+	}
+
+	fresh, _ := ownCopy(t, shared)
+	for i := maxCalibrations; i < len(eps); i++ {
+		b, err := fresh.Bound(qs[0].Workload, qs[0].Platform, qs[0].Interferers, eps[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		bb, err := fresh.BoundBatch(qs, eps[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(b) != math.Float64bits(scalar[i]) {
+			t.Fatalf("uncached eps %v: Bound %v, fresh copy's cached %v", eps[i], scalar[i], b)
+		}
+		requireSameBits(t, fmt.Sprintf("uncached eps %v BoundBatch", eps[i]), batch[i], bb)
+	}
+	if n := cached(fresh); n != len(eps)-maxCalibrations {
+		t.Fatalf("fresh copy cached %d calibrations, want %d", n, len(eps)-maxCalibrations)
+	}
+
+	// A calibration split with an index past the dataset makes building
+	// the head predictions panic, so only an eps refused before the build
+	// returns an error here.
+	s := pred.snap.Load()
+	split := s.split
+	split.Cal = append(append([]int(nil), s.split.Cal...), len(s.ds.Obs))
+	poisoned := newPredictor(newSnapshot(s.ds, s.mean, s.quant, split, s.version))
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a valid eps on the poisoned split did not build head predictions")
+			}
+		}()
+		_, _ = poisoned.Bound(1, 2, nil, 0.1)
+	}()
+	for _, e := range []float64{0, 1, -0.1, 1.5, math.NaN(), math.Inf(1)} {
+		if _, err := poisoned.Bound(1, 2, nil, e); err == nil {
+			t.Errorf("Bound accepted eps %v", e)
+		}
+		if _, err := poisoned.BoundBatch(qs, e); err == nil {
+			t.Errorf("BoundBatch accepted eps %v", e)
+		}
+		mean, bound := scoreBoth(poisoned, qs, e)
+		for i := range qs {
+			if !(mean[i] > 0) || !math.IsInf(bound[i], 1) {
+				t.Errorf("ScoreSecondsBatch at eps %v: query %d mean %v bound %v, want a mean and +Inf", e, i, mean[i], bound[i])
+			}
+		}
 	}
 }
 
