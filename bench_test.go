@@ -110,7 +110,9 @@ func BenchmarkTrainStep(b *testing.B) {
 // multiply-adds to the mean step's 6.0M. Measured against
 // BenchmarkTrainStep at -cpu 1 (medians of five rounds, 100 steps each),
 // it cost 2.7× the mean step before the blocked kernels and the in-order
-// fold, and 2.1× after (DESIGN.md "Training step").
+// fold and 2.1× after them; later rounds on a busier box read 3.2× on
+// the Go kernels and 2.8× on the vector kernels (DESIGN.md "Training
+// step").
 func BenchmarkTrainStepQuantile(b *testing.B) {
 	ds := wasmcluster.New(wasmcluster.Config{
 		Seed: 1, NumWorkloads: 48, MaxDevices: 8, SetsPerDegree: 15,

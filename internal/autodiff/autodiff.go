@@ -512,18 +512,11 @@ func RowDot(a, b *Value) *Value {
 			if gi == 0 {
 				continue
 			}
-			arow, brow := a.Data.Row(i), b.Data.Row(i)
 			if ga != nil {
-				grow := ga.Row(i)
-				for j, v := range brow {
-					grow[j] += gi * v
-				}
+				tensor.AddScaled(ga.Row(i), gi, b.Data.Row(i))
 			}
 			if gb != nil {
-				grow := gb.Row(i)
-				for j, v := range arow {
-					grow[j] += gi * v
-				}
+				tensor.AddScaled(gb.Row(i), gi, a.Data.Row(i))
 			}
 		}
 	}

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -49,6 +51,89 @@ func TestLoadRejectsCorruptPayload(t *testing.T) {
 	badBaseline.BaselineP = []float64{1}
 	if err := reload(badBaseline); err == nil {
 		t.Fatal("Load accepted a baseline sized for a different dataset")
+	}
+}
+
+// A model file whose config implies parameters other than the ones it
+// carries must fail Load before anything is built from that config: a
+// width of 1<<40 made NewModel panic in make, an overflowing width could
+// wrap to a shape that matches, and a merely large one allocated its
+// weights before the shapes were compared.
+func TestLoadRejectsHostileConfig(t *testing.T) {
+	ds := testData(t)
+	m, err := NewModel(smallConfig(9), ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"hidden 1<<40", func(c *Config) { c.Hidden = 1 << 40 }},
+		{"hidden 1<<12", func(c *Config) { c.Hidden = 1 << 12 }},
+		{"learned features near MaxInt", func(c *Config) { c.LearnedFeatures = math.MaxInt - 3 }},
+		{"rank times heads overflows", func(c *Config) {
+			c.EmbeddingDim = 1 << 62
+			c.Quantiles = []float64{0.1, 0.5, 0.9, 0.99}
+		}},
+		{"interference types overflow", func(c *Config) { c.InterferenceTypes = math.MaxInt / 2 }},
+	} {
+		var mf modelFile
+		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&mf); err != nil {
+			t.Fatal(err)
+		}
+		c.edit(&mf.Cfg)
+		var out bytes.Buffer
+		if err := gob.NewEncoder(&out).Encode(&mf); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Load(&out, ds)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: Load accepted the file", c.name)
+		}
+		// Decoding the file takes well under a MiB; one 32x4096 weight
+		// alone would take 1 MiB.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: Load allocated %d bytes before refusing the file", c.name, grew)
+		}
+	}
+}
+
+// newLayout's shapes are the parameters NewModel builds, for the mean and
+// quantile heads, with and without learned features and side information.
+func TestLayoutMatchesModelParams(t *testing.T) {
+	ds := testData(t)
+	for _, edit := range []func(*Config){
+		func(*Config) {},
+		func(c *Config) { c.Quantiles = []float64{0.1, 0.5, 0.9} },
+		func(c *Config) { c.LearnedFeatures = 0 },
+		func(c *Config) { c.UseWorkloadFeatures, c.InterferenceTypes = false, 0 },
+	} {
+		cfg := smallConfig(3)
+		edit(&cfg)
+		m, err := NewModel(cfg, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := newLayout(cfg, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(l.shapes) != len(m.params) {
+			t.Fatalf("%+v: layout has %d shapes, model %d params", cfg, len(l.shapes), len(m.params))
+		}
+		for i, p := range m.params {
+			if sh := l.shapes[i]; sh != [2]int{p.Data.Rows, p.Data.Cols} {
+				t.Fatalf("%+v: parameter %d is %dx%d, layout says %v", cfg, i, p.Data.Rows, p.Data.Cols, sh)
+			}
+		}
 	}
 }
 

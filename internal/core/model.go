@@ -81,22 +81,70 @@ func standardize(m *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// NewModel builds an untrained model for the dataset.
-func NewModel(cfg Config, d *dataset.Dataset) (*Model, error) {
+// layout is the parameter geometry a config implies over a dataset.
+// NewModel allocates from it, and Load checks a file's declared shapes
+// against it before allocating anything.
+type layout struct {
+	wTower, pTower []int    // layer widths: input, hidden, hidden, output
+	shapes         [][2]int // every parameter's (rows, cols), in Params order
+}
+
+// newLayout validates cfg against d and derives the towers' widths and
+// the parameter shapes. A config can arrive from a file (Load), so every
+// width and element count is checked to fit in an int.
+func newLayout(cfg Config, d *dataset.Dataset) (layout, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return layout{}, err
 	}
 	if !cfg.UseWorkloadFeatures && !cfg.UsePlatformFeatures && cfg.LearnedFeatures == 0 {
-		return nil, fmt.Errorf("core: model needs features or learned features")
+		return layout{}, fmt.Errorf("core: model needs features or learned features")
 	}
-	// A config can arrive from a persisted model and the dataset from the
-	// wire (LoadPredictor); a missing feature matrix must be an error, not
-	// a panic in standardize.
+	// The dataset can arrive from the wire (LoadPredictor); a missing
+	// feature matrix must be an error, not a panic in standardize.
 	if cfg.UseWorkloadFeatures && d.WorkloadFeatures == nil {
-		return nil, fmt.Errorf("core: config requires workload features but dataset has none")
+		return layout{}, fmt.Errorf("core: config requires workload features but dataset has none")
 	}
 	if cfg.UsePlatformFeatures && d.PlatformFeatures == nil {
-		return nil, fmt.Errorf("core: config requires platform features but dataset has none")
+		return layout{}, fmt.Errorf("core: config requires platform features but dataset has none")
+	}
+	dw, dp := 0, 0
+	if cfg.UseWorkloadFeatures {
+		dw = d.WorkloadFeatures.Cols
+	}
+	if cfg.UsePlatformFeatures {
+		dp = d.PlatformFeatures.Cols
+	}
+	r, s, h, q := cfg.EmbeddingDim, cfg.InterferenceTypes, cfg.NumHeads(), cfg.LearnedFeatures
+	if q > math.MaxInt-max(dw, dp) || s > (math.MaxInt-1)/2 || !fitsInt(r, h) || !fitsInt(r, 1+2*s) {
+		return layout{}, fmt.Errorf("core: config widths overflow: rank %d, %d heads, %d interference types, %d learned features",
+			r, h, s, q)
+	}
+	l := layout{
+		wTower: []int{dw + q, cfg.Hidden, cfg.Hidden, r * h},
+		pTower: []int{dp + q, cfg.Hidden, cfg.Hidden, r * (1 + 2*s)},
+	}
+	l.shapes = append(nn.MLPShapes(l.wTower...), nn.MLPShapes(l.pTower...)...)
+	if q > 0 {
+		l.shapes = append(l.shapes, [2]int{d.NumWorkloads(), q}, [2]int{d.NumPlatforms(), q})
+	}
+	for _, sh := range l.shapes {
+		if !fitsInt(sh[0], sh[1]) {
+			return layout{}, fmt.Errorf("core: config implies a %dx%d parameter", sh[0], sh[1])
+		}
+	}
+	return l, nil
+}
+
+// fitsInt reports whether a·b, for a, b ≥ 0, fits in an int.
+func fitsInt(a, b int) bool {
+	return a == 0 || b <= math.MaxInt/a
+}
+
+// NewModel builds an untrained model for the dataset.
+func NewModel(cfg Config, d *dataset.Dataset) (*Model, error) {
+	l, err := newLayout(cfg, d)
+	if err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{Cfg: cfg, data: d}
@@ -106,17 +154,8 @@ func NewModel(cfg Config, d *dataset.Dataset) (*Model, error) {
 	if cfg.UsePlatformFeatures {
 		m.xp = standardize(d.PlatformFeatures)
 	}
-
-	dw, dp := 0, 0
-	if cfg.UseWorkloadFeatures {
-		dw = d.WorkloadFeatures.Cols
-	}
-	if cfg.UsePlatformFeatures {
-		dp = d.PlatformFeatures.Cols
-	}
-	r, s, h := cfg.EmbeddingDim, cfg.InterferenceTypes, cfg.NumHeads()
-	m.fw = nn.NewMLP(rng, nn.ActGELU, dw+cfg.LearnedFeatures, cfg.Hidden, cfg.Hidden, r*h)
-	m.fp = nn.NewMLP(rng, nn.ActGELU, dp+cfg.LearnedFeatures, cfg.Hidden, cfg.Hidden, r*(1+2*s))
+	m.fw = nn.NewMLP(rng, nn.ActGELU, l.wTower...)
+	m.fp = nn.NewMLP(rng, nn.ActGELU, l.pTower...)
 	m.params = append(m.params, m.fw.Params()...)
 	m.params = append(m.params, m.fp.Params()...)
 	if cfg.LearnedFeatures > 0 {

@@ -42,25 +42,34 @@ func Load(r io.Reader, d *dataset.Dataset) (*Model, error) {
 	if err := gob.NewDecoder(r).Decode(&mf); err != nil {
 		return nil, fmt.Errorf("core: decode model: %w", err)
 	}
-	m, err := NewModel(mf.Cfg, d)
+	// The file arrives from disk or the wire. Every shape its config
+	// implies must match the file's declared shape and payload before
+	// NewModel allocates it: a hostile width must error, not panic in
+	// make or allocate gigabytes, and a short payload must error, not
+	// panic in FromSlice.
+	l, err := newLayout(mf.Cfg, d)
 	if err != nil {
 		return nil, err
 	}
-	if len(mf.Params) != len(m.params) {
+	if len(mf.Params) != len(l.shapes) {
 		return nil, fmt.Errorf("core: model has %d parameter tensors, file has %d",
-			len(m.params), len(mf.Params))
+			len(l.shapes), len(mf.Params))
 	}
 	for i, sp := range mf.Params {
-		if m.params[i].Data.Rows != sp.Rows || m.params[i].Data.Cols != sp.Cols {
+		if sh := l.shapes[i]; sh[0] != sp.Rows || sh[1] != sp.Cols {
 			return nil, fmt.Errorf("core: parameter %d shape %dx%d, file has %dx%d",
-				i, m.params[i].Data.Rows, m.params[i].Data.Cols, sp.Rows, sp.Cols)
+				i, sh[0], sh[1], sp.Rows, sp.Cols)
 		}
-		// The file arrives from disk or the wire: a payload that disagrees
-		// with its declared shape must error, not panic in FromSlice.
 		if len(sp.Data) != sp.Rows*sp.Cols {
 			return nil, fmt.Errorf("core: parameter %d has %d values for %dx%d",
 				i, len(sp.Data), sp.Rows, sp.Cols)
 		}
+	}
+	m, err := NewModel(mf.Cfg, d)
+	if err != nil {
+		return nil, err
+	}
+	for i, sp := range mf.Params {
 		m.params[i].Data.CopyFrom(tensor.FromSlice(sp.Rows, sp.Cols, sp.Data))
 	}
 	if mf.BaselineW != nil {

@@ -128,6 +128,17 @@ func NewMLP(rng *rand.Rand, act Activation, sizes ...int) *MLP {
 	return m
 }
 
+// MLPShapes returns the (rows, cols) of every parameter of NewMLP(rng,
+// act, sizes...), in the order its Params lists them: each layer's
+// weight, sizes[i] x sizes[i+1], then its 1 x sizes[i+1] bias.
+func MLPShapes(sizes ...int) [][2]int {
+	var shapes [][2]int
+	for i := 0; i+1 < len(sizes); i++ {
+		shapes = append(shapes, [2]int{sizes[i], sizes[i+1]}, [2]int{1, sizes[i+1]})
+	}
+	return shapes
+}
+
 // Forward applies all layers in order.
 func (m *MLP) Forward(x *autodiff.Value) *autodiff.Value {
 	for _, l := range m.Layers {

@@ -34,6 +34,11 @@ import (
 // unread rest, and a buffer that grew past the cap is not pooled.
 const maxPooledBody = 64 << 10
 
+// maxRequestBody caps every POST body. A decode that reads past it fails
+// with *http.MaxBytesError, which the handlers answer with 413. Bodies
+// within maxPooledBody never reach the limiting reader.
+const maxRequestBody = 4 << 20
+
 // codec is one request's pooled buffer. It holds the request body while it
 // is decoded, then the reply until the ResponseWriter's Write returns.
 // Decoded values never point into it, so they stay valid after the buffer
@@ -54,9 +59,10 @@ func (c *codec) release() {
 
 // read buffers body up to maxPooledBody bytes. It returns nil when the
 // whole body is buffered, and otherwise the reader that continues the
-// stream after the buffered bytes: the body itself when it is longer than
-// the cap, or a reader returning the read error.
-func (c *codec) read(body io.Reader) io.Reader {
+// stream after the buffered bytes: the body, limited to maxRequestBody in
+// all, when it is longer than the buffer cap, or a reader returning the
+// read error.
+func (c *codec) read(w http.ResponseWriter, body io.ReadCloser) io.Reader {
 	b := c.buf[:0]
 	for len(b) < maxPooledBody {
 		if len(b) == cap(b) {
@@ -73,7 +79,7 @@ func (c *codec) read(body io.Reader) io.Reader {
 		}
 	}
 	c.buf = b
-	return body
+	return http.MaxBytesReader(w, body, maxRequestBody-int64(len(b)))
 }
 
 type errReader struct{ err error }
@@ -82,9 +88,10 @@ func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // decode reads one request body and decodes it: with parse when the whole
 // body is buffered and parse accepts it, else with encoding/json over the
-// same byte stream, so errors and values are encoding/json's.
-func decode[T any](c *codec, body io.Reader, parse func([]byte) (T, bool)) (T, error) {
-	rest := c.read(body)
+// same byte stream, so errors and values are encoding/json's, up to
+// maxRequestBody. w, which may be nil, is told when a body runs past it.
+func decode[T any](c *codec, w http.ResponseWriter, body io.ReadCloser, parse func([]byte) (T, bool)) (T, error) {
+	rest := c.read(w, body)
 	if rest == nil {
 		if v, ok := parse(c.buf); ok {
 			return v, nil

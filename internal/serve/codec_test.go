@@ -180,7 +180,7 @@ func checkDecode[T any](t *testing.T, b []byte, parse func([]byte) (T, bool)) {
 			t.Fatalf("parse %q re-encodes as %s; encoding/json's value as %s", b, gj, wj)
 		}
 	}
-	got, err := decode(&codec{}, bytes.NewReader(b), parse)
+	got, err := decode(&codec{}, nil, io.NopCloser(bytes.NewReader(b)), parse)
 	if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
 		t.Fatalf("decode %q = %#v, %v; encoding/json %#v, %v", b, got, err, want, wantErr)
 	}

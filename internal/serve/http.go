@@ -230,6 +230,23 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
+// decodeJSON decodes a body with encoding/json, reading at most
+// maxRequestBody bytes of it.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+}
+
+// writeDecodeError answers a body that did not decode: 413 when it ran
+// past maxRequestBody, 400 otherwise.
+func writeDecodeError(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("decode request: %w", err))
+}
+
 // validateQuery bounds-checks entity indices against the current snapshot
 // before they reach the embedding tables.
 func (s *Server) validateQuery(q pitot.Query) error {
@@ -262,9 +279,9 @@ func (s *Server) handlePrediction(w http.ResponseWriter, r *http.Request, bound 
 	defer h.ObserveSince(start)
 	c := getCodec()
 	defer c.release()
-	req, err := decode(c, r.Body, parseEstimate)
+	req, err := decode(c, w, r.Body, parseEstimate)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		writeDecodeError(w, err)
 		return
 	}
 	q := pitot.Query{Workload: req.Workload, Platform: req.Platform, Interferers: req.Interferers}
@@ -299,8 +316,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ObserveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := decodeJSON(w, r, &req); err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	if len(req.Observations) == 0 {
@@ -330,9 +347,9 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	defer s.hists.place.ObserveSince(start)
 	c := getCodec()
 	defer c.release()
-	req, err := decode(c, r.Body, parsePlace)
+	req, err := decode(c, w, r.Body, parsePlace)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		writeDecodeError(w, err)
 		return
 	}
 	if len(req.Jobs) == 0 {
@@ -380,9 +397,9 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	c := getCodec()
 	defer c.release()
-	req, err := decode(c, r.Body, parseComplete)
+	req, err := decode(c, w, r.Body, parseComplete)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		writeDecodeError(w, err)
 		return
 	}
 	if len(req.IDs) == 0 {
@@ -448,8 +465,8 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req FailRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := decodeJSON(w, r, &req); err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	if req.Degrade {
@@ -489,8 +506,8 @@ func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RecoverRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if err := decodeJSON(w, r, &req); err != nil {
+		writeDecodeError(w, err)
 		return
 	}
 	if err := s.RecoverPlatform(req.Platform); err != nil {

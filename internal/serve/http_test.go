@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -347,5 +348,50 @@ func TestHTTPConcurrentObserveAndEstimate(t *testing.T) {
 	}
 	if obsResp.Version != base+1 {
 		t.Fatalf("observe version %d, want %d", obsResp.Version, base+1)
+	}
+}
+
+// TestOversizedBodiesRefused posts one body per POST endpoint that runs
+// past maxRequestBody before its JSON value ends, over a loopback server:
+// each gets 413 without reaching its handler's work, and the same
+// endpoint then answers a well-formed request.
+func TestOversizedBodiesRefused(t *testing.T) {
+	pred, _ := ownPredictor(t)
+	s := New(pred, Config{})
+	defer s.Close()
+	if err := s.EnablePlacement(PlacementConfig{MaxColocation: 2}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewHandler(s))
+	defer ts.Close()
+	client := ts.Client()
+	pad := strings.Repeat(" ", maxRequestBody)
+	for _, c := range []struct {
+		path, oversized, next string
+	}{
+		{"/estimate", `{"workload":1,` + pad + `"platform":2}`, `{"workload":1,"platform":2}`},
+		{"/bound", `{"workload":1,"platform":2,` + pad + `"eps":0.1}`, `{"workload":1,"platform":2,"eps":0.1}`},
+		{"/place", `{"jobs":[{"workload":1,"deadline":1e9}` + pad + `]}`, `{"jobs":[{"workload":1,"deadline":1e9}]}`},
+		{"/complete", `{"ids":[1` + pad + `]}`, `{"ids":[1]}`},
+		{"/observe", `{"observations":[` + pad + `]}`, `{"observations":[{"w":1,"p":2,"t":0.05}]}`},
+		{"/fail", `{"platform":1` + pad + `}`, `{"platform":1}`},
+		{"/recover", `{"platform":1` + pad + `}`, `{"platform":1}`},
+	} {
+		post := func(body string) (int, string) {
+			resp, err := client.Post(ts.URL+c.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s: %v", c.path, err)
+			}
+			defer resp.Body.Close()
+			var raw bytes.Buffer
+			raw.ReadFrom(resp.Body)
+			return resp.StatusCode, raw.String()
+		}
+		if status, raw := post(c.oversized); status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status %d (%s), want 413", c.path, len(c.oversized), status, raw)
+		}
+		if status, raw := post(c.next); status != http.StatusOK {
+			t.Errorf("%s after the oversized body: status %d (%s), want 200", c.path, status, raw)
+		}
 	}
 }

@@ -84,12 +84,16 @@ func refRowDotInto(dst, a, b *Matrix) {
 	}
 }
 
-// identityShapes are (rows, inner, cols) triples around the 2×4 tile:
-// empty and single-element operands, every remainder of 2 and 4, and the
-// tower shapes of the default model.
+// identityShapes are (rows, inner, cols) triples around the Go kernels'
+// 2×4 tile and the vector kernels' 2×16 block: empty and single-element
+// operands, every remainder of 2 and 4, 16, 17, 33 and 160 columns with
+// even and odd row counts, an empty inner dimension under a full block,
+// and the tower shapes of the default model.
 var identityShapes = [][3]int{
 	{0, 3, 5}, {3, 0, 5}, {1, 1, 1}, {1, 7, 3}, {2, 4, 4}, {3, 5, 7},
 	{5, 9, 6}, {7, 13, 9}, {11, 3, 17}, {48, 128, 256}, {49, 33, 130},
+	{2, 5, 16}, {3, 6, 16}, {4, 9, 17}, {5, 2, 33}, {6, 31, 33},
+	{7, 12, 160}, {1, 4, 16}, {4, 0, 16}, {5, 0, 33},
 }
 
 // zeroHeavy fills a matrix with normal values, exact +0 and −0 in about a
@@ -140,6 +144,18 @@ func infectSkipped(a, b *Matrix, kIsCol bool) {
 	}
 }
 
+// poisonLeft puts a NaN into about one left-operand entry in forty,
+// after infectSkipped has read the zero pattern. The Go kernels multiply
+// a NaN like any nonzero entry; a zero test that takes an unordered
+// compare for "equal" would skip it and leave its outputs finite.
+func poisonLeft(rng *rand.Rand, a *Matrix) {
+	for i := range a.Data {
+		if rng.Intn(40) == 0 {
+			a.Data[i] = math.NaN()
+		}
+	}
+}
+
 // startDst returns the destination a kernel runs on: NaN everywhere when
 // it must not read it, else normal values with −0 and +0 mixed in, which
 // an accumulation that starts from a different zero would flip.
@@ -174,10 +190,11 @@ func requireBitwise(t *testing.T, what string, got, want *Matrix) {
 	}
 }
 
-// skipUnlessDefaultAMD64 limits bitwise kernel comparisons to amd64, whose
-// default build (GOAMD64=v1) never fuses a multiply and an add: other
-// architectures may contract a*b+c into one FMA in one loop and not in
-// the other.
+// skipUnlessDefaultAMD64 limits bitwise kernel comparisons to amd64. Its
+// vector kernels round every product before adding it (VMULPD, then
+// VADDPD), and its default build (GOAMD64=v1) never fuses a multiply and
+// an add in Go code either. Other architectures may contract a*b+c into
+// one FMA in one loop and not in the other.
 func skipUnlessDefaultAMD64(t *testing.T) {
 	t.Helper()
 	if runtime.GOARCH != "amd64" {
@@ -185,22 +202,39 @@ func skipUnlessDefaultAMD64(t *testing.T) {
 	}
 }
 
+// forEachKernel runs f on the vector kernels, where this build and CPU
+// have them, and then on the Go kernels.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	vec := SetVectorKernels(false)
+	defer SetVectorKernels(vec)
+	if vec {
+		SetVectorKernels(true)
+		t.Run("vector", f)
+		SetVectorKernels(false)
+	}
+	t.Run("go", f)
+}
+
 func TestKernelIdentityMatMul(t *testing.T) {
 	skipUnlessDefaultAMD64(t)
-	rng := rand.New(rand.NewSource(1))
-	for _, sh := range identityShapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		for _, acc := range []bool{false, true} {
-			a := zeroHeavy(rng, m, k, false)
-			b := randMatrix(rng, k, n)
-			infectSkipped(a, b, true)
-			want := startDst(rng, m, n, acc)
-			got := want.Clone()
-			refMatMulInto(want, a, b, acc)
-			MatMulInto(got, a, b, acc)
-			requireBitwise(t, "MatMulInto", got, want)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		for _, sh := range identityShapes {
+			m, k, n := sh[0], sh[1], sh[2]
+			for _, acc := range []bool{false, true} {
+				a := zeroHeavy(rng, m, k, false)
+				b := randMatrix(rng, k, n)
+				infectSkipped(a, b, true)
+				poisonLeft(rng, a)
+				want := startDst(rng, m, n, acc)
+				got := want.Clone()
+				refMatMulInto(want, a, b, acc)
+				MatMulInto(got, a, b, acc)
+				requireBitwise(t, "MatMulInto", got, want)
+			}
 		}
-	}
+	})
 }
 
 // TestKernelIdentityMatMulParallel runs MatMulInto above the goroutine
@@ -212,75 +246,175 @@ func TestKernelIdentityMatMulParallel(t *testing.T) {
 		runtime.GOMAXPROCS(2)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	rng := rand.New(rand.NewSource(2))
-	for _, sh := range [][3]int{{67, 61, 65}, {129, 64, 33}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		if m*k*n < minParallelWork {
-			t.Fatalf("shape %v below the parallel threshold", sh)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		for _, sh := range [][3]int{{67, 61, 65}, {129, 64, 33}} {
+			m, k, n := sh[0], sh[1], sh[2]
+			if m*k*n < minParallelWork {
+				t.Fatalf("shape %v below the parallel threshold", sh)
+			}
+			for _, acc := range []bool{false, true} {
+				a := zeroHeavy(rng, m, k, false)
+				b := randMatrix(rng, k, n)
+				infectSkipped(a, b, true)
+				poisonLeft(rng, a)
+				want := startDst(rng, m, n, acc)
+				got := want.Clone()
+				refMatMulInto(want, a, b, acc)
+				MatMulInto(got, a, b, acc)
+				requireBitwise(t, "MatMulInto (parallel)", got, want)
+			}
 		}
-		for _, acc := range []bool{false, true} {
-			a := zeroHeavy(rng, m, k, false)
-			b := randMatrix(rng, k, n)
-			infectSkipped(a, b, true)
-			want := startDst(rng, m, n, acc)
-			got := want.Clone()
-			refMatMulInto(want, a, b, acc)
-			MatMulInto(got, a, b, acc)
-			requireBitwise(t, "MatMulInto (parallel)", got, want)
-		}
-	}
+	})
 }
 
 func TestKernelIdentityMatMulATB(t *testing.T) {
 	skipUnlessDefaultAMD64(t)
-	rng := rand.New(rand.NewSource(3))
-	for _, sh := range identityShapes {
-		// dst = aᵀ·b is sh[0] x sh[2]; a and b share sh[1] rows.
-		m, k, n := sh[0], sh[1], sh[2]
-		for _, acc := range []bool{false, true} {
-			a := zeroHeavy(rng, k, m, true)
-			b := randMatrix(rng, k, n)
-			infectSkipped(a, b, false)
-			want := startDst(rng, m, n, acc)
-			got := want.Clone()
-			refMatMulATBInto(want, a, b, acc)
-			MatMulATBInto(got, a, b, acc)
-			requireBitwise(t, "MatMulATBInto", got, want)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(3))
+		for _, sh := range identityShapes {
+			// dst = aᵀ·b is sh[0] x sh[2]; a and b share sh[1] rows.
+			m, k, n := sh[0], sh[1], sh[2]
+			for _, acc := range []bool{false, true} {
+				a := zeroHeavy(rng, k, m, true)
+				b := randMatrix(rng, k, n)
+				infectSkipped(a, b, false)
+				poisonLeft(rng, a)
+				want := startDst(rng, m, n, acc)
+				got := want.Clone()
+				refMatMulATBInto(want, a, b, acc)
+				MatMulATBInto(got, a, b, acc)
+				requireBitwise(t, "MatMulATBInto", got, want)
+			}
 		}
-	}
+	})
 }
 
 func TestKernelIdentityMatMulABT(t *testing.T) {
 	skipUnlessDefaultAMD64(t)
-	rng := rand.New(rand.NewSource(4))
-	for _, sh := range identityShapes {
-		// dst = a·bᵀ is sh[0] x sh[2]; a and b share sh[1] columns.
-		m, k, n := sh[0], sh[1], sh[2]
-		for _, acc := range []bool{false, true} {
-			a := zeroHeavy(rng, m, k, false)
-			b := zeroHeavy(rng, n, k, false)
-			want := startDst(rng, m, n, acc)
-			got := want.Clone()
-			refMatMulABTInto(want, a, b, acc)
-			MatMulABTInto(got, a, b, acc)
-			requireBitwise(t, "MatMulABTInto", got, want)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		for _, sh := range identityShapes {
+			// dst = a·bᵀ is sh[0] x sh[2]; a and b share sh[1] columns.
+			m, k, n := sh[0], sh[1], sh[2]
+			for _, acc := range []bool{false, true} {
+				a := zeroHeavy(rng, m, k, false)
+				b := zeroHeavy(rng, n, k, false)
+				poisonLeft(rng, a)
+				want := startDst(rng, m, n, acc)
+				got := want.Clone()
+				refMatMulABTInto(want, a, b, acc)
+				MatMulABTInto(got, a, b, acc)
+				requireBitwise(t, "MatMulABTInto", got, want)
+			}
 		}
-	}
+	})
 }
 
 func TestKernelIdentityRowDot(t *testing.T) {
 	skipUnlessDefaultAMD64(t)
-	rng := rand.New(rand.NewSource(5))
-	for _, sh := range identityShapes {
-		m, k := sh[0], sh[1]
-		a := zeroHeavy(rng, m, k, false)
-		b := zeroHeavy(rng, m, k, true)
-		want := startDst(rng, m, 1, false)
-		got := want.Clone()
-		refRowDotInto(want, a, b)
-		RowDotInto(got, a, b)
-		requireBitwise(t, "RowDotInto", got, want)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		for _, sh := range identityShapes {
+			m, k := sh[0], sh[1]
+			a := zeroHeavy(rng, m, k, false)
+			b := zeroHeavy(rng, m, k, true)
+			want := startDst(rng, m, 1, false)
+			got := want.Clone()
+			refRowDotInto(want, a, b)
+			RowDotInto(got, a, b)
+			requireBitwise(t, "RowDotInto", got, want)
+		}
+	})
+}
+
+// rowKernelLengths cover every remainder of the row kernels' eight- and
+// four-wide steps, below and above one step, and the rank and tower
+// widths of the default model.
+var rowKernelLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 32, 160}
+
+// specialRow fills a slice with normal values and, in about half the
+// entries, −0, +0, +Inf, −Inf or, when withNaN, NaN. NaN goes only into
+// right-hand operands (x and the scale), so no add or multiply meets two
+// NaNs of different payloads: which one the hardware keeps then depends
+// on an operand order that neither loop fixes.
+func specialRow(rng *rand.Rand, n int, withNaN bool) []float64 {
+	specials := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN()}
+	if !withNaN {
+		specials = specials[:4]
 	}
+	row := make([]float64, n)
+	for i := range row {
+		if rng.Intn(2) == 0 {
+			row[i] = specials[rng.Intn(len(specials))]
+		} else {
+			row[i] = rng.NormFloat64()
+		}
+	}
+	return row
+}
+
+func TestKernelIdentityAddScaled(t *testing.T) {
+	skipUnlessDefaultAMD64(t)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(8))
+		scales := []float64{1.5, -0.3, math.Copysign(0, -1), 0, math.Inf(1), math.NaN()}
+		for _, n := range rowKernelLengths {
+			for _, c := range scales {
+				x := specialRow(rng, n, true)
+				want := specialRow(rng, n, false)
+				got := append([]float64(nil), want...)
+				for j, v := range x {
+					want[j] += c * v
+				}
+				AddScaled(got, c, x)
+				requireBitwise(t, "AddScaled", Vector(got), Vector(want))
+			}
+		}
+	})
+}
+
+// TestKernelIdentityAddRows checks the row-add kernel through its two
+// callers, ScatterAddCols and AddColsInPlace, against the plain loop.
+func TestKernelIdentityAddRows(t *testing.T) {
+	skipUnlessDefaultAMD64(t)
+	forEachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(9))
+		for _, n := range rowKernelLengths {
+			const rows, lo = 3, 2
+			src := New(rows, n)
+			for i := 0; i < rows; i++ {
+				copy(src.Row(i), specialRow(rng, n, true))
+			}
+			dst := New(rows, lo+n+1)
+			for i := 0; i < rows; i++ {
+				copy(dst.Row(i), specialRow(rng, dst.Cols, false))
+			}
+			want := dst.Clone()
+			for i := 0; i < rows; i++ {
+				wrow := want.Row(i)[lo : lo+n]
+				for j, v := range src.Row(i) {
+					wrow[j] += v
+				}
+			}
+			got := dst.Clone()
+			AddColsInPlace(got, src, lo)
+			requireBitwise(t, "AddColsInPlace", got, want)
+
+			// Rows 2, 0, 2: a repeated index adds twice, in order.
+			idx := []int{2, 0, 2}
+			want = dst.Clone()
+			for i, r := range idx {
+				wrow := want.Row(r)[lo : lo+n]
+				for j, v := range src.Row(i) {
+					wrow[j] += v
+				}
+			}
+			got = dst.Clone()
+			ScatterAddCols(got, src, idx, lo)
+			requireBitwise(t, "ScatterAddCols", got, want)
+		}
+	})
 }
 
 // towerShapes are the (rows, inner, cols) of the three layers of each
@@ -293,20 +427,23 @@ var towerShapes = [][3]int{
 }
 
 // BenchmarkTowerKernels times each matrix product of a training step's
-// tower pass over towerShapes, blocked against the reference loops, and
-// reports ns per multiply-add: the forward product X·W, the weight
-// gradient Xᵀ·dY and the input gradient dY·Wᵀ, the last two accumulating
-// as the backward pass does. Run at -cpu 1 for the single-core rate; the
-// forward product of the widest layers shards across goroutines above
-// one P.
+// tower pass over towerShapes, on the vector kernels (where this build
+// and CPU have them), on the blocked Go kernels and on the reference
+// loops, and reports ns per multiply-add: the forward product X·W, the
+// weight gradient Xᵀ·dY and the input gradient dY·Wᵀ, the last two
+// accumulating as the backward pass does. Run at -cpu 1 for the
+// single-core rate; the forward product of the widest layers shards
+// across goroutines above one P.
 func BenchmarkTowerKernels(b *testing.B) {
 	type kernel func(dst, a, b *Matrix, accumulate bool)
 	impls := []struct {
 		name          string
+		vec           bool
 		mm, atb, abtK kernel
 	}{
-		{"blocked", MatMulInto, MatMulATBInto, MatMulABTInto},
-		{"loop", refMatMulInto, refMatMulATBInto, refMatMulABTInto},
+		{"vector", true, MatMulInto, MatMulATBInto, MatMulABTInto},
+		{"blocked", false, MatMulInto, MatMulATBInto, MatMulABTInto},
+		{"loop", false, refMatMulInto, refMatMulATBInto, refMatMulABTInto},
 	}
 	rng := rand.New(rand.NewSource(7))
 	type operands struct{ x, w, y, dy, dw, dx *Matrix }
@@ -323,6 +460,10 @@ func BenchmarkTowerKernels(b *testing.B) {
 	for _, kern := range []string{"matmul", "atb", "abt"} {
 		for _, impl := range impls {
 			b.Run(kern+"/"+impl.name, func(b *testing.B) {
+				defer SetVectorKernels(SetVectorKernels(impl.vec))
+				if impl.vec && !useVec {
+					b.Skip("no vector kernels in this build or on this CPU")
+				}
 				for i := 0; i < b.N; i++ {
 					for _, o := range ops {
 						switch kern {

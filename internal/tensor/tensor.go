@@ -194,23 +194,31 @@ func MatMulInto(dst, a, b *Matrix, accumulate bool) {
 	wg.Wait()
 }
 
+// vecBlock is the column width of the vector kernels' row-pair block.
+const vecBlock = 16
+
 // matMulRange computes rows [lo,hi) of dst = a*b (dst += a*b when
 // accumulate is true), two rows by four columns at a time held in
-// registers. Each output element still sums its products in ascending k,
-// starting from +0 (or its old value), and skips every k whose a entry is
-// exactly zero, so the result is bitwise that of the i-k-j loop
+// registers, or by sixteen in the vector kernel (mulPair16). Each output
+// element still sums its products in ascending k, starting from +0 (or
+// its old value), and skips every k whose a entry is exactly zero, so the
+// result is bitwise that of the i-k-j loop
 //
 //	for k, av := range a.Row(i) { if av != 0 { dst[i][j] += av * b[k][j] } }
 //
 // including where a skipped zero meets an infinite or NaN b entry.
 func matMulRange(dst, a, b *Matrix, lo, hi int, accumulate bool) {
-	n, bd := b.Cols, b.Data
+	n, bd := b.Cols, b.Data[:b.Rows*b.Cols]
 	i := lo
 	for ; i+2 <= hi; i += 2 {
 		a0, a1 := a.Row(i), a.Row(i+1)
 		a1 = a1[:len(a0)]
 		d0, d1 := dst.Row(i), dst.Row(i+1)
 		j := 0
+		if useVec && n >= vecBlock && len(a0) > 0 {
+			j = n - n%vecBlock
+			mulPair16(&d0[0], &a0[0], &bd[0], len(a0), n, j/vecBlock, accumulate)
+		}
 		for ; j+4 <= n; j += 4 {
 			var c00, c01, c02, c03, c10, c11, c12, c13 float64
 			if accumulate {
@@ -323,10 +331,11 @@ func transposeInto(t, m *Matrix) {
 }
 
 // MatMulABTInto computes dst = a*bᵀ (or dst += a*bᵀ when accumulate is
-// true) without materializing the transpose. Each element is one dot
-// product summed in ascending k from +0, then stored (or added); four of
-// them run as independent chains so the adds overlap instead of waiting
-// on one another.
+// true). Each element is one dot product summed in ascending k from +0,
+// then stored (or added). The vector kernel (dotPair16) runs row pairs by
+// sixteen columns over a pooled transpose of b; the Go loop, which covers
+// the rest, runs four dot products as independent chains over b's rows so
+// the adds overlap instead of waiting on one another.
 func MatMulABTInto(dst, a, b *Matrix, accumulate bool) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulABT dims %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -334,10 +343,28 @@ func MatMulABTInto(dst, a, b *Matrix, accumulate bool) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulABT dst %dx%d for %dx%d result", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	for i := 0; i < a.Rows; i++ {
+	rows, j0 := 0, 0
+	if useVec && a.Rows >= 2 && b.Rows >= vecBlock && a.Cols > 0 {
+		rows, j0 = a.Rows-a.Rows%2, b.Rows-b.Rows%vecBlock
+		bt := GetPooledUncleared(b.Cols, b.Rows)
+		transposeInto(bt, b)
+		for i := 0; i < rows; i += 2 {
+			_, _ = dst.Row(i+1), a.Row(i+1) // the kernel's second rows, bounds-checked
+			dotPair16(&dst.Data[i*dst.Cols], &a.Data[i*a.Cols], &bt.Data[0], a.Cols, b.Rows, j0/vecBlock, accumulate)
+		}
+		PutPooled(bt)
+	}
+	abtRange(dst, a, b, 0, rows, j0, accumulate)
+	abtRange(dst, a, b, rows, a.Rows, 0, accumulate)
+}
+
+// abtRange computes columns [j0, b.Rows) of rows [lo, hi) of
+// MatMulABTInto in Go.
+func abtRange(dst, a, b *Matrix, lo, hi, j0 int, accumulate bool) {
+	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
-		j := 0
+		j := j0
 		for ; j+4 <= b.Rows; j += 4 {
 			s0, s1, s2, s3 := dot4(arow, b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3))
 			if accumulate {
@@ -418,10 +445,38 @@ func AddColsInPlace(dst, src *Matrix, lo int) {
 			src.Rows, src.Cols, lo, dst.Rows, dst.Cols))
 	}
 	for i := 0; i < src.Rows; i++ {
-		drow := dst.Row(i)[lo : lo+src.Cols]
-		for j, v := range src.Row(i) {
-			drow[j] += v
-		}
+		addTo(dst.Row(i)[lo:lo+src.Cols], src.Row(i))
+	}
+}
+
+// addTo computes dst[j] += x[j] over two slices of one length.
+func addTo(dst, x []float64) {
+	x = x[:len(dst)]
+	if useVec && len(dst) >= 4 {
+		addVec(&dst[0], &x[0], len(dst))
+		return
+	}
+	for j, v := range x {
+		dst[j] += v
+	}
+}
+
+// AddScaled computes dst[j] += c·x[j] over two slices of one length, each
+// product rounded and then added, as the loop
+//
+//	for j, v := range x { dst[j] += c * v }
+//
+// does. It is the row kernel of RowDot's backward pass.
+func AddScaled(dst []float64, c float64, x []float64) {
+	if len(x) != len(dst) {
+		panic(fmt.Sprintf("tensor: AddScaled lengths %d and %d", len(dst), len(x)))
+	}
+	if useVec && len(dst) >= 4 {
+		axpyVec(&dst[0], &x[0], len(dst), c)
+		return
+	}
+	for j, v := range x {
+		dst[j] += c * v
 	}
 }
 
@@ -727,10 +782,7 @@ func ScatterAddCols(dst, src *Matrix, idx []int, lo int) {
 			src.Rows, src.Cols, len(idx), dst.Rows, dst.Cols, lo))
 	}
 	for i, r := range idx {
-		drow := dst.Row(r)[lo : lo+src.Cols]
-		for j, v := range src.Row(i) {
-			drow[j] += v
-		}
+		addTo(dst.Row(r)[lo:lo+src.Cols], src.Row(i))
 	}
 }
 
