@@ -64,20 +64,6 @@ func requireSameBits(t *testing.T, what string, got, want *tensor.Matrix) {
 	}
 }
 
-// forEachKernel runs f on tensor's vector kernels, where this build and
-// CPU have them, and then on its Go kernels.
-func forEachKernel(t *testing.T, f func(t *testing.T)) {
-	t.Helper()
-	vec := tensor.SetVectorKernels(false)
-	defer tensor.SetVectorKernels(vec)
-	if vec {
-		tensor.SetVectorKernels(true)
-		t.Run("vector", f)
-		tensor.SetVectorKernels(false)
-	}
-	t.Run("go", f)
-}
-
 // TestKernelIdentityRowDotBackward checks RowDot's one-pass backward
 // against the two-pass reference bit for bit: both operands tracked,
 // either one alone, and a == b, where the two products land in one
@@ -89,10 +75,6 @@ func TestKernelIdentityRowDotBackward(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("bitwise kernel identity is checked on amd64")
 	}
-	forEachKernel(t, testRowDotBackward)
-}
-
-func testRowDotBackward(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, sh := range [][2]int{{1, 1}, {3, 5}, {2, 9}, {7, 32}, {128, 32}, {4, 160}} {
 		rows, cols := sh[0], sh[1]

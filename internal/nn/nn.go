@@ -85,14 +85,21 @@ type Linear struct {
 // NewLinear creates a layer with LeCun/Xavier-style initialization:
 // weights ~ N(0, 1/fanIn), biases zero.
 func NewLinear(rng *rand.Rand, in, out int, act Activation) *Linear {
-	w := tensor.New(in, out)
-	std := 1 / math.Sqrt(float64(in))
+	shapes := MLPShapes(in, out)
+	return newLinear(rng, shapes[0], shapes[1], act)
+}
+
+// newLinear allocates a layer's weight and bias at the (rows, cols)
+// MLPShapes gives them.
+func newLinear(rng *rand.Rand, wShape, bShape [2]int, act Activation) *Linear {
+	w := tensor.New(wShape[0], wShape[1])
+	std := 1 / math.Sqrt(float64(wShape[0]))
 	for i := range w.Data {
 		w.Data[i] = rng.NormFloat64() * std
 	}
 	return &Linear{
 		W:   autodiff.NewParam(w),
-		B:   autodiff.NewParam(tensor.New(1, out)),
+		B:   autodiff.NewParam(tensor.New(bShape[0], bShape[1])),
 		Act: act,
 	}
 }
@@ -117,20 +124,23 @@ func NewMLP(rng *rand.Rand, act Activation, sizes ...int) *MLP {
 	if len(sizes) < 2 {
 		panic("nn: MLP needs at least input and output sizes")
 	}
-	m := &MLP{}
-	for i := 0; i < len(sizes)-1; i++ {
+	shapes := MLPShapes(sizes...)
+	m := &MLP{Layers: make([]*Linear, len(shapes)/2)}
+	for i := range m.Layers {
 		a := act
-		if i == len(sizes)-2 {
+		if i == len(m.Layers)-1 {
 			a = ActNone
 		}
-		m.Layers = append(m.Layers, NewLinear(rng, sizes[i], sizes[i+1], a))
+		m.Layers[i] = newLinear(rng, shapes[2*i], shapes[2*i+1], a)
 	}
 	return m
 }
 
 // MLPShapes returns the (rows, cols) of every parameter of NewMLP(rng,
 // act, sizes...), in the order its Params lists them: each layer's
-// weight, sizes[i] x sizes[i+1], then its 1 x sizes[i+1] bias.
+// weight, sizes[i] x sizes[i+1], then its 1 x sizes[i+1] bias. NewMLP
+// allocates its parameters from it, so a caller can check a stored
+// model's shapes before building one.
 func MLPShapes(sizes ...int) [][2]int {
 	var shapes [][2]int
 	for i := 0; i+1 < len(sizes); i++ {

@@ -147,7 +147,10 @@ func infectSkipped(a, b *Matrix, kIsCol bool) {
 // poisonLeft puts a NaN into about one left-operand entry in forty,
 // after infectSkipped has read the zero pattern. The Go kernels multiply
 // a NaN like any nonzero entry; a zero test that takes an unordered
-// compare for "equal" would skip it and leave its outputs finite.
+// compare for "equal" would skip it and leave its outputs finite. A NaN
+// turns its whole output row NaN, so the product tests run every shape
+// twice: a clean pass, where every element is compared as a finite (or
+// ±Inf) value, and then a pass with NaN in the left operand.
 func poisonLeft(rng *rand.Rand, a *Matrix) {
 	for i := range a.Data {
 		if rng.Intn(40) == 0 {
@@ -194,7 +197,9 @@ func requireBitwise(t *testing.T, what string, got, want *Matrix) {
 // vector kernels round every product before adding it (VMULPD, then
 // VADDPD), and its default build (GOAMD64=v1) never fuses a multiply and
 // an add in Go code either. Other architectures may contract a*b+c into
-// one FMA in one loop and not in the other.
+// one FMA in one loop and not in the other. On a CPU with AVX these tests
+// check the vector kernels; run them with -tags purego to check the Go
+// kernels, which other CPUs and architectures run.
 func skipUnlessDefaultAMD64(t *testing.T) {
 	t.Helper()
 	if runtime.GOARCH != "amd64" {
@@ -202,39 +207,35 @@ func skipUnlessDefaultAMD64(t *testing.T) {
 	}
 }
 
-// forEachKernel runs f on the vector kernels, where this build and CPU
-// have them, and then on the Go kernels.
-func forEachKernel(t *testing.T, f func(t *testing.T)) {
-	t.Helper()
-	vec := SetVectorKernels(false)
-	defer SetVectorKernels(vec)
-	if vec {
-		SetVectorKernels(true)
-		t.Run("vector", f)
-		SetVectorKernels(false)
+// withNaN labels a product identity check by its pass.
+func withNaN(what string, nan bool) string {
+	if nan {
+		return what + " (NaN in the left operand)"
 	}
-	t.Run("go", f)
+	return what
 }
 
 func TestKernelIdentityMatMul(t *testing.T) {
 	skipUnlessDefaultAMD64(t)
-	forEachKernel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(1))
+	rng := rand.New(rand.NewSource(1))
+	for _, nan := range []bool{false, true} {
 		for _, sh := range identityShapes {
 			m, k, n := sh[0], sh[1], sh[2]
 			for _, acc := range []bool{false, true} {
 				a := zeroHeavy(rng, m, k, false)
 				b := randMatrix(rng, k, n)
 				infectSkipped(a, b, true)
-				poisonLeft(rng, a)
+				if nan {
+					poisonLeft(rng, a)
+				}
 				want := startDst(rng, m, n, acc)
 				got := want.Clone()
 				refMatMulInto(want, a, b, acc)
 				MatMulInto(got, a, b, acc)
-				requireBitwise(t, "MatMulInto", got, want)
+				requireBitwise(t, withNaN("MatMulInto", nan), got, want)
 			}
 		}
-	})
+	}
 }
 
 // TestKernelIdentityMatMulParallel runs MatMulInto above the goroutine
@@ -246,8 +247,8 @@ func TestKernelIdentityMatMulParallel(t *testing.T) {
 		runtime.GOMAXPROCS(2)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	forEachKernel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(2))
+	rng := rand.New(rand.NewSource(2))
+	for _, nan := range []bool{false, true} {
 		for _, sh := range [][3]int{{67, 61, 65}, {129, 64, 33}} {
 			m, k, n := sh[0], sh[1], sh[2]
 			if m*k*n < minParallelWork {
@@ -257,21 +258,23 @@ func TestKernelIdentityMatMulParallel(t *testing.T) {
 				a := zeroHeavy(rng, m, k, false)
 				b := randMatrix(rng, k, n)
 				infectSkipped(a, b, true)
-				poisonLeft(rng, a)
+				if nan {
+					poisonLeft(rng, a)
+				}
 				want := startDst(rng, m, n, acc)
 				got := want.Clone()
 				refMatMulInto(want, a, b, acc)
 				MatMulInto(got, a, b, acc)
-				requireBitwise(t, "MatMulInto (parallel)", got, want)
+				requireBitwise(t, withNaN("MatMulInto (parallel)", nan), got, want)
 			}
 		}
-	})
+	}
 }
 
 func TestKernelIdentityMatMulATB(t *testing.T) {
 	skipUnlessDefaultAMD64(t)
-	forEachKernel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(3))
+	rng := rand.New(rand.NewSource(3))
+	for _, nan := range []bool{false, true} {
 		for _, sh := range identityShapes {
 			// dst = aᵀ·b is sh[0] x sh[2]; a and b share sh[1] rows.
 			m, k, n := sh[0], sh[1], sh[2]
@@ -279,53 +282,55 @@ func TestKernelIdentityMatMulATB(t *testing.T) {
 				a := zeroHeavy(rng, k, m, true)
 				b := randMatrix(rng, k, n)
 				infectSkipped(a, b, false)
-				poisonLeft(rng, a)
+				if nan {
+					poisonLeft(rng, a)
+				}
 				want := startDst(rng, m, n, acc)
 				got := want.Clone()
 				refMatMulATBInto(want, a, b, acc)
 				MatMulATBInto(got, a, b, acc)
-				requireBitwise(t, "MatMulATBInto", got, want)
+				requireBitwise(t, withNaN("MatMulATBInto", nan), got, want)
 			}
 		}
-	})
+	}
 }
 
 func TestKernelIdentityMatMulABT(t *testing.T) {
 	skipUnlessDefaultAMD64(t)
-	forEachKernel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(4))
+	rng := rand.New(rand.NewSource(4))
+	for _, nan := range []bool{false, true} {
 		for _, sh := range identityShapes {
 			// dst = a·bᵀ is sh[0] x sh[2]; a and b share sh[1] columns.
 			m, k, n := sh[0], sh[1], sh[2]
 			for _, acc := range []bool{false, true} {
 				a := zeroHeavy(rng, m, k, false)
 				b := zeroHeavy(rng, n, k, false)
-				poisonLeft(rng, a)
+				if nan {
+					poisonLeft(rng, a)
+				}
 				want := startDst(rng, m, n, acc)
 				got := want.Clone()
 				refMatMulABTInto(want, a, b, acc)
 				MatMulABTInto(got, a, b, acc)
-				requireBitwise(t, "MatMulABTInto", got, want)
+				requireBitwise(t, withNaN("MatMulABTInto", nan), got, want)
 			}
 		}
-	})
+	}
 }
 
 func TestKernelIdentityRowDot(t *testing.T) {
 	skipUnlessDefaultAMD64(t)
-	forEachKernel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(5))
-		for _, sh := range identityShapes {
-			m, k := sh[0], sh[1]
-			a := zeroHeavy(rng, m, k, false)
-			b := zeroHeavy(rng, m, k, true)
-			want := startDst(rng, m, 1, false)
-			got := want.Clone()
-			refRowDotInto(want, a, b)
-			RowDotInto(got, a, b)
-			requireBitwise(t, "RowDotInto", got, want)
-		}
-	})
+	rng := rand.New(rand.NewSource(5))
+	for _, sh := range identityShapes {
+		m, k := sh[0], sh[1]
+		a := zeroHeavy(rng, m, k, false)
+		b := zeroHeavy(rng, m, k, true)
+		want := startDst(rng, m, 1, false)
+		got := want.Clone()
+		refRowDotInto(want, a, b)
+		RowDotInto(got, a, b)
+		requireBitwise(t, "RowDotInto", got, want)
+	}
 }
 
 // rowKernelLengths cover every remainder of the row kernels' eight- and
@@ -356,65 +361,61 @@ func specialRow(rng *rand.Rand, n int, withNaN bool) []float64 {
 
 func TestKernelIdentityAddScaled(t *testing.T) {
 	skipUnlessDefaultAMD64(t)
-	forEachKernel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(8))
-		scales := []float64{1.5, -0.3, math.Copysign(0, -1), 0, math.Inf(1), math.NaN()}
-		for _, n := range rowKernelLengths {
-			for _, c := range scales {
-				x := specialRow(rng, n, true)
-				want := specialRow(rng, n, false)
-				got := append([]float64(nil), want...)
-				for j, v := range x {
-					want[j] += c * v
-				}
-				AddScaled(got, c, x)
-				requireBitwise(t, "AddScaled", Vector(got), Vector(want))
+	rng := rand.New(rand.NewSource(8))
+	scales := []float64{1.5, -0.3, math.Copysign(0, -1), 0, math.Inf(1), math.NaN()}
+	for _, n := range rowKernelLengths {
+		for _, c := range scales {
+			x := specialRow(rng, n, true)
+			want := specialRow(rng, n, false)
+			got := append([]float64(nil), want...)
+			for j, v := range x {
+				want[j] += c * v
 			}
+			AddScaled(got, c, x)
+			requireBitwise(t, "AddScaled", Vector(got), Vector(want))
 		}
-	})
+	}
 }
 
 // TestKernelIdentityAddRows checks the row-add kernel through its two
 // callers, ScatterAddCols and AddColsInPlace, against the plain loop.
 func TestKernelIdentityAddRows(t *testing.T) {
 	skipUnlessDefaultAMD64(t)
-	forEachKernel(t, func(t *testing.T) {
-		rng := rand.New(rand.NewSource(9))
-		for _, n := range rowKernelLengths {
-			const rows, lo = 3, 2
-			src := New(rows, n)
-			for i := 0; i < rows; i++ {
-				copy(src.Row(i), specialRow(rng, n, true))
-			}
-			dst := New(rows, lo+n+1)
-			for i := 0; i < rows; i++ {
-				copy(dst.Row(i), specialRow(rng, dst.Cols, false))
-			}
-			want := dst.Clone()
-			for i := 0; i < rows; i++ {
-				wrow := want.Row(i)[lo : lo+n]
-				for j, v := range src.Row(i) {
-					wrow[j] += v
-				}
-			}
-			got := dst.Clone()
-			AddColsInPlace(got, src, lo)
-			requireBitwise(t, "AddColsInPlace", got, want)
-
-			// Rows 2, 0, 2: a repeated index adds twice, in order.
-			idx := []int{2, 0, 2}
-			want = dst.Clone()
-			for i, r := range idx {
-				wrow := want.Row(r)[lo : lo+n]
-				for j, v := range src.Row(i) {
-					wrow[j] += v
-				}
-			}
-			got = dst.Clone()
-			ScatterAddCols(got, src, idx, lo)
-			requireBitwise(t, "ScatterAddCols", got, want)
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range rowKernelLengths {
+		const rows, lo = 3, 2
+		src := New(rows, n)
+		for i := 0; i < rows; i++ {
+			copy(src.Row(i), specialRow(rng, n, true))
 		}
-	})
+		dst := New(rows, lo+n+1)
+		for i := 0; i < rows; i++ {
+			copy(dst.Row(i), specialRow(rng, dst.Cols, false))
+		}
+		want := dst.Clone()
+		for i := 0; i < rows; i++ {
+			wrow := want.Row(i)[lo : lo+n]
+			for j, v := range src.Row(i) {
+				wrow[j] += v
+			}
+		}
+		got := dst.Clone()
+		AddColsInPlace(got, src, lo)
+		requireBitwise(t, "AddColsInPlace", got, want)
+
+		// Rows 2, 0, 2: a repeated index adds twice, in order.
+		idx := []int{2, 0, 2}
+		want = dst.Clone()
+		for i, r := range idx {
+			wrow := want.Row(r)[lo : lo+n]
+			for j, v := range src.Row(i) {
+				wrow[j] += v
+			}
+		}
+		got = dst.Clone()
+		ScatterAddCols(got, src, idx, lo)
+		requireBitwise(t, "ScatterAddCols", got, want)
+	}
 }
 
 // towerShapes are the (rows, inner, cols) of the three layers of each
@@ -427,23 +428,26 @@ var towerShapes = [][3]int{
 }
 
 // BenchmarkTowerKernels times each matrix product of a training step's
-// tower pass over towerShapes, on the vector kernels (where this build
-// and CPU have them), on the blocked Go kernels and on the reference
-// loops, and reports ns per multiply-add: the forward product X·W, the
-// weight gradient Xᵀ·dY and the input gradient dY·Wᵀ, the last two
-// accumulating as the backward pass does. Run at -cpu 1 for the
-// single-core rate; the forward product of the widest layers shards
-// across goroutines above one P.
+// tower pass over towerShapes, on this build's kernels against the
+// reference loops, and reports ns per multiply-add: the forward product
+// X·W, the weight gradient Xᵀ·dY and the input gradient dY·Wᵀ, the last
+// two accumulating as the backward pass does. The kernels' arm is named
+// vector where the CPU runs the AVX kernels and blocked where it runs the
+// Go ones (always under -tags purego). Run at -cpu 1 for the single-core
+// rate; the forward product of the widest layers shards across
+// goroutines above one P.
 func BenchmarkTowerKernels(b *testing.B) {
 	type kernel func(dst, a, b *Matrix, accumulate bool)
+	built := "blocked"
+	if useVec {
+		built = "vector"
+	}
 	impls := []struct {
 		name          string
-		vec           bool
 		mm, atb, abtK kernel
 	}{
-		{"vector", true, MatMulInto, MatMulATBInto, MatMulABTInto},
-		{"blocked", false, MatMulInto, MatMulATBInto, MatMulABTInto},
-		{"loop", false, refMatMulInto, refMatMulATBInto, refMatMulABTInto},
+		{built, MatMulInto, MatMulATBInto, MatMulABTInto},
+		{"loop", refMatMulInto, refMatMulATBInto, refMatMulABTInto},
 	}
 	rng := rand.New(rand.NewSource(7))
 	type operands struct{ x, w, y, dy, dw, dx *Matrix }
@@ -460,10 +464,6 @@ func BenchmarkTowerKernels(b *testing.B) {
 	for _, kern := range []string{"matmul", "atb", "abt"} {
 		for _, impl := range impls {
 			b.Run(kern+"/"+impl.name, func(b *testing.B) {
-				defer SetVectorKernels(SetVectorKernels(impl.vec))
-				if impl.vec && !useVec {
-					b.Skip("no vector kernels in this build or on this CPU")
-				}
 				for i := 0; i < b.N; i++ {
 					for _, o := range ops {
 						switch kern {

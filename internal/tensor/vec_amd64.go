@@ -2,14 +2,13 @@
 
 package tensor
 
-// hasVec reports whether this CPU and OS run the AVX kernels of
-// vec_amd64.s: read once, from CPUID and XGETBV, so one binary runs
-// everywhere. Without AVX or OS-saved YMM state every caller runs its Go
-// loop, which computes the same bits.
-var hasVec = detectAVX()
-
-// useVec gates the kernels; only SetVectorKernels changes it.
-var useVec = hasVec
+// useVec reports whether this CPU and OS run the AVX kernels of
+// vec_amd64.s: read once, from CPUID and XGETBV, at package
+// initialization, so one binary runs everywhere. Without AVX or OS-saved
+// YMM state every caller runs its Go loop, which computes the same bits.
+// Nothing writes it afterwards; builds tagged purego leave the kernels
+// out (vec_other.go).
+var useVec = detectAVX()
 
 func detectAVX() bool {
 	const osxsave, avx = 1 << 27, 1 << 28
@@ -22,16 +21,6 @@ func detectAVX() bool {
 	// The OS must save and restore XMM and YMM state (XCR0 bits 1 and 2).
 	eax, _ := xgetbv()
 	return eax&6 == 6
-}
-
-// SetVectorKernels turns the vector kernels on or off and returns the
-// previous setting. It exists so tests can check the Go kernels on a CPU
-// that has the vector ones; turning them on where the CPU lacks them does
-// nothing. No kernel call may run concurrently with it.
-func SetVectorKernels(on bool) (was bool) {
-	was = useVec
-	useVec = on && hasVec
-	return was
 }
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -7,7 +7,7 @@
 // the scalar Go code's MULSD and ADDSD, never one fused FMA rounding; each
 // output element sums its products in the Go kernels' order from the
 // same starting value, so the results are bitwise theirs. Gated at run
-// time by hasAVX (vec_amd64.go).
+// time by useVec, which detectAVX sets once (vec_amd64.go).
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

@@ -5,9 +5,6 @@ package tensor
 // Other architectures, and builds tagged purego, run only the Go kernels.
 const useVec = false
 
-// SetVectorKernels reports false: this build has no vector kernels.
-func SetVectorKernels(bool) (was bool) { return false }
-
 func mulPair16(d0, a0, b *float64, k, n, blocks int, acc bool) {
 	panic("tensor: no vector kernels in this build")
 }
